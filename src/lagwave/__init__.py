@@ -33,19 +33,11 @@ from .engine import (
     Model,
     NonstandardLWR,
     PhillipsRelax,
-    Platoon,
     Scenario,
     Scheme,
     Trajectory,
     acceleration,
-    init_lead_vehicle_problem,
     simulate,
-    spacing_estimate,
-    step_corrected_1,
-    step_corrected_2,
-    step_explicit_explicit,
-    step_nonstandard,
-    step_second_order,
 )
 from .fundamental import (
     FundamentalDiagram,
@@ -95,19 +87,11 @@ __all__ = [
     "Model",
     "NonstandardLWR",
     "PhillipsRelax",
-    "Platoon",
     "Scenario",
     "Scheme",
     "Trajectory",
     "acceleration",
-    "init_lead_vehicle_problem",
     "simulate",
-    "spacing_estimate",
-    "step_corrected_1",
-    "step_corrected_2",
-    "step_explicit_explicit",
-    "step_nonstandard",
-    "step_second_order",
     "FundamentalDiagram",
     "GreenshieldsFD",
     "KernerFD",

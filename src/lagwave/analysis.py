@@ -55,13 +55,16 @@ class DiagnosticsReport:
 
     Events are (time index, vehicle index) pairs.  A collision is a
     normalized spacing below S - 1e-9; a negative speed is anything
-    below -1e-12.
+    below -1e-12.  No comparison sees a NaN or an infinity, so the
+    non-finite positions and speeds are counted apart; any of them
+    makes the trajectory unclean.
     """
 
     collision_events: list[tuple[int, int]]
     negative_speed_events: list[tuple[int, int]]
     min_spacing: float
     max_abs_acceleration: float
+    nonfinite_count: int
 
     @property
     def collision_count(self) -> int:
@@ -73,7 +76,7 @@ class DiagnosticsReport:
 
     @property
     def clean(self) -> bool:
-        return not self.collision_events and not self.negative_speed_events
+        return not (self.collision_events or self.negative_speed_events or self.nonfinite_count)
 
 
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
@@ -92,11 +95,13 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
     ]
     min_spacing = float(np.min(s)) if s.size else float("inf")
     max_acc = float(np.max(np.abs(trajectory.accelerations))) if trajectory.accelerations.size else 0.0
+    nonfinite = sum(int(np.count_nonzero(~np.isfinite(a))) for a in (trajectory.positions, trajectory.speeds))
     return DiagnosticsReport(
         collision_events=collisions,
         negative_speed_events=negatives,
         min_spacing=min_spacing,
         max_abs_acceleration=max_acc,
+        nonfinite_count=nonfinite,
     )
 
 

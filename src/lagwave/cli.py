@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
+    DiagnosticsReport,
     MeasurementError,
     diagnose,
     measure_front_speed,
@@ -301,8 +302,7 @@ def load_spec(text: str) -> RunSpec:
 
     sweep = None
     if "sweep" in run_sec:
-        parts = [p for p in run_sec["sweep"].split(",") if p.strip()]
-        sweep = tuple(_to_float("run", "sweep", p) for p in parts)
+        sweep = _dn_values(run_sec["sweep"])
         _check_sweep(sweep)
 
     stability = None
@@ -326,6 +326,11 @@ def load_spec(text: str) -> RunSpec:
         vehicles=vehicles,
         dt_ratio=dt_ratio,
     )
+
+
+def _dn_values(raw: str) -> tuple[float, ...]:
+    """Comma-separated dn values, from run.sweep or from ``sweep --dn``."""
+    return tuple(_to_float("run", "sweep", p) for p in raw.split(",") if p.strip())
 
 
 def _check_sweep(values: tuple[float, ...]) -> None:
@@ -446,8 +451,7 @@ def _measurement(spec: RunSpec, traj: Trajectory) -> tuple[float, float]:
         return math.nan, math.nan
 
 
-def _summary_lines(spec: RunSpec, traj: Trajectory) -> list[str]:
-    report = diagnose(traj, spec.scenario.fd)
+def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -> list[str]:
     speed, r2 = _measurement(spec, traj)
     fd = spec.scenario.fd
     return [
@@ -469,7 +473,8 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
 
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
-    lines = _summary_lines(spec, traj)
+    report = diagnose(traj, spec.scenario.fd)
+    lines = _summary_lines(spec, traj, report)
     summary_path = os.path.join(spec.output_dir, "summary.txt")
     with open(summary_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -478,15 +483,14 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
         print(line)
     print(f"[run] wrote {csv_path} and {summary_path}")
 
-    if expect_clean:
-        report = diagnose(traj, spec.scenario.fd)
-        if not report.clean:
-            print(
-                f"[run] expected clean run, found {report.collision_count} collisions "
-                f"and {report.negative_speed_count} negative speeds",
-                file=sys.stderr,
-            )
-            return 2
+    if expect_clean and not report.clean:
+        print(
+            f"[run] expected clean run, found {report.collision_count} collisions, "
+            f"{report.negative_speed_count} negative speeds "
+            f"and {report.nonfinite_count} non-finite values",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -641,10 +645,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--expect-clean",
         action="store_true",
-        help="exit nonzero if the run has collisions or negative speeds",
+        help="exit nonzero if the run has collisions, negative speeds or non-finite values",
     )
     p_sweep = sub.add_parser("sweep", parents=[common], help="convergence sweep over dn")
-    p_sweep.add_argument("--dn", help="comma-separated dn values (default from config)")
+    p_sweep.add_argument("--dn", help="comma-separated dn values (default from run.sweep in the config)")
     sub.add_parser("thresholds", parents=[common], help="report step-size admissibility")
     sub.add_parser("stability", parents=[common], help="string-stability experiment")
 
@@ -657,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
             return run(spec, expect_clean=args.expect_clean)
         if args.verb == "sweep":
             if args.dn is not None:
-                dn_list = tuple(float(p) for p in args.dn.split(",") if p.strip())
+                dn_list = _dn_values(args.dn)
             elif spec.sweep is not None:
                 dn_list = spec.sweep
             else:

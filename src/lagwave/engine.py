@@ -10,7 +10,9 @@ The reference update is symplectic: speeds are advanced first from the
 current spacings, positions then move with the *new* speeds.  Rival
 spacing stencils and a fully explicit stepper are provided for the
 failure-mode experiments; second-order behaviour (speed relaxation,
-anticipation) enters through a model object.
+anticipation) enters through a model object.  One kernel steps them all:
+a scheme is a spacing stencil plus the choice of new or old speeds for
+the position update, a model is the speed update.
 """
 from __future__ import annotations
 
@@ -30,16 +32,8 @@ __all__ = [
     "Corrected1",
     "Corrected2",
     "Model",
-    "Platoon",
     "Scenario",
     "Trajectory",
-    "init_lead_vehicle_problem",
-    "spacing_estimate",
-    "step_nonstandard",
-    "step_explicit_explicit",
-    "step_second_order",
-    "step_corrected_1",
-    "step_corrected_2",
     "acceleration",
     "simulate",
 ]
@@ -108,31 +102,6 @@ class Corrected2:
 Model = NonstandardLWR | PhillipsRelax | JWZ | Corrected1 | Corrected2
 
 
-@dataclass(eq=False)
-class Platoon:
-    """Positions and speeds of M+1 vehicles at one time level."""
-
-    positions: np.ndarray
-    speeds: np.ndarray
-    dn: float
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.speeds = np.asarray(self.speeds, dtype=float)
-        if self.positions.shape != self.speeds.shape or self.positions.ndim != 1:
-            raise ValueError("positions and speeds must be 1-d arrays of equal length")
-        if self.dn <= 0.0:
-            raise ValueError("dn must be positive")
-
-    @property
-    def followers(self) -> int:
-        return len(self.positions) - 1
-
-    def spacings(self) -> np.ndarray:
-        """Normalized spacings, one per follower."""
-        return (self.positions[:-1] - self.positions[1:]) / self.dn
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Lead-vehicle problem: followers start in equilibrium at density k1,
@@ -152,14 +121,20 @@ class Scenario:
     initial_speed: float | None = None
 
     def __post_init__(self):
+        for name in ("lead_speed", "dn", "dt", "duration", "initial_speed"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.k1 <= self.fd.K:
             raise ValueError(f"k1 must lie in (0, K={self.fd.K!r}]")
         if self.lead_speed < 0.0:
             raise ValueError("lead_speed must be nonnegative")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
-        if self.dn <= 0.0 or self.dt <= 0.0:
-            raise ValueError("dn and dt must be positive")
+        if self.dn <= 0.0:
+            raise ValueError("dn must be positive")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
         if self.duration < 0.0:
             raise ValueError("duration must be nonnegative")
 
@@ -196,130 +171,58 @@ class Trajectory:
         return np.arange(self.positions.shape[1]) * self.dn
 
 
-def init_lead_vehicle_problem(scenario: Scenario) -> Platoon:
-    """Initial platoon: uniform spacing dn/k1, leader at the origin."""
-    s1 = scenario.dn / scenario.k1
-    positions = -np.arange(scenario.m + 1) * s1
-    v0 = scenario.initial_speed
-    if v0 is None:
-        v0 = scenario.fd.eta(scenario.k1)
-    speeds = np.full(scenario.m + 1, float(v0))
-    speeds[0] = scenario.lead_speed
-    return Platoon(positions, speeds, scenario.dn)
+# Spacing estimate per follower from the backward spacings s.  Forward and
+# central stencils also look at the follower behind; the last vehicle has
+# none, so they fall back to its backward spacing.
+_STENCILS = {
+    Scheme.ANISOTROPIC_SYMPLECTIC: lambda s: s,
+    Scheme.EXPLICIT_EXPLICIT: lambda s: s,
+    Scheme.FORWARD_SPACING: lambda s: np.concatenate((s[1:], s[-1:])),
+    Scheme.ARITHMETIC_CENTRAL: lambda s: np.concatenate((0.5 * (s[:-1] + s[1:]), s[-1:])),
+    Scheme.HARMONIC_CENTRAL: lambda s: np.concatenate((2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:]), s[-1:])),
+}
 
 
-def _clamped_theta(platoon: Platoon, fd: FundamentalDiagram) -> tuple[np.ndarray, np.ndarray]:
-    """Physical gaps and equilibrium speeds at jam-clamped spacings."""
-    gaps = platoon.positions[:-1] - platoon.positions[1:]
-    s = np.maximum(gaps / platoon.dn, fd.S)
-    return gaps, fd.theta(s)
+def _step_kernel(
+    positions: np.ndarray,
+    speeds: np.ndarray,
+    lead: np.ndarray,
+    fd: FundamentalDiagram,
+    dn: float,
+    dt: float,
+    model: Model,
+    scheme: Scheme,
+) -> None:
+    """Fill rows 1..J of the (J+1, M+1) ``positions`` and ``speeds`` from row 0.
 
-
-def _follower_speeds(platoon: Platoon, model: Model, fd: FundamentalDiagram, dt: float) -> np.ndarray:
-    """New follower speeds U^{j+1}_m for the anisotropic symplectic step."""
-    gaps, th = _clamped_theta(platoon, fd)
-    u = platoon.speeds[1:]
-    if isinstance(model, NonstandardLWR):
-        return th
-    if isinstance(model, PhillipsRelax):
-        # Interpolation form: exactly th when T == dt.
-        r = 1.0 - dt / model.T
-        return th + r * (u - th)
-    if isinstance(model, JWZ):
-        r = 1.0 - dt / model.T
-        dv = platoon.speeds[:-1] - platoon.speeds[1:]
-        safe = np.where(np.abs(gaps) > 1e-12, gaps, 1.0)
-        antic = np.where(np.abs(gaps) > 1e-12, dv / safe, 0.0)
-        return th + r * (u - th) + dt * model.c0 * antic
-    if isinstance(model, Corrected1):
-        raw = _follower_speeds(platoon, model.inner, fd, dt)
-        return np.maximum(0.0, np.minimum(raw, th))
-    if isinstance(model, Corrected2):
-        raw = _follower_speeds(platoon, model.inner, fd, dt)
-        ceiling = (gaps - fd.S * platoon.dn) / dt
-        return np.maximum(0.0, np.minimum(raw, ceiling))
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _advance(platoon: Platoon, follower_speeds: np.ndarray, dt: float, lead_speed: float) -> Platoon:
-    new_speeds = np.empty_like(platoon.speeds)
-    new_speeds[0] = lead_speed
-    new_speeds[1:] = follower_speeds
-    new_positions = platoon.positions + dt * new_speeds
-    return Platoon(new_positions, new_speeds, platoon.dn)
-
-
-def step_nonstandard(platoon: Platoon, fd: FundamentalDiagram, dt: float, lead_speed: float) -> Platoon:
-    """One anisotropic symplectic step of the equilibrium model."""
-    return _advance(platoon, _follower_speeds(platoon, NonstandardLWR(), fd, dt), dt, lead_speed)
-
-
-def step_second_order(platoon: Platoon, model: Model, fd: FundamentalDiagram, dt: float, lead_speed: float) -> Platoon:
-    """One anisotropic symplectic step of a second-order model."""
-    return _advance(platoon, _follower_speeds(platoon, model, fd, dt), dt, lead_speed)
-
-
-def step_corrected_1(platoon: Platoon, model: Model, fd: FundamentalDiagram, dt: float, lead_speed: float) -> Platoon:
-    """Step ``model`` with its speed clamped into [0, theta(spacing)]."""
-    return step_second_order(platoon, Corrected1(model), fd, dt, lead_speed)
-
-
-def step_corrected_2(platoon: Platoon, model: Model, fd: FundamentalDiagram, dt: float, lead_speed: float) -> Platoon:
-    """Step ``model`` with its speed clamped so spacing stays above jam."""
-    return step_second_order(platoon, Corrected2(model), fd, dt, lead_speed)
-
-
-def spacing_estimate(platoon: Platoon, m: int, scheme: Scheme) -> float:
-    """Normalized spacing estimate the given stencil uses for follower m.
-
-    The backward (anisotropic) spacing is the one to the vehicle ahead.
-    Forward and central stencils look at the follower behind as well;
-    the last vehicle has none, so they fall back to the backward value
-    there.
+    ``lead[j]`` is the leader speed over step j -> j+1.  The inputs are
+    trusted; ``simulate`` validates them once per run.
     """
-    if not 1 <= m <= platoon.followers:
-        raise IndexError(f"follower index {m} out of range")
-    s = platoon.spacings()
-    own = s[m - 1]
-    if scheme in (Scheme.ANISOTROPIC_SYMPLECTIC, Scheme.EXPLICIT_EXPLICIT) or m == platoon.followers:
-        return float(own)
-    behind = s[m]
-    if scheme is Scheme.FORWARD_SPACING:
-        return float(behind)
-    if scheme is Scheme.ARITHMETIC_CENTRAL:
-        return float(0.5 * (own + behind))
-    if scheme is Scheme.HARMONIC_CENTRAL:
-        return float(2.0 * own * behind / (own + behind))
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _step_stencil(platoon: Platoon, fd: FundamentalDiagram, dt: float, lead_speed: float, scheme: Scheme) -> Platoon:
-    s = platoon.spacings()
-    if scheme is Scheme.FORWARD_SPACING:
-        est = np.concatenate((s[1:], s[-1:]))
-    elif scheme is Scheme.ARITHMETIC_CENTRAL:
-        est = np.concatenate((0.5 * (s[:-1] + s[1:]), s[-1:]))
-    elif scheme is Scheme.HARMONIC_CENTRAL:
-        est = np.concatenate((2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:]), s[-1:]))
-    else:
-        raise ValueError(f"not a stencil scheme: {scheme!r}")
-    th = fd.theta(np.maximum(est, fd.S))
-    return _advance(platoon, th, dt, lead_speed)
-
-
-def step_explicit_explicit(platoon: Platoon, fd: FundamentalDiagram, dt: float, lead_speed: float) -> Platoon:
-    """Explicit speed update and explicit position update.
-
-    Speeds come from the current spacings as usual, but positions move
-    with the *old* speeds, so a vehicle keeps travelling at the speed
-    justified by its previous spacing.
-    """
-    _, th = _clamped_theta(platoon, fd)
-    new_speeds = np.empty_like(platoon.speeds)
-    new_speeds[0] = lead_speed
-    new_speeds[1:] = th
-    new_positions = platoon.positions + dt * platoon.speeds
-    return Platoon(new_positions, new_speeds, platoon.dn)
+    clamp = None
+    if isinstance(model, (Corrected1, Corrected2)):
+        clamp, model = type(model), model.inner
+    if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
+        raise TypeError(f"unknown model {model!r}")
+    # Interpolation form of the relaxation: exactly theta when T == dt.
+    r = 1.0 - dt / model.T if isinstance(model, (PhillipsRelax, JWZ)) else None
+    stencil = _STENCILS[scheme]
+    S, K = fd.S, fd.K
+    for j in range(len(lead)):
+        x, u, v = positions[j], speeds[j], speeds[j + 1]
+        gaps = x[:-1] - x[1:]
+        # Calls eta, not fd.theta: theta's spacing checks cannot fire after the jam clamp.
+        th = fd.eta(np.minimum(1.0 / np.maximum(stencil(gaps / dn), S), K))
+        new = th if r is None else th + r * (u[1:] - th)
+        if isinstance(model, JWZ):
+            far = np.abs(gaps) > 1e-12
+            antic = np.where(far, (u[:-1] - u[1:]) / np.where(far, gaps, 1.0), 0.0)
+            new = new + dt * model.c0 * antic
+        if clamp is not None:
+            ceiling = th if clamp is Corrected1 else (gaps - S * dn) / dt
+            new = np.maximum(0.0, np.minimum(new, ceiling))
+        v[0] = lead[j]
+        v[1:] = new
+        positions[j + 1] = x + dt * (u if scheme is Scheme.EXPLICIT_EXPLICIT else v)
 
 
 def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
@@ -355,25 +258,18 @@ def simulate(
         lead = np.asarray(lead_speeds, dtype=float)
         if lead.shape != (J,):
             raise ValueError(f"lead_speeds must have shape ({J},)")
+        if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
+            raise ValueError("lead_speeds must be finite and nonnegative")
 
-    fd = scenario.fd
+    # Initial platoon: uniform spacing dn/k1, leader at the origin.
     dt = scenario.dt
-    platoon = init_lead_vehicle_problem(scenario)
-
     positions = np.empty((J + 1, scenario.m + 1))
     speeds = np.empty((J + 1, scenario.m + 1))
-    positions[0] = platoon.positions
-    speeds[0] = platoon.speeds
-
-    for j in range(J):
-        if scheme is Scheme.ANISOTROPIC_SYMPLECTIC:
-            platoon = _advance(platoon, _follower_speeds(platoon, model, fd, dt), dt, lead[j])
-        elif scheme is Scheme.EXPLICIT_EXPLICIT:
-            platoon = step_explicit_explicit(platoon, fd, dt, lead[j])
-        else:
-            platoon = _step_stencil(platoon, fd, dt, lead[j], scheme)
-        positions[j + 1] = platoon.positions
-        speeds[j + 1] = platoon.speeds
+    positions[0] = -np.arange(scenario.m + 1) * (scenario.dn / scenario.k1)
+    v0 = scenario.initial_speed
+    speeds[0] = scenario.fd.eta(scenario.k1) if v0 is None else v0
+    speeds[0, 0] = scenario.lead_speed
+    _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
 
     times = np.arange(J + 1) * dt
     return Trajectory(

@@ -63,6 +63,21 @@ def test_diagnose_clean_run():
     assert rep.min_spacing > G.S
 
 
+@pytest.mark.parametrize("positions, speeds, count", [
+    ([[0.0, -8.0], [0.0, np.nan]], [[0.0, 2.0], [0.0, np.nan]], 2),
+    ([[0.0, -8.0], [0.0, -8.0]], [[0.0, 2.0], [0.0, np.inf]], 1),
+    ([[0.0, -8.0], [np.inf, -8.0]], [[0.0, 2.0], [0.0, 2.0]], 1),
+])
+def test_diagnose_nonfinite_trajectory_is_not_clean(positions, speeds, count):
+    # no comparison sees a NaN or an infinity as an event, so the audit
+    # must count the non-finite values itself
+    rep = diagnose(FakeTrajectory(positions, speeds, dt=1.0, fd=G))
+    assert rep.collision_count == 0
+    assert rep.negative_speed_count == 0
+    assert rep.nonfinite_count == count
+    assert not rep.clean
+
+
 def test_measure_front_speed_rejects_equal_levels():
     sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175,
                   duration=7.0)

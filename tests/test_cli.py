@@ -281,3 +281,11 @@ def test_main_sweep_needs_dn_somewhere(tmp_path, capsys):
     cfg.write_text(SWEEPABLE)
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+def test_main_sweep_bad_dn_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sw.ini"
+    cfg.write_text(SWEEPABLE)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "0.5,abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err

@@ -1,6 +1,8 @@
-"""Time stepping: hand-checked single steps, scheme dispatch, shape and
-validation contracts, and the two-step collision construction that
-separates the robust update from its four rivals."""
+"""Time stepping: hand-checked single steps of the kernel, scheme dispatch,
+shape and validation contracts, and the two-step collision construction
+that separates the robust update from its four rivals."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,18 +13,12 @@ from lagwave.engine import (
     JWZ,
     NonstandardLWR,
     PhillipsRelax,
-    Platoon,
     Scenario,
     Scheme,
+    Trajectory,
+    _step_kernel,
     acceleration,
-    init_lead_vehicle_problem,
     simulate,
-    spacing_estimate,
-    step_corrected_1,
-    step_corrected_2,
-    step_explicit_explicit,
-    step_nonstandard,
-    step_second_order,
 )
 from lagwave.fundamental import GreenshieldsFD, TriangularFD
 
@@ -30,90 +26,108 @@ G = GreenshieldsFD()
 T = TriangularFD()
 
 
-def make_platoon(fd, k1, lead_speed, m, dn, initial_speed=None):
+def initial_rows(fd, k1, lead_speed, m, dn, initial_speed=None):
     sc = Scenario(fd=fd, k1=k1, lead_speed=lead_speed, m=m, dn=dn, dt=1.0,
                   duration=1.0, initial_speed=initial_speed)
-    return init_lead_vehicle_problem(sc)
+    traj = simulate(sc)
+    return traj.positions[0], traj.speeds[0], traj
+
+
+def step_rows(x0, u0, fd, model=None, scheme=Scheme.ANISOTROPIC_SYMPLECTIC, steps=1):
+    """Step a hand-built row 0 through the kernel with dn = dt = 1 and a
+    stopped leader; the row may hold states a Scenario refuses."""
+    positions = np.empty((steps + 1, len(x0)))
+    speeds = np.empty_like(positions)
+    positions[0], speeds[0] = x0, u0
+    _step_kernel(positions, speeds, np.zeros(steps), fd, 1.0, 1.0,
+                 NonstandardLWR() if model is None else model, scheme)
+    return positions, speeds
 
 
 def test_init_positions_and_speeds():
-    p = make_platoon(G, k1=1.0 / 14.0, lead_speed=3.0, m=2, dn=0.5)
+    x, u, traj = initial_rows(G, k1=1.0 / 14.0, lead_speed=3.0, m=2, dn=0.5)
     # spacing per slot = dn / k1 = 7, slots at 0, -7, -14
-    assert np.allclose(p.positions, [0.0, -7.0, -14.0])
-    assert p.speeds[0] == 3.0
+    assert np.allclose(x, [0.0, -7.0, -14.0])
+    assert u[0] == 3.0
     # followers start on equilibrium: eta(1/14) = 10
-    assert np.allclose(p.speeds[1:], 10.0)
-    assert p.dn == 0.5
+    assert np.allclose(u[1:], 10.0)
+    assert traj.dn == 0.5
 
 
 def test_init_initial_speed_override():
-    p = make_platoon(T, k1=T.K / 100.0, lead_speed=0.0, m=3, dn=1.0,
-                     initial_speed=0.0)
-    assert np.all(p.speeds == 0.0)
+    _, u, _ = initial_rows(T, k1=T.K / 100.0, lead_speed=0.0, m=3, dn=1.0,
+                           initial_speed=0.0)
+    assert np.all(u == 0.0)
 
 
-def test_platoon_spacings_normalized():
-    p = Platoon(positions=np.array([0.0, -7.0, -21.0]), speeds=np.zeros(3), dn=0.5)
-    assert np.allclose(p.spacings(), [14.0, 28.0])
-    assert p.followers == 2
+def test_trajectory_spacings_normalized():
+    traj = Trajectory(times=np.zeros(1), positions=np.array([[0.0, -7.0, -21.0]]),
+                      speeds=np.zeros((1, 3)), accelerations=np.zeros((0, 3)), dn=0.5)
+    # one row, one spacing per follower
+    assert np.allclose(traj.spacings(), [[14.0, 28.0]])
 
 
 def test_step_nonstandard_hand_values():
     # triangular, uniform spacing 2S = 14, red light ahead
-    p = make_platoon(T, k1=1.0 / 14.0, lead_speed=0.0, m=2, dn=1.0)
-    q = step_nonstandard(p, T, dt=1.0, lead_speed=0.0)
+    x, u, _ = initial_rows(T, k1=1.0 / 14.0, lead_speed=0.0, m=2, dn=1.0)
+    positions, speeds = step_rows(x, u, T)
     # theta(14) = 5(14/7 - 1) = 5 for both followers, then positions move
-    assert np.allclose(q.speeds, [0.0, 5.0, 5.0])
-    assert np.allclose(q.positions, [0.0, -9.0, -23.0])
+    assert np.allclose(speeds[1], [0.0, 5.0, 5.0])
+    assert np.allclose(positions[1], [0.0, -9.0, -23.0])
 
 
 def test_step_nonstandard_clamps_tight_gap():
-    p = Platoon(positions=np.array([0.0, -3.0]), speeds=np.array([0.0, 5.0]), dn=1.0)
-    q = step_nonstandard(p, T, dt=1.0, lead_speed=0.0)
+    positions, speeds = step_rows([0.0, -3.0], [0.0, 5.0], T)
     # gap 3 is below jam spacing; speed clamps to theta(S) = 0
-    assert q.speeds[1] == 0.0
-    assert q.positions[1] == -3.0
+    assert speeds[1, 1] == 0.0
+    assert positions[1, 1] == -3.0
 
 
-def test_spacing_estimate_variants():
-    p = Platoon(positions=np.array([0.0, -7.0, -21.0]), speeds=np.zeros(3), dn=1.0)
-    assert spacing_estimate(p, 1, Scheme.ANISOTROPIC_SYMPLECTIC) == 7.0
-    assert spacing_estimate(p, 1, Scheme.FORWARD_SPACING) == 14.0
-    assert spacing_estimate(p, 1, Scheme.ARITHMETIC_CENTRAL) == 10.5
-    assert spacing_estimate(p, 1, Scheme.HARMONIC_CENTRAL) == pytest.approx(28.0 / 3.0)
+@pytest.mark.parametrize("scheme, estimate", [
+    (Scheme.ANISOTROPIC_SYMPLECTIC, 7.0),
+    (Scheme.EXPLICIT_EXPLICIT, 7.0),
+    (Scheme.FORWARD_SPACING, 14.0),
+    (Scheme.ARITHMETIC_CENTRAL, 10.5),
+])
+def test_scheme_spacing_estimates(scheme, estimate):
+    # spacings 7 and 14; each scheme's first follower adopts theta(estimate)
+    _, speeds = step_rows([0.0, -7.0, -21.0], [0.0, 0.0, 0.0], G, scheme=scheme)
+    assert speeds[1, 1] == G.theta(estimate)
     # last vehicle has nothing behind, falls back to the backward gap
-    assert spacing_estimate(p, 2, Scheme.FORWARD_SPACING) == 14.0
-    with pytest.raises(IndexError):
-        spacing_estimate(p, 3, Scheme.FORWARD_SPACING)
+    assert speeds[1, 2] == G.theta(14.0)
+
+
+def test_harmonic_spacing_estimate():
+    _, speeds = step_rows([0.0, -7.0, -21.0], [0.0, 0.0, 0.0], G,
+                          scheme=Scheme.HARMONIC_CENTRAL)
+    assert speeds[1, 1] == pytest.approx(G.theta(28.0 / 3.0))
+    assert speeds[1, 2] == G.theta(14.0)
 
 
 def test_step_explicit_explicit_hand_values():
-    p = make_platoon(T, k1=1.0 / 14.0, lead_speed=0.0, m=1, dn=1.0)
+    x, u, _ = initial_rows(T, k1=1.0 / 14.0, lead_speed=0.0, m=1, dn=1.0)
     # explicit-explicit moves with the OLD speed (eta(1/14) = 5)
-    q = step_explicit_explicit(p, T, dt=1.0, lead_speed=0.0)
-    assert np.allclose(q.positions, [0.0, -9.0])
-    assert np.allclose(q.speeds, [0.0, 5.0])
-    r = step_explicit_explicit(q, T, dt=1.0, lead_speed=0.0)
+    positions, speeds = step_rows(x, u, T, scheme=Scheme.EXPLICIT_EXPLICIT, steps=2)
+    assert np.allclose(positions[1], [0.0, -9.0])
+    assert np.allclose(speeds[1], [0.0, 5.0])
     # gap is now 9, theta(9) = 10/7, but it moves with speed 5 first
-    assert np.allclose(r.positions, [0.0, -4.0])
-    assert r.speeds[1] == pytest.approx(10.0 / 7.0)
+    assert np.allclose(positions[2], [0.0, -4.0])
+    assert speeds[2, 1] == pytest.approx(10.0 / 7.0)
 
 
 def test_corrected1_floor_and_ceiling():
     # inner relaxation with a huge speed excess gets clipped to theta
-    p = Platoon(positions=np.array([0.0, -7.0]), speeds=np.array([0.0, 12.0]), dn=1.0)
-    q = step_corrected_1(p, PhillipsRelax(T=2.0), T, dt=1.0, lead_speed=0.0)
+    _, speeds = step_rows([0.0, -7.0], [0.0, 12.0], T, model=Corrected1(PhillipsRelax(T=2.0)))
     # theta(7) = 0, so the corrected speed is exactly 0
-    assert q.speeds[1] == 0.0
+    assert speeds[1, 1] == 0.0
 
 
 def test_corrected2_collision_ceiling():
     # gap 8, jam spacing 7: ceiling allows at most (8 - 7)/1 = 1 m/s
-    p = Platoon(positions=np.array([0.0, -8.0]), speeds=np.array([0.0, 12.0]), dn=1.0)
-    q = step_corrected_2(p, PhillipsRelax(T=2.0), T, dt=1.0, lead_speed=0.0)
-    assert q.speeds[1] == pytest.approx(1.0)
+    positions, speeds = step_rows([0.0, -8.0], [0.0, 12.0], T, model=Corrected2(PhillipsRelax(T=2.0)))
+    assert speeds[1, 1] == pytest.approx(1.0)
     # and the new gap is exactly the jam spacing
-    assert q.positions[0] - q.positions[1] == pytest.approx(7.0)
+    assert positions[1, 0] - positions[1, 1] == pytest.approx(7.0)
 
 
 def test_corrected_models_reject_nesting():
@@ -124,10 +138,10 @@ def test_corrected_models_reject_nesting():
 
 
 def test_jwz_anticipation_decelerates():
-    p = make_platoon(T, k1=1.0 / 14.0, lead_speed=0.0, m=1, dn=1.0)
-    q = step_second_order(p, JWZ(T=5.0, c0=2.0), T, dt=1.0, lead_speed=0.0)
+    x, u, _ = initial_rows(T, k1=1.0 / 14.0, lead_speed=0.0, m=1, dn=1.0)
+    _, speeds = step_rows(x, u, T, model=JWZ(T=5.0, c0=2.0))
     # equilibrium holds (theta(14) = 5) but the closing speed term bites
-    assert q.speeds[1] == pytest.approx(5.0 - 10.0 / 14.0)
+    assert speeds[1, 1] == pytest.approx(5.0 - 10.0 / 14.0)
 
 
 def test_model_parameter_validation():
@@ -238,3 +252,22 @@ def test_anisotropic_survives_same_setup():
     traj = simulate(sc)
     assert first_collision_step(traj, T) is None
     assert traj.spacings().min() >= T.S - 1e-9
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["lead_speed", "dn", "dt", "duration", "initial_speed"])
+def test_scenario_rejects_nonfinite(field, value):
+    kwargs = dict(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        Scenario(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+def test_simulate_rejects_bad_lead_speeds(bad):
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=2, dn=1.0, dt=0.35,
+                  duration=3.5)
+    lead = np.full(sc.steps, 7.5)
+    lead[3] = bad
+    with pytest.raises(ValueError, match="lead_speeds"):
+        simulate(sc, lead_speeds=lead)
