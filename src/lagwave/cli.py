@@ -138,32 +138,26 @@ def _build_fd(sec: dict[str, str]) -> FundamentalDiagram:
     for key in sec:
         if key not in _FD_KEYS[kind]:
             raise ConfigError(f"unknown key fd.{key} for type {kind!r}")
-    if kind == "greenshields":
-        kwargs = {}
-        if "v" in sec:
-            kwargs["V"] = _to_float("fd", "v", sec["v"])
-        if "k" in sec:
-            kwargs["K"] = _to_float("fd", "k", sec["k"])
-        return GreenshieldsFD(**kwargs)
-    if kind == "triangular":
-        kwargs = {}
-        if "v" in sec:
-            kwargs["V"] = _to_float("fd", "v", sec["v"])
-        if "w" in sec:
-            kwargs["W"] = _to_float("fd", "w", sec["w"])
-        if "k" in sec:
-            kwargs["K"] = _to_float("fd", "k", sec["k"])
-        return TriangularFD(**kwargs)
-    kwargs = {}
-    for key, attr in (
-        ("unit_length", "unit_length"), ("relax_time", "relax_time"), ("k", "K"),
-        ("c1", "c1"), ("c2", "c2"), ("c3", "c3"), ("c4", "c4"),
-    ):
-        if key in sec:
-            kwargs[attr] = _to_float("fd", key, sec[key])
-    if "clamp_nonnegative" in sec:
-        kwargs["clamp_nonnegative"] = _to_bool("fd", "clamp_nonnegative", sec["clamp_nonnegative"])
-    return KernerFD(**kwargs)
+    kwargs: dict[str, float | bool] = {}
+    if kind == "kerner":
+        cls = KernerFD
+        for key, attr in (
+            ("unit_length", "unit_length"), ("relax_time", "relax_time"), ("k", "K"),
+            ("c1", "c1"), ("c2", "c2"), ("c3", "c3"), ("c4", "c4"),
+        ):
+            if key in sec:
+                kwargs[attr] = _to_float("fd", key, sec[key])
+        if "clamp_nonnegative" in sec:
+            kwargs["clamp_nonnegative"] = _to_bool("fd", "clamp_nonnegative", sec["clamp_nonnegative"])
+    else:
+        cls = GreenshieldsFD if kind == "greenshields" else TriangularFD
+        for key in ("v", "w", "k"):
+            if key in sec:
+                kwargs[key.upper()] = _to_float("fd", key, sec[key])
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid fd: {exc}") from None
 
 
 def _build_model(sec: dict[str, str]) -> Model:

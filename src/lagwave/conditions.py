@@ -9,19 +9,20 @@ the ratio ``dn/dt``:
 * the CFL threshold, ``sup |eta_prime(k)| * k**2``, the classical
   stability bound for the explicit update.
 
-The suprema are computed on a dense grid and then polished with a
-bounded scalar minimiser around the best grid point.  The first one is
-singular at ``k = K``; its boundary value is taken as the L'Hopital
-limit ``-eta_prime(K) * K**2``, which is exact for diagrams that reach
-zero speed at jam density.
+The suprema are computed on a dense grid and then polished around the
+best grid point with Brent's bounded minimisation, run as a maximiser
+(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5).
+The first one is singular at ``k = K``; its boundary value is taken as
+the L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for
+diagrams that reach zero speed at jam density.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fundamental import FundamentalDiagram
 
@@ -34,22 +35,83 @@ __all__ = [
 ]
 
 
+def _brent_max(f, a: float, b: float, xatol: float) -> float:
+    """Largest value of ``f`` found by Brent's bounded search on [a, b]."""
+    # Port of scipy.optimize._optimize._minimize_scalar_bounded (scipy 1.17)
+    # applied to -f, in the same float operation order, so results match it bit for bit.
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabolic fit through the three best points.
+            r = (xf - nfc) * (ffulc - fx)
+            q = (xf - fulc) * (fnfc - fx)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu >= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu >= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu >= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx
+
+
 def _refine_max(f, lo: float, hi: float, n: int) -> float:
     """Grid maximum of ``f`` over [lo, hi], polished near the best point."""
     ks = np.linspace(lo, hi, n)
     vals = f(ks)
     i = int(np.argmax(vals))
     best = float(vals[i])
-    a = ks[max(i - 1, 0)]
-    b = ks[min(i + 1, n - 1)]
+    a = float(ks[max(i - 1, 0)])
+    b = float(ks[min(i + 1, n - 1)])
     if b > a:
-        res = minimize_scalar(
-            lambda k: -float(f(np.asarray(k, dtype=float))),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-13 * (hi - lo)},
-        )
-        best = max(best, -float(res.fun))
+        polished = _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * (hi - lo))
+        best = max(best, polished)
     return best
 
 

@@ -210,8 +210,9 @@ def _step_kernel(
     for j in range(len(lead)):
         x, u, v = positions[j], speeds[j], speeds[j + 1]
         gaps = x[:-1] - x[1:]
-        # Calls eta, not fd.theta: theta's spacing checks cannot fire after the jam clamp.
-        th = fd.eta(np.minimum(1.0 / np.maximum(stencil(gaps / dn), S), K))
+        # The unchecked _eta: clamping spacings to >= S and densities to <= K
+        # keeps them in [0, K], so neither theta's nor eta's checks can fire.
+        th = fd._eta(np.minimum(1.0 / np.maximum(stencil(gaps / dn), S), K))
         new = th if r is None else th + r * (u[1:] - th)
         if isinstance(model, JWZ):
             far = np.abs(gaps) > 1e-12

@@ -12,8 +12,9 @@ matching shape (plain ``float`` for scalar input).
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,12 +43,27 @@ class FundamentalDiagram(ABC):
     ``S`` : float
         Jam spacing, ``1/K``.
 
-    and implement ``eta``, ``eta_prime`` and ``eta_second``.  Everything
-    else (flow, spacing form, derivatives of the spacing form) is
-    derived here.
+    and implement ``_eta`` (the speed formula on a density array already
+    known to lie in [0, K]), ``eta_prime`` and ``eta_second``.  Everything
+    else (the checked ``eta``, flow, spacing form, derivatives of the
+    spacing form) is derived here.  Construction rejects non-finite
+    parameters and non-positive values of the fields named in
+    ``_positive``, naming the field.
     """
 
     K: float
+    # Set unannotated in subclasses, so that it is not a dataclass field.
+    _positive: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in self._positive and value <= 0.0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
 
     @property
     def S(self) -> float:
@@ -60,9 +76,13 @@ class FundamentalDiagram(ABC):
 
     # -- Eulerian form -------------------------------------------------
 
-    @abstractmethod
     def eta(self, k):
         """Equilibrium speed at density ``k``, for ``0 <= k <= K``."""
+        return _descalar(self._eta(self._check_density(k)))
+
+    @abstractmethod
+    def _eta(self, k):
+        """``eta`` on a float array of densities in [0, K], unchecked."""
 
     @abstractmethod
     def eta_prime(self, k):
@@ -75,19 +95,18 @@ class FundamentalDiagram(ABC):
     def phi(self, k):
         """Equilibrium flow ``k * eta(k)``."""
         k = self._check_density(k)
-        return _descalar(k * self.eta(k))
+        return _descalar(k * self._eta(k))
 
     def phi_prime(self, k):
         """Characteristic (kinematic wave) speed ``eta + k * eta_prime``."""
         k = self._check_density(k)
-        return _descalar(self.eta(k) + k * self.eta_prime(k))
+        return _descalar(self._eta(k) + k * self.eta_prime(k))
 
     # -- Lagrangian form -----------------------------------------------
 
     def theta(self, s):
         """Equilibrium speed at spacing ``s >= S``; ``theta(s) = eta(1/s)``."""
-        k = self._spacing_to_density(s)
-        return _descalar(self.eta(k))
+        return _descalar(self._eta(self._spacing_to_density(s)))
 
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
@@ -133,10 +152,10 @@ class GreenshieldsFD(FundamentalDiagram):
 
     V: float = 20.0
     K: float = 1.0 / 7.0
+    _positive = ("V", "K")
 
-    def eta(self, k):
-        k = self._check_density(k)
-        return _descalar(self.V * (1.0 - k / self.K))
+    def _eta(self, k):
+        return self.V * (1.0 - k / self.K)
 
     def eta_prime(self, k):
         k = self._check_density(k)
@@ -159,6 +178,7 @@ class TriangularFD(FundamentalDiagram):
     V: float = 20.0
     W: float = 5.0
     K: float = 1.0 / 7.0
+    _positive = ("V", "W", "K")
 
     @property
     def critical_density(self) -> float:
@@ -167,10 +187,9 @@ class TriangularFD(FundamentalDiagram):
     def kinks(self) -> tuple[float, ...]:
         return (self.critical_density,)
 
-    def eta(self, k):
-        k = self._check_density(k)
+    def _eta(self, k):
         congested = np.where(k > 0.0, self.W * (self.K / np.where(k > 0.0, k, 1.0) - 1.0), np.inf)
-        return _descalar(np.minimum(self.V, congested))
+        return np.minimum(self.V, congested)
 
     def eta_prime(self, k):
         k = self._check_density(k)
@@ -204,6 +223,7 @@ class KernerFD(FundamentalDiagram):
     c3: float = 0.06
     c4: float = 3.73e-6
     clamp_nonnegative: bool = True
+    _positive = ("unit_length", "relax_time", "K", "c1", "c3")
 
     @property
     def amplitude(self) -> float:
@@ -217,12 +237,11 @@ class KernerFD(FundamentalDiagram):
         x = (k / self.K - self.c2) / self.c3
         return self.amplitude * (1.0 / (1.0 + np.exp(x)) - self.c4)
 
-    def eta(self, k):
-        k = self._check_density(k)
+    def _eta(self, k):
         raw = self._raw(k)
         if self.clamp_nonnegative:
             raw = np.maximum(raw, 0.0)
-        return _descalar(raw)
+        return raw
 
     def eta_prime(self, k):
         k = self._check_density(k)

@@ -1,9 +1,13 @@
 """Config parsing, serialization round trips, file outputs, exit codes."""
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import lagwave
 from lagwave.cli import (
     ConfigError,
     load_spec,
@@ -122,6 +126,10 @@ def test_round_trip_with_sweep_and_stability():
     (make_cfg(run_sec={"bar": "1"}), "run.bar"),
     (make_cfg(extra="\n[plot]\nstyle = x\n"), "plot"),
     (make_cfg(scenario={**BASE_SC, "k1": "abc"}), "not a number"),
+    (make_cfg(fd={"type": "greenshields", "v": "nan"}), "invalid fd: V must be finite"),
+    (make_cfg(fd={"type": "greenshields", "k": "0"}), "invalid fd: K must be positive"),
+    (make_cfg(fd={"type": "triangular", "w": "-5"}), "invalid fd: W must be positive"),
+    (make_cfg(fd={"type": "kerner", "relax_time": "inf"}), "invalid fd: relax_time must be finite"),
     (make_cfg(scenario={**BASE_SC, "k1": "0.5"}), "invalid scenario"),
     (make_cfg(scenario={**BASE_SC, "dt_ratio": "0.35"}), "exactly one"),
     (make_cfg(scenario={k: v for k, v in BASE_SC.items() if k != "dt"}), "dt"),
@@ -289,3 +297,25 @@ def test_main_sweep_bad_dn_exits_2(tmp_path, capsys):
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "0.5,abc"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err
+
+
+@pytest.mark.parametrize("key, value", [("v", "nan"), ("k", "0")])
+def test_main_invalid_fd_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(make_cfg(fd={"type": "greenshields", key: value}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid fd: ") and f"{key.upper()} must be" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_python_dash_m_lagwave(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagwave", "thresholds", "greenshields-shock-a", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "thresholds.txt").exists()

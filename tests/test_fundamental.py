@@ -127,6 +127,43 @@ def test_density_domain_errors():
         T.phi(np.array([0.0, 0.2]))
 
 
+@pytest.mark.parametrize("cls, field", [
+    (GreenshieldsFD, "V"), (GreenshieldsFD, "K"),
+    (TriangularFD, "V"), (TriangularFD, "W"), (TriangularFD, "K"),
+    (KernerFD, "unit_length"), (KernerFD, "relax_time"), (KernerFD, "K"),
+    (KernerFD, "c1"), (KernerFD, "c2"), (KernerFD, "c3"), (KernerFD, "c4"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_diagram_rejects_nonfinite(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", [
+    (GreenshieldsFD, "V"), (GreenshieldsFD, "K"),
+    (TriangularFD, "V"), (TriangularFD, "W"), (TriangularFD, "K"),
+    (KernerFD, "unit_length"), (KernerFD, "relax_time"), (KernerFD, "K"),
+    (KernerFD, "c1"), (KernerFD, "c3"),
+])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_diagram_rejects_nonpositive_scale(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive"):
+        cls(**{field: value})
+
+
+def test_diagram_accepts_signed_shape_constants():
+    # c2 and c4 are a centre and an offset, not scales: zero and negative are fine.
+    fd = KernerFD(c2=0.0, c4=-1e-6)
+    assert fd.eta(0.0) > 0.0
+
+
+def test_unchecked_eta_matches_eta():
+    ks = np.linspace(0.0, 0.18, 1001)
+    for fd in (G, T, KC, KU):
+        sub = ks[ks <= fd.K]
+        assert np.array_equal(fd._eta(sub), fd.eta(sub))
+
+
 def test_spacing_domain_errors():
     with pytest.raises(SpacingBelowJam):
         G.theta(6.9)
