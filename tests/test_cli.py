@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import lagwave
 from lagwave.cli import (
     ConfigError,
+    StabilitySpec,
     load_spec,
     main,
     run,
@@ -18,8 +19,8 @@ from lagwave.cli import (
     sweep,
     thresholds,
 )
-from lagwave.engine import Corrected1, JWZ, NonstandardLWR, Scheme
-from lagwave.fundamental import GreenshieldsFD, KernerFD
+from lagwave.engine import Corrected1, JWZ, NonstandardLWR, PhillipsRelax, Scheme
+from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.templates import TEMPLATES, template_text
 
 BASE_SC = {
@@ -118,6 +119,32 @@ def test_round_trip_with_sweep_and_stability():
     assert load_spec(serialize(spec)) == spec
 
 
+def _keys(cls):
+    return {f.name.lower() for f in fields(cls)}
+
+
+# Config keys are the dataclass fields in lower case: every key of another
+# diagram type or model, and one that is no field at all, must be refused,
+# and every [stability] field is required.
+DIAGRAMS = {"greenshields": GreenshieldsFD, "triangular": TriangularFD, "kerner": KernerFD}
+MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
+FD_KEYS = set().union(*map(_keys, DIAGRAMS.values()))
+MODEL_KEYS = set().union(*map(_keys, MODELS.values()))
+FIELD_CASES = [
+    (make_cfg(fd={"type": kind, key: "1"}), f"fd.{key}")
+    for kind, cls in DIAGRAMS.items()
+    for key in sorted(FD_KEYS - _keys(cls)) + ["bogus"]
+] + [
+    (make_cfg(run_sec={"model": name, key: "1"}), f"run.{key}")
+    for name, cls in MODELS.items()
+    for key in sorted(MODEL_KEYS - _keys(cls)) + ["bogus"]
+] + [
+    (make_cfg(stability_sec={k: "0.1" for k in _keys(StabilitySpec) - {key}}),
+     f"missing required key stability.{key}")
+    for key in sorted(_keys(StabilitySpec))
+]
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("", "required"),
     (make_cfg(fd={"type": "parabolic"}), "fd.type"),
@@ -145,7 +172,7 @@ def test_round_trip_with_sweep_and_stability():
     (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
     (make_cfg(stability_sec={"amplitude": "0.02", "omega": "0.1", "phase": "0"}),
      "stability.phase"),
-])
+] + FIELD_CASES)
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
         load_spec(text)

@@ -3,7 +3,9 @@
 ``golden_manifest.json`` maps ``<template>/<file>`` to the sha256 of the
 file that template writes: ``trajectory.csv`` and ``summary.txt`` for run
 templates, ``stability.txt`` for templates with a [stability] section.
-A refactor of the stepping or the audit must leave every hash unchanged.
+``config.ini`` is the template's canonical config text, ``serialize`` of
+its loaded spec.  A refactor of the stepping, the audit or the config
+parsing must leave every hash unchanged.
 """
 import hashlib
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from lagwave.cli import load_spec, run, stability
+from lagwave.cli import load_spec, run, serialize, stability
 from lagwave.templates import TEMPLATES, template_text
 
 MANIFEST = json.loads((Path(__file__).with_name("golden_manifest.json")).read_text())
@@ -34,3 +36,9 @@ def test_template_outputs_match_manifest(name, tmp_path):
     expected = {f"{name}/{f}": MANIFEST[f"{name}/{f}"] for f in files}
     got = {f"{name}/{f}": hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_canonical_config_matches_manifest(name):
+    text = serialize(load_spec(template_text(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST[f"{name}/config.ini"]
