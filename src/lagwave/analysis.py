@@ -11,16 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    Corrected1,
-    Corrected2,
-    JWZ,
-    Model,
-    PhillipsRelax,
-    Scenario,
-    Trajectory,
-    simulate,
-)
+from .engine import Model, Scenario, Trajectory, _relaxation_time, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -206,14 +197,6 @@ class StringStabilityResult:
     predicted_ratio: float
 
 
-def _relaxation_time(model: Model, dt: float) -> float:
-    if isinstance(model, (PhillipsRelax, JWZ)):
-        return model.T
-    if isinstance(model, (Corrected1, Corrected2)):
-        return _relaxation_time(model.inner, dt)
-    return dt
-
-
 def string_stability_experiment(
     fd: FundamentalDiagram,
     model: Model,
@@ -255,7 +238,8 @@ def string_stability_experiment(
             f"platoon collided {report.collision_count} times; amplitude too large"
         )
 
-    predicted = float(np.exp(_relaxation_time(model, dt) * omega**2 / fd.theta_prime(s0)))
+    T = _relaxation_time(model)
+    predicted = float(np.exp((dt if T is None else T) * omega**2 / fd.theta_prime(s0)))
     cut = int(0.2 * (J + 1))
     window = traj.speeds[cut:, :]
     amps = 0.5 * (window.max(axis=0) - window.min(axis=0))

@@ -3,7 +3,9 @@
 Configs are INI text with [fd], [scenario] and [run] sections (plus an
 optional [stability] section).  A config may name a bundled template
 via ``template`` in [run]; its own keys then override the template's.
-All files written are deterministic: same spec, same bytes.
+The keys of [fd], of the model in [run] and of [stability] are the
+fields of the diagram, model and ``StabilitySpec`` dataclasses in lower
+case.  All files written are deterministic: same spec, same bytes.
 """
 from __future__ import annotations
 
@@ -12,12 +14,13 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .analysis import (
     DiagnosticsReport,
+    ExperimentInvalid,
     MeasurementError,
     diagnose,
     measure_front_speed,
@@ -37,7 +40,7 @@ from .engine import (
     Trajectory,
     simulate,
 )
-from .fundamental import FundamentalDiagram, GreenshieldsFD, KernerFD, TriangularFD
+from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
 from .templates import TEMPLATES, template_text
 
 __all__ = ["ConfigError", "StabilitySpec", "RunSpec", "load_spec", "serialize", "run", "main"]
@@ -51,6 +54,11 @@ class ConfigError(ValueError):
 class StabilitySpec:
     amplitude: float
     omega: float
+
+    def __post_init__(self):
+        _check_fields(self)
+        if self.amplitude < 0.0:
+            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -73,23 +81,17 @@ class RunSpec:
     dt_ratio: float | None = None
 
 
-_FD_KEYS = {
-    "greenshields": {"type", "v", "k"},
-    "triangular": {"type", "v", "w", "k"},
-    "kerner": {
-        "type", "unit_length", "relax_time", "k",
-        "c1", "c2", "c3", "c4", "clamp_nonnegative",
-    },
-}
+_DIAGRAMS = {"greenshields": GreenshieldsFD, "triangular": TriangularFD, "kerner": KernerFD}
+_MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
+_CORRECTIONS = {"none": None, "1": Corrected1, "2": Corrected2}
+_NAMES = {cls: name for table in (_DIAGRAMS, _MODELS, _CORRECTIONS) for name, cls in table.items()}
+
 _SCENARIO_KEYS = {
     "k1", "lead_speed", "m", "vehicles", "dn", "dt", "dt_ratio",
     "duration", "initial_speed",
 }
-_RUN_KEYS = {
-    "template", "model", "t", "c0", "corrected", "scheme",
-    "display_vehicles", "out", "sweep",
-}
-_STABILITY_KEYS = {"amplitude", "omega"}
+# [run] keys besides the model's own fields.
+_RUN_KEYS = {"template", "model", "corrected", "scheme", "display_vehicles", "out", "sweep"}
 
 _REQUIRED = (
     "fd.type", "scenario.k1", "scenario.lead_speed", "scenario.dn",
@@ -120,6 +122,18 @@ def _to_bool(section: str, key: str, raw: str) -> bool:
     raise ConfigError(f"key {section}.{key} is not a boolean: {raw!r}")
 
 
+# Per dataclass: config key (the field name in lower case) -> (field name,
+# parser picked from the field's type, whether the field has no default).
+# The modules postpone annotations, so ``f.type`` is the annotation's text.
+_FIELDS = {
+    cls: {
+        f.name.lower(): (f.name, _to_bool if f.type == "bool" else _to_float, f.default is MISSING)
+        for f in fields(cls)
+    }
+    for cls in (*_DIAGRAMS.values(), *_MODELS.values(), StabilitySpec)
+}
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -129,62 +143,30 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return {name: dict(cp[name]) for name in cp.sections()}
 
 
-def _build_fd(sec: dict[str, str]) -> FundamentalDiagram:
-    kind = sec.get("type")
-    if kind is None:
-        raise ConfigError("missing required key fd.type")
-    if kind not in _FD_KEYS:
-        raise ConfigError(f"unknown fd.type {kind!r}; expected one of {sorted(_FD_KEYS)}")
+def _check_keys(section: str, sec: dict[str, str], allowed, context: str = "") -> None:
     for key in sec:
-        if key not in _FD_KEYS[kind]:
-            raise ConfigError(f"unknown key fd.{key} for type {kind!r}")
-    kwargs: dict[str, float | bool] = {}
-    if kind == "kerner":
-        cls = KernerFD
-        for key, attr in (
-            ("unit_length", "unit_length"), ("relax_time", "relax_time"), ("k", "K"),
-            ("c1", "c1"), ("c2", "c2"), ("c3", "c3"), ("c4", "c4"),
-        ):
-            if key in sec:
-                kwargs[attr] = _to_float("fd", key, sec[key])
-        if "clamp_nonnegative" in sec:
-            kwargs["clamp_nonnegative"] = _to_bool("fd", "clamp_nonnegative", sec["clamp_nonnegative"])
-    else:
-        cls = GreenshieldsFD if kind == "greenshields" else TriangularFD
-        for key in ("v", "w", "k"):
-            if key in sec:
-                kwargs[key.upper()] = _to_float("fd", key, sec[key])
+        if key not in allowed:
+            raise ConfigError(f"unknown key {section}.{key}{context}")
+
+
+def _lookup(table: dict, key: str, name: str):
+    if name not in table:
+        raise ConfigError(f"unknown {key} {name!r}; expected one of {', '.join(table)}")
+    return table[name]
+
+
+def _build(cls, section: str, sec: dict[str, str], what: str):
+    """Make the dataclass ``cls`` from the keys of ``sec`` named after its fields."""
+    kwargs = {}
+    for key, (name, parse, required) in _FIELDS[cls].items():
+        if key in sec:
+            kwargs[name] = parse(section, key, sec[key])
+        elif required:
+            raise ConfigError(f"missing required key {section}.{key}")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid fd: {exc}") from None
-
-
-def _build_model(sec: dict[str, str]) -> Model:
-    name = sec.get("model", "nonstandard")
-    if name == "nonstandard":
-        base: Model = NonstandardLWR()
-        if "t" in sec or "c0" in sec:
-            raise ConfigError("keys run.t and run.c0 require model phillips or jwz")
-    elif name == "phillips":
-        if "c0" in sec:
-            raise ConfigError("key run.c0 requires model jwz")
-        base = PhillipsRelax(T=_to_float("run", "t", sec.get("t", "5.0")))
-    elif name == "jwz":
-        base = JWZ(
-            T=_to_float("run", "t", sec.get("t", "5.0")),
-            c0=_to_float("run", "c0", sec.get("c0", "2.0")),
-        )
-    else:
-        raise ConfigError(f"unknown run.model {name!r}; expected nonstandard, phillips or jwz")
-    corrected = sec.get("corrected", "none")
-    if corrected == "none":
-        return base
-    if corrected == "1":
-        return Corrected1(base)
-    if corrected == "2":
-        return Corrected2(base)
-    raise ConfigError(f"unknown run.corrected {corrected!r}; expected none, 1 or 2")
+        raise ConfigError(f"invalid {what}: {exc}") from None
 
 
 def load_spec(text: str) -> RunSpec:
@@ -214,20 +196,14 @@ def load_spec(text: str) -> RunSpec:
     sc_sec = sections.get("scenario", {})
     if not fd_sec and not sc_sec:
         raise ConfigError("empty config; required keys: " + ", ".join(_REQUIRED))
+    _check_keys("scenario", sc_sec, _SCENARIO_KEYS)
 
-    for key in sc_sec:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown key scenario.{key}")
-    for key in run_sec:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown key run.{key}")
-    st_sec = sections.get("stability")
-    if st_sec is not None:
-        for key in st_sec:
-            if key not in _STABILITY_KEYS:
-                raise ConfigError(f"unknown key stability.{key}")
-
-    fd = _build_fd(fd_sec)
+    kind = fd_sec.get("type")
+    if kind is None:
+        raise ConfigError("missing required key fd.type")
+    fd_cls = _lookup(_DIAGRAMS, "fd.type", kind)
+    _check_keys("fd", fd_sec, _FIELDS[fd_cls].keys() | {"type"}, f" for type {kind!r}")
+    fd = _build(fd_cls, "fd", fd_sec, "fd")
 
     missing = [k for k in ("k1", "lead_speed", "dn", "duration") if k not in sc_sec]
     if missing:
@@ -277,7 +253,13 @@ def load_spec(text: str) -> RunSpec:
     except ValueError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None
 
-    model = _build_model(run_sec)
+    model_name = run_sec.get("model", "nonstandard")
+    model_cls = _lookup(_MODELS, "run.model", model_name)
+    _check_keys("run", run_sec, _FIELDS[model_cls].keys() | _RUN_KEYS, f" for model {model_name!r}")
+    model = _build(model_cls, "run", run_sec, "model")
+    correction = _lookup(_CORRECTIONS, "run.corrected", run_sec.get("corrected", "none"))
+    if correction is not None:
+        model = correction(model)
 
     scheme_name = run_sec.get("scheme", "anisotropic")
     try:
@@ -300,14 +282,10 @@ def load_spec(text: str) -> RunSpec:
         _check_sweep(sweep)
 
     stability = None
+    st_sec = sections.get("stability")
     if st_sec is not None:
-        for key in _STABILITY_KEYS:
-            if key not in st_sec:
-                raise ConfigError(f"missing required key stability.{key}")
-        stability = StabilitySpec(
-            amplitude=_to_float("stability", "amplitude", st_sec["amplitude"]),
-            omega=_to_float("stability", "omega", st_sec["omega"]),
-        )
+        _check_keys("stability", st_sec, _FIELDS[StabilitySpec])
+        stability = _build(StabilitySpec, "stability", st_sec, "stability")
 
     return RunSpec(
         scenario=scenario,
@@ -334,28 +312,26 @@ def _check_sweep(values: tuple[float, ...]) -> None:
         raise ConfigError("sweep dn values must be distinct")
 
 
+def _name(obj, what: str) -> str:
+    try:
+        return _NAMES[type(obj)]
+    except KeyError:
+        raise ConfigError(f"cannot serialize {what} {obj!r}") from None
+
+
+def _render(obj) -> list[str]:
+    """``key = value`` lines for the dataclass ``obj``, in field order."""
+    lines = []
+    for key, (name, _, _) in _FIELDS[type(obj)].items():
+        value = getattr(obj, name)
+        lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}")
+    return lines
+
+
 def serialize(spec: RunSpec) -> str:
     """Render a RunSpec as configuration text; inverse of load_spec."""
     fd = spec.scenario.fd
-    lines = ["[fd]"]
-    if isinstance(fd, GreenshieldsFD):
-        lines += ["type = greenshields", f"v = {fd.V!r}", f"k = {fd.K!r}"]
-    elif isinstance(fd, TriangularFD):
-        lines += ["type = triangular", f"v = {fd.V!r}", f"w = {fd.W!r}", f"k = {fd.K!r}"]
-    elif isinstance(fd, KernerFD):
-        lines += [
-            "type = kerner",
-            f"unit_length = {fd.unit_length!r}",
-            f"relax_time = {fd.relax_time!r}",
-            f"k = {fd.K!r}",
-            f"c1 = {fd.c1!r}",
-            f"c2 = {fd.c2!r}",
-            f"c3 = {fd.c3!r}",
-            f"c4 = {fd.c4!r}",
-            f"clamp_nonnegative = {'true' if fd.clamp_nonnegative else 'false'}",
-        ]
-    else:
-        raise ConfigError(f"cannot serialize diagram {fd!r}")
+    lines = ["[fd]", f"type = {_name(fd, 'diagram')}", *_render(fd)]
 
     sc = spec.scenario
     lines += ["", "[scenario]", f"k1 = {sc.k1!r}", f"lead_speed = {sc.lead_speed!r}"]
@@ -372,22 +348,11 @@ def serialize(spec: RunSpec) -> str:
     if sc.initial_speed is not None:
         lines.append(f"initial_speed = {sc.initial_speed!r}")
 
-    model = spec.model
-    corrected = "none"
-    if isinstance(model, Corrected1):
-        corrected, model = "1", model.inner
-    elif isinstance(model, Corrected2):
-        corrected, model = "2", model.inner
-    lines += ["", "[run]"]
-    if isinstance(model, NonstandardLWR):
-        lines.append("model = nonstandard")
-    elif isinstance(model, PhillipsRelax):
-        lines += ["model = phillips", f"t = {model.T!r}"]
-    elif isinstance(model, JWZ):
-        lines += ["model = jwz", f"t = {model.T!r}", f"c0 = {model.c0!r}"]
-    else:
-        raise ConfigError(f"cannot serialize model {model!r}")
-    if corrected != "none":
+    model, corrected = spec.model, None
+    if isinstance(model, (Corrected1, Corrected2)):
+        model, corrected = model.inner, _NAMES[type(model)]
+    lines += ["", "[run]", f"model = {_name(model, 'model')}", *_render(model)]
+    if corrected is not None:
         lines.append(f"corrected = {corrected}")
     lines.append(f"scheme = {spec.scheme.value}")
     lines.append(f"display_vehicles = {spec.display_vehicles}")
@@ -397,11 +362,7 @@ def serialize(spec: RunSpec) -> str:
         lines.append("sweep = " + ",".join(repr(v) for v in spec.sweep))
 
     if spec.stability is not None:
-        lines += [
-            "", "[stability]",
-            f"amplitude = {spec.stability.amplitude!r}",
-            f"omega = {spec.stability.omega!r}",
-        ]
+        lines += ["", "[stability]", *_render(spec.stability)]
     return "\n".join(lines) + "\n"
 
 
@@ -460,6 +421,18 @@ def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -
     ]
 
 
+def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
+    """Write ``lines`` to ``name`` in the output directory and echo them;
+    return the file's path."""
+    os.makedirs(spec.output_dir, exist_ok=True)
+    path = os.path.join(spec.output_dir, name)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
+    return path
+
+
 def run(spec: RunSpec, expect_clean: bool = False) -> int:
     """Execute one run; write trajectory.csv and summary.txt."""
     os.makedirs(spec.output_dir, exist_ok=True)
@@ -468,13 +441,7 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
     report = diagnose(traj, spec.scenario.fd)
-    lines = _summary_lines(spec, traj, report)
-    summary_path = os.path.join(spec.output_dir, "summary.txt")
-    with open(summary_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    for line in lines:
-        print(line)
+    summary_path = _write_lines(spec, "summary.txt", _summary_lines(spec, traj, report))
     print(f"[run] wrote {csv_path} and {summary_path}")
 
     if expect_clean and not report.clean:
@@ -563,7 +530,6 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
 
 def thresholds(spec: RunSpec) -> int:
     """Report step-size admissibility for the spec's diagram and steps."""
-    os.makedirs(spec.output_dir, exist_ok=True)
     sc = spec.scenario
     rep = validate_step_sizes(sc.fd, sc.dn, sc.dt)
     lines = [
@@ -576,11 +542,7 @@ def thresholds(spec: RunSpec) -> int:
         f"cfl_ok = {str(rep.cfl_ok).lower()}",
         f"concave = {str(rep.concave).lower()}",
     ]
-    path = os.path.join(spec.output_dir, "thresholds.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_lines(spec, "thresholds.txt", lines)
     return 0
 
 
@@ -588,30 +550,30 @@ def stability(spec: RunSpec) -> int:
     """Run the string-stability experiment described by the spec."""
     if spec.stability is None:
         raise ConfigError("config has no [stability] section")
-    os.makedirs(spec.output_dir, exist_ok=True)
     sc = spec.scenario
-    result = string_stability_experiment(
-        fd=sc.fd,
-        model=spec.model,
-        s0=1.0 / sc.k1,
-        amplitude=spec.stability.amplitude,
-        omega=spec.stability.omega,
-        m=sc.m,
-        dn=sc.dn,
-        dt=sc.dt,
-        duration=sc.duration,
-    )
+    try:
+        result = string_stability_experiment(
+            fd=sc.fd,
+            model=spec.model,
+            s0=1.0 / sc.k1,
+            amplitude=spec.stability.amplitude,
+            omega=spec.stability.omega,
+            m=sc.m,
+            dn=sc.dn,
+            dt=sc.dt,
+            duration=sc.duration,
+        )
+    except (ExperimentInvalid, ValueError) as exc:
+        # Too few followers, a lead speed driven negative or a colliding
+        # platoon: the config's values, not the program, are at fault.
+        raise ConfigError(str(exc)) from None
     lines = [
         f"omega = {_g17(result.omega)}",
         f"amplification_ratio = {_g17(result.amplification_ratio)}",
         f"predicted_ratio = {_g17(result.predicted_ratio)}",
         "amplitudes = " + ",".join(_g17(a) for a in result.amplitudes),
     ]
-    path = os.path.join(spec.output_dir, "stability.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_lines(spec, "stability.txt", lines)
     return 0
 
 

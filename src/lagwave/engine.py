@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fundamental import FundamentalDiagram
+from .fundamental import FundamentalDiagram, _check_fields
 
 __all__ = [
     "Scheme",
@@ -61,8 +61,7 @@ class PhillipsRelax:
     T: float = 5.0
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("relaxation time T must be positive")
+        _check_fields(self, ("T",))
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class JWZ:
     c0: float = 2.0
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("relaxation time T must be positive")
+        _check_fields(self, ("T",))
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,14 @@ class Corrected2:
 
 
 Model = NonstandardLWR | PhillipsRelax | JWZ | Corrected1 | Corrected2
+
+
+def _relaxation_time(model: Model) -> float | None:
+    """The relaxation time T of the model, or of the model a correction
+    wraps; None for the equilibrium model, which relaxes within a step."""
+    if isinstance(model, (Corrected1, Corrected2)):
+        model = model.inner
+    return model.T if isinstance(model, (PhillipsRelax, JWZ)) else None
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,8 @@ def _step_kernel(
     if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
         raise TypeError(f"unknown model {model!r}")
     # Interpolation form of the relaxation: exactly theta when T == dt.
-    r = 1.0 - dt / model.T if isinstance(model, (PhillipsRelax, JWZ)) else None
+    T = _relaxation_time(model)
+    r = None if T is None else 1.0 - dt / T
     stencil = _STENCILS[scheme]
     S, K = fd.S, fd.K
     for j in range(len(lead)):

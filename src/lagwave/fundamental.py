@@ -31,6 +31,20 @@ class SpacingBelowJam(ValueError):
     """Raised when a speed-spacing law is evaluated below the jam spacing."""
 
 
+def _check_fields(obj, positive: tuple[str, ...] = ()) -> None:
+    """Reject non-finite float fields of the dataclass ``obj``, and
+    non-positive values of the fields named in ``positive``, naming the
+    field.  Boolean fields are skipped."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool):
+            continue
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.name in positive and value <= 0.0:
+            raise ValueError(f"{f.name} must be positive, got {value!r}")
+
+
 class FundamentalDiagram(ABC):
     """Common interface for speed-density laws.
 
@@ -56,14 +70,7 @@ class FundamentalDiagram(ABC):
     _positive: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.name in self._positive and value <= 0.0:
-                raise ValueError(f"{f.name} must be positive, got {value!r}")
+        _check_fields(self, self._positive)
 
     @property
     def S(self) -> float:
@@ -249,7 +256,8 @@ class KernerFD(FundamentalDiagram):
         sig = 1.0 / (1.0 + np.exp(x))
         d = -self.amplitude * sig * (1.0 - sig) / (self.c3 * self.K)
         if self.clamp_nonnegative:
-            d = np.where(self._raw(k) > 0.0, d, 0.0)
+            # The amplitude is positive, so _raw(k) > 0 exactly where sig > c4.
+            d = np.where(sig - self.c4 > 0.0, d, 0.0)
         return _descalar(d)
 
     def eta_second(self, k):

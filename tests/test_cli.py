@@ -172,6 +172,16 @@ FIELD_CASES = [
     (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
     (make_cfg(stability_sec={"amplitude": "0.02", "omega": "0.1", "phase": "0"}),
      "stability.phase"),
+    (make_cfg(run_sec={"model": "phillips", "t": "-1"}), "invalid model: T must be positive"),
+    (make_cfg(run_sec={"model": "phillips", "t": "0"}), "invalid model: T must be positive"),
+    (make_cfg(run_sec={"model": "phillips", "t": "nan"}), "invalid model: T must be finite"),
+    (make_cfg(run_sec={"model": "jwz", "c0": "inf"}), "invalid model: c0 must be finite"),
+    (make_cfg(stability_sec={"amplitude": "-0.5", "omega": "0.1"}),
+     "invalid stability: amplitude must be nonnegative"),
+    (make_cfg(stability_sec={"amplitude": "nan", "omega": "0.1"}),
+     "invalid stability: amplitude must be finite"),
+    (make_cfg(stability_sec={"amplitude": "0.02", "omega": "nan"}),
+     "invalid stability: omega must be finite"),
 ] + FIELD_CASES)
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as exc_info:
@@ -346,3 +356,23 @@ def test_python_dash_m_lagwave(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "thresholds.txt").exists()
+
+
+@pytest.mark.parametrize("verb, overrides, message", [
+    ("run", "model = phillips\nt = -1\n", "error: invalid model: T must be positive"),
+    ("run", "model = phillips\nt = 0\n", "error: invalid model: T must be positive"),
+    ("run", "model = phillips\nt = nan\n", "error: invalid model: T must be finite"),
+    ("run", "model = jwz\nc0 = inf\n", "error: invalid model: c0 must be finite"),
+    ("stability", "[stability]\namplitude = -0.5\n",
+     "error: invalid stability: amplitude must be nonnegative"),
+    ("stability", "[stability]\namplitude = nan\n", "error: invalid stability: amplitude must be finite"),
+    ("stability", "[stability]\nomega = nan\n", "error: invalid stability: omega must be finite"),
+    ("stability", "[scenario]\nm = 1\n", "error: need at least two followers"),
+    ("stability", "[stability]\namplitude = 3.0\nomega = 0.3\n", "error: platoon collided"),
+])
+def test_main_bad_model_or_stability_exits_2(tmp_path, capsys, verb, overrides, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[run]\ntemplate = phillips-stability\n" + overrides)
+    assert main([verb, str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "x").exists()

@@ -144,11 +144,13 @@ def test_jwz_anticipation_decelerates():
     assert speeds[1, 1] == pytest.approx(5.0 - 10.0 / 14.0)
 
 
-def test_model_parameter_validation():
-    with pytest.raises(ValueError):
-        PhillipsRelax(T=0.0)
-    with pytest.raises(ValueError):
-        JWZ(T=-1.0)
+@pytest.mark.parametrize("cls, field, value", [
+    (PhillipsRelax, "T", 0.0), (PhillipsRelax, "T", -1.0), (PhillipsRelax, "T", math.nan),
+    (JWZ, "T", -1.0), (JWZ, "T", math.inf), (JWZ, "c0", math.inf), (JWZ, "c0", math.nan),
+])
+def test_model_parameter_validation(cls, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        cls(**{field: value})
 
 
 def test_acceleration_shape_and_values():
