@@ -85,7 +85,8 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
         (int(j), int(m)) for j, m in zip(*np.nonzero(trajectory.speeds < -NEGATIVE_SPEED_TOL))
     ]
     min_spacing = float(np.min(s)) if s.size else float("inf")
-    max_acc = float(np.max(np.abs(trajectory.accelerations))) if trajectory.accelerations.size else 0.0
+    acc = trajectory.accelerations
+    max_acc = float(np.max(np.abs(acc, out=acc))) if acc.size else 0.0
     nonfinite = sum(int(np.count_nonzero(~np.isfinite(a))) for a in (trajectory.positions, trajectory.speeds))
     return DiagnosticsReport(
         collision_events=collisions,

@@ -3,9 +3,11 @@
 Configs are INI text with [fd], [scenario] and [run] sections (plus an
 optional [stability] section).  A config may name a bundled template
 via ``template`` in [run]; its own keys then override the template's.
-The keys of [fd], of the model in [run] and of [stability] are the
-fields of the diagram, model and ``StabilitySpec`` dataclasses in lower
-case.  All files written are deterministic: same spec, same bytes.
+The keys of [fd], [scenario], of the model in [run] and of [stability]
+are the fields of the diagram, ``Scenario``, model and ``StabilitySpec``
+dataclasses in lower case; [scenario] also takes the aliases
+``vehicles`` (for m) and ``dt_ratio`` (for dt).  All files written are
+deterministic: same spec, same bytes.
 """
 from __future__ import annotations
 
@@ -38,12 +40,13 @@ from .engine import (
     Scenario,
     Scheme,
     Trajectory,
+    _Correction,
     simulate,
 )
 from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
 from .templates import TEMPLATES, template_text
 
-__all__ = ["ConfigError", "StabilitySpec", "RunSpec", "load_spec", "serialize", "run", "main"]
+__all__ = ["ConfigError", "StabilitySpec", "RunSpec", "load_spec", "serialize"]
 
 
 class ConfigError(ValueError):
@@ -86,10 +89,6 @@ _MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
 _CORRECTIONS = {"none": None, "1": Corrected1, "2": Corrected2}
 _NAMES = {cls: name for table in (_DIAGRAMS, _MODELS, _CORRECTIONS) for name, cls in table.items()}
 
-_SCENARIO_KEYS = {
-    "k1", "lead_speed", "m", "vehicles", "dn", "dt", "dt_ratio",
-    "duration", "initial_speed",
-}
 # [run] keys besides the model's own fields.
 _RUN_KEYS = {"template", "model", "corrected", "scheme", "display_vehicles", "out", "sweep"}
 
@@ -122,15 +121,20 @@ def _to_bool(section: str, key: str, raw: str) -> bool:
     raise ConfigError(f"key {section}.{key} is not a boolean: {raw!r}")
 
 
+# Parser per field type.  The modules postpone annotations, so ``f.type``
+# is the annotation's text.  A field of any other type (the scenario's
+# diagram) has no key: the caller supplies it.
+_PARSERS = {"float": _to_float, "float | None": _to_float, "int": _to_int, "bool": _to_bool}
+
 # Per dataclass: config key (the field name in lower case) -> (field name,
-# parser picked from the field's type, whether the field has no default).
-# The modules postpone annotations, so ``f.type`` is the annotation's text.
+# parser, whether the field has no default).
 _FIELDS = {
     cls: {
-        f.name.lower(): (f.name, _to_bool if f.type == "bool" else _to_float, f.default is MISSING)
+        f.name.lower(): (f.name, _PARSERS[f.type], f.default is MISSING)
         for f in fields(cls)
+        if f.type in _PARSERS
     }
-    for cls in (*_DIAGRAMS.values(), *_MODELS.values(), StabilitySpec)
+    for cls in (*_DIAGRAMS.values(), *_MODELS.values(), StabilitySpec, Scenario)
 }
 
 
@@ -155,10 +159,12 @@ def _lookup(table: dict, key: str, name: str):
     return table[name]
 
 
-def _build(cls, section: str, sec: dict[str, str], what: str):
-    """Make the dataclass ``cls`` from the keys of ``sec`` named after its fields."""
-    kwargs = {}
+def _build(cls, section: str, sec: dict[str, str], what: str, **kwargs):
+    """Make the dataclass ``cls`` from the keys of ``sec`` named after its
+    fields; fields passed in ``kwargs`` are taken as given."""
     for key, (name, parse, required) in _FIELDS[cls].items():
+        if name in kwargs:
+            continue
         if key in sec:
             kwargs[name] = parse(section, key, sec[key])
         elif required:
@@ -196,7 +202,7 @@ def load_spec(text: str) -> RunSpec:
     sc_sec = sections.get("scenario", {})
     if not fd_sec and not sc_sec:
         raise ConfigError("empty config; required keys: " + ", ".join(_REQUIRED))
-    _check_keys("scenario", sc_sec, _SCENARIO_KEYS)
+    _check_keys("scenario", sc_sec, _FIELDS[Scenario].keys() | {"vehicles", "dt_ratio"})
 
     kind = fd_sec.get("type")
     if kind is None:
@@ -205,53 +211,30 @@ def load_spec(text: str) -> RunSpec:
     _check_keys("fd", fd_sec, _FIELDS[fd_cls].keys() | {"type"}, f" for type {kind!r}")
     fd = _build(fd_cls, "fd", fd_sec, "fd")
 
-    missing = [k for k in ("k1", "lead_speed", "dn", "duration") if k not in sc_sec]
-    if missing:
-        raise ConfigError("missing required keys: " + ", ".join(f"scenario.{k}" for k in missing))
-    dn = _to_float("scenario", "dn", sc_sec["dn"])
-    if dn <= 0.0:
-        raise ConfigError("key scenario.dn must be positive")
-
+    # The aliases: m = round(vehicles / dn) (m = 50 when neither is given)
+    # and dt = dt_ratio * dn.  dn must be finite before anything is rounded.
     if "dt" in sc_sec and "dt_ratio" in sc_sec:
         raise ConfigError("give exactly one of scenario.dt and scenario.dt_ratio")
-    if "dt" in sc_sec:
-        dt = _to_float("scenario", "dt", sc_sec["dt"])
-        dt_ratio = None
-    elif "dt_ratio" in sc_sec:
-        dt_ratio = _to_float("scenario", "dt_ratio", sc_sec["dt_ratio"])
-        dt = dt_ratio * dn
-    else:
-        raise ConfigError("missing required key: scenario.dt or scenario.dt_ratio")
-
     if "m" in sc_sec and "vehicles" in sc_sec:
         raise ConfigError("give at most one of scenario.m and scenario.vehicles")
+    if "dn" not in sc_sec:
+        raise ConfigError("missing required key scenario.dn")
+    dn = _to_float("scenario", "dn", sc_sec["dn"])
+    if not (math.isfinite(dn) and dn > 0.0):
+        raise ConfigError(f"key scenario.dn must be positive and finite, got {dn!r}")
+    given = {"fd": fd, "dn": dn}
+    vehicles = dt_ratio = None
     if "vehicles" in sc_sec:
         vehicles = _to_int("scenario", "vehicles", sc_sec["vehicles"])
-        m = round(vehicles / dn)
-    elif "m" in sc_sec:
-        vehicles = None
-        m = _to_int("scenario", "m", sc_sec["m"])
-    else:
-        vehicles = None
-        m = 50
-
-    initial_speed = None
-    if "initial_speed" in sc_sec:
-        initial_speed = _to_float("scenario", "initial_speed", sc_sec["initial_speed"])
-
-    try:
-        scenario = Scenario(
-            fd=fd,
-            k1=_to_float("scenario", "k1", sc_sec["k1"]),
-            lead_speed=_to_float("scenario", "lead_speed", sc_sec["lead_speed"]),
-            m=m,
-            dn=dn,
-            dt=dt,
-            duration=_to_float("scenario", "duration", sc_sec["duration"]),
-            initial_speed=initial_speed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from None
+        given["m"] = round(vehicles / dn)
+    elif "m" not in sc_sec:
+        given["m"] = 50
+    if "dt_ratio" in sc_sec:
+        dt_ratio = _to_float("scenario", "dt_ratio", sc_sec["dt_ratio"])
+        given["dt"] = dt_ratio * dn
+    elif "dt" not in sc_sec:
+        raise ConfigError("missing required key scenario.dt or scenario.dt_ratio")
+    scenario = _build(Scenario, "scenario", sc_sec, "scenario", **given)
 
     model_name = run_sec.get("model", "nonstandard")
     model_cls = _lookup(_MODELS, "run.model", model_name)
@@ -306,8 +289,8 @@ def _dn_values(raw: str) -> tuple[float, ...]:
 
 
 def _check_sweep(values: tuple[float, ...]) -> None:
-    if any(v <= 0.0 for v in values):
-        raise ConfigError("sweep dn values must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ConfigError("sweep dn values must be positive and finite")
     if len(set(values)) != len(values):
         raise ConfigError("sweep dn values must be distinct")
 
@@ -319,12 +302,15 @@ def _name(obj, what: str) -> str:
         raise ConfigError(f"cannot serialize {what} {obj!r}") from None
 
 
-def _render(obj) -> list[str]:
-    """``key = value`` lines for the dataclass ``obj``, in field order."""
+def _render(obj, **aliases) -> list[str]:
+    """``key = value`` lines for the dataclass ``obj``, in field order; a
+    field named in ``aliases`` is written as the (key, value) pair given
+    there, and a field whose value is None is left out."""
     lines = []
     for key, (name, _, _) in _FIELDS[type(obj)].items():
-        value = getattr(obj, name)
-        lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}")
+        key, value = aliases.get(name) or (key, getattr(obj, name))
+        if value is not None:
+            lines.append(f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}")
     return lines
 
 
@@ -333,23 +319,15 @@ def serialize(spec: RunSpec) -> str:
     fd = spec.scenario.fd
     lines = ["[fd]", f"type = {_name(fd, 'diagram')}", *_render(fd)]
 
-    sc = spec.scenario
-    lines += ["", "[scenario]", f"k1 = {sc.k1!r}", f"lead_speed = {sc.lead_speed!r}"]
+    aliases = {}
     if spec.vehicles is not None:
-        lines.append(f"vehicles = {spec.vehicles}")
-    else:
-        lines.append(f"m = {sc.m}")
-    lines.append(f"dn = {sc.dn!r}")
+        aliases["m"] = ("vehicles", spec.vehicles)
     if spec.dt_ratio is not None:
-        lines.append(f"dt_ratio = {spec.dt_ratio!r}")
-    else:
-        lines.append(f"dt = {sc.dt!r}")
-    lines.append(f"duration = {sc.duration!r}")
-    if sc.initial_speed is not None:
-        lines.append(f"initial_speed = {sc.initial_speed!r}")
+        aliases["dt"] = ("dt_ratio", spec.dt_ratio)
+    lines += ["", "[scenario]", *_render(spec.scenario, **aliases)]
 
     model, corrected = spec.model, None
-    if isinstance(model, (Corrected1, Corrected2)):
+    if isinstance(model, _Correction):
         model, corrected = model.inner, _NAMES[type(model)]
     lines += ["", "[run]", f"model = {_name(model, 'model')}", *_render(model)]
     if corrected is not None:
@@ -376,12 +354,13 @@ def _g17(x: float) -> str:
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     J = traj.speeds.shape[0] - 1
     width = traj.speeds.shape[1]
+    acc = traj.accelerations
     with open(path, "w") as fh:
         fh.write("t,vehicle,N,x,v,a\n")
         for j in range(J + 1):
             t = _g17(float(traj.times[j]))
             for m in range(width):
-                a = float(traj.accelerations[j, m]) if j < J else 0.0
+                a = float(acc[j, m]) if j < J else 0.0
                 fh.write(
                     f"{t},{m},{_g17(m * traj.dn)},"
                     f"{_g17(float(traj.positions[j, m]))},"

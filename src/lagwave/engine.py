@@ -76,25 +76,22 @@ class JWZ:
 
 
 @dataclass(frozen=True)
-class Corrected1:
+class _Correction:
+    """A clamp on the speed of the ``inner`` model; corrections do not nest."""
+
+    inner: "Model"
+
+    def __post_init__(self):
+        if isinstance(self.inner, _Correction):
+            raise ValueError("corrections do not nest")
+
+
+class Corrected1(_Correction):
     """Clamp the inner model's speed into [0, theta(spacing)]."""
 
-    inner: "Model"
 
-    def __post_init__(self):
-        if isinstance(self.inner, (Corrected1, Corrected2)):
-            raise ValueError("corrections do not nest")
-
-
-@dataclass(frozen=True)
-class Corrected2:
+class Corrected2(_Correction):
     """Clamp the inner model's speed into [0, (gap - S*dn)/dt]."""
-
-    inner: "Model"
-
-    def __post_init__(self):
-        if isinstance(self.inner, (Corrected1, Corrected2)):
-            raise ValueError("corrections do not nest")
 
 
 Model = NonstandardLWR | PhillipsRelax | JWZ | Corrected1 | Corrected2
@@ -103,7 +100,7 @@ Model = NonstandardLWR | PhillipsRelax | JWZ | Corrected1 | Corrected2
 def _relaxation_time(model: Model) -> float | None:
     """The relaxation time T of the model, or of the model a correction
     wraps; None for the equilibrium model, which relaxes within a step."""
-    if isinstance(model, (Corrected1, Corrected2)):
+    if isinstance(model, _Correction):
         model = model.inner
     return model.T if isinstance(model, (PhillipsRelax, JWZ)) else None
 
@@ -154,19 +151,22 @@ class Scenario:
 class Trajectory:
     """Simulation record on the full (time, vehicle) grid.
 
-    ``positions`` and ``speeds`` have shape (J+1, M+1) with J the step
-    count; ``accelerations`` holds the per-step speed differences and so
-    has shape (J, M+1).
+    ``positions`` and ``speeds`` have shape (J+1, M+1) with J the step count.
     """
 
     times: np.ndarray
     positions: np.ndarray
     speeds: np.ndarray
-    accelerations: np.ndarray
     scenario: Scenario | None = None
     model: Model | None = None
     scheme: Scheme | None = None
     dn: float = 1.0
+
+    @property
+    def accelerations(self) -> np.ndarray:
+        """Per-step accelerations, shape (J, M+1), as a fresh array
+        computed on every access: bind it once."""
+        return acceleration(self.speeds, self.scenario.dt)
 
     def spacings(self) -> np.ndarray:
         """Normalized spacings, shape (J+1, M)."""
@@ -205,7 +205,7 @@ def _step_kernel(
     trusted; ``simulate`` validates them once per run.
     """
     clamp = None
-    if isinstance(model, (Corrected1, Corrected2)):
+    if isinstance(model, _Correction):
         clamp, model = type(model), model.inner
     if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
         raise TypeError(f"unknown model {model!r}")
@@ -238,7 +238,9 @@ def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
     speeds = np.asarray(speeds, dtype=float)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return np.diff(speeds, axis=0) / dt
+    a = np.diff(speeds, axis=0)
+    a /= dt
+    return a
 
 
 def simulate(
@@ -279,12 +281,10 @@ def simulate(
     speeds[0, 0] = scenario.lead_speed
     _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
 
-    times = np.arange(J + 1) * dt
     return Trajectory(
-        times=times,
+        times=np.arange(J + 1) * dt,
         positions=positions,
         speeds=speeds,
-        accelerations=acceleration(speeds, dt),
         scenario=scenario,
         model=model,
         scheme=scheme,

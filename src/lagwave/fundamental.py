@@ -118,14 +118,7 @@ class FundamentalDiagram(ABC):
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
         s = np.asarray(s, dtype=float)
-        if np.any(s <= 0.0):
-            raise SpacingBelowJam("spacing must be positive")
-        if np.any(s < self.S * (1.0 - 1e-12)):
-            raise SpacingBelowJam(
-                f"spacing below jam spacing S={self.S!r}"
-            )
-        k = np.minimum(1.0 / s, self.K)
-        return _descalar(-self.eta_prime(k) / (s * s))
+        return _descalar(-self.eta_prime(self._spacing_to_density(s)) / (s * s))
 
     # -- helpers -------------------------------------------------------
 

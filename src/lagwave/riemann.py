@@ -133,7 +133,6 @@ def synthetic_shock_trajectory(
         times=times,
         positions=positions,
         speeds=speeds,
-        accelerations=np.diff(speeds, axis=0) / dt_snapped,
         scenario=scenario,
         model=None,
         scheme=None,

@@ -169,6 +169,10 @@ FIELD_CASES = [
     ("[run]\ntemplate = no-such-thing\n", "template"),
     (make_cfg(run_sec={"sweep": "1.0,1.0"}), "distinct"),
     (make_cfg(run_sec={"sweep": "-1.0"}), "positive"),
+    (make_cfg(run_sec={"sweep": "1.0,nan"}), "finite"),
+    (make_cfg(run_sec={"sweep": "inf"}), "finite"),
+    (make_cfg(scenario={**BASE_SC, "dn": "nan", "vehicles": "10"}), "scenario.dn must be positive and finite"),
+    (make_cfg(scenario={**BASE_SC, "dn": "inf", "vehicles": "10"}), "scenario.dn must be positive and finite"),
     (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
     (make_cfg(stability_sec={"amplitude": "0.02", "omega": "0.1", "phase": "0"}),
      "stability.phase"),
@@ -334,6 +338,13 @@ def test_main_sweep_bad_dn_exits_2(tmp_path, capsys):
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "0.5,abc"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'abc'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_sweep_nonfinite_dn_exits_2(tmp_path, capsys, value):
+    assert main(["sweep", "greenshields-discharge", "--out", str(tmp_path / "x"), "--dn", value]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep dn values must be positive and finite")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("key, value", [("v", "nan"), ("k", "0")])

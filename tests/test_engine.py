@@ -62,7 +62,7 @@ def test_init_initial_speed_override():
 
 def test_trajectory_spacings_normalized():
     traj = Trajectory(times=np.zeros(1), positions=np.array([[0.0, -7.0, -21.0]]),
-                      speeds=np.zeros((1, 3)), accelerations=np.zeros((0, 3)), dn=0.5)
+                      speeds=np.zeros((1, 3)), dn=0.5)
     # one row, one spacing per follower
     assert np.allclose(traj.spacings(), [[14.0, 28.0]])
 
