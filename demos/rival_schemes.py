@@ -8,8 +8,6 @@ steps.  The reference scheme only ever looks ahead, and the new speed
 moves the vehicle immediately, so spacing can approach the jam value
 but never cross it.
 """
-import numpy as np
-
 from lagwave import Scenario, Scheme, TriangularFD, diagnose, simulate
 
 T = TriangularFD()
@@ -23,12 +21,6 @@ LABELS = {
 }
 
 
-def first_collision(traj):
-    gaps = traj.spacings()
-    bad = np.nonzero(np.any(gaps < T.S - 1e-9, axis=1))[0]
-    return int(bad[0]) if bad.size else None
-
-
 def main():
     sc = Scenario(fd=T, k1=1.0 / 14.0, lead_speed=0.0, m=3, dn=1.0, dt=1.0,
                   duration=10.0)
@@ -36,10 +28,10 @@ def main():
     print()
     for scheme, label in LABELS.items():
         traj = simulate(sc, scheme=scheme)
-        step = first_collision(traj)
+        collisions = diagnose(traj).collision_events
         gaps1 = traj.spacings()[:, 0]
         shown = "  ".join(f"{g:7.3f}" for g in gaps1[:4])
-        verdict = "no collision" if step is None else f"collision at step {step}"
+        verdict = f"collision at step {collisions[0, 0]}" if len(collisions) else "no collision"
         print(f"{label}")
         print(f"  gap to leader, steps 0..3:  {shown}")
         print(f"  {verdict}")

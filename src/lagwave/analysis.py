@@ -44,15 +44,16 @@ class ExperimentInvalid(RuntimeError):
 class DiagnosticsReport:
     """Collision and speed-sign audit of a trajectory.
 
-    Events are (time index, vehicle index) pairs.  A collision is a
-    normalized spacing below S - 1e-9; a negative speed is anything
-    below -1e-12.  No comparison sees a NaN or an infinity, so the
-    non-finite positions and speeds are counted apart; any of them
-    makes the trajectory unclean.
+    Events are (n, 2) integer arrays of (time index, vehicle index)
+    rows, ordered by time and then vehicle, so row 0 is the first
+    event.  A collision is a normalized spacing below S - 1e-9; a
+    negative speed is anything below -1e-12.  No comparison sees a NaN
+    or an infinity, so the non-finite positions and speeds are counted
+    apart; any of them makes the trajectory unclean.
     """
 
-    collision_events: list[tuple[int, int]]
-    negative_speed_events: list[tuple[int, int]]
+    collision_events: np.ndarray
+    negative_speed_events: np.ndarray
     min_spacing: float
     max_abs_acceleration: float
     nonfinite_count: int
@@ -67,23 +68,19 @@ class DiagnosticsReport:
 
     @property
     def clean(self) -> bool:
-        return not (self.collision_events or self.negative_speed_events or self.nonfinite_count)
+        return not (self.collision_count or self.negative_speed_count or self.nonfinite_count)
 
 
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
     """Scan a trajectory for spacing violations and negative speeds."""
     if fd is None:
-        if trajectory.scenario is None:
-            raise ValueError("no diagram given and trajectory has no scenario")
         fd = trajectory.scenario.fd
 
     s = trajectory.spacings()
-    collisions = [
-        (int(j), int(m) + 1) for j, m in zip(*np.nonzero(s < fd.S - COLLISION_TOL))
-    ]
-    negatives = [
-        (int(j), int(m)) for j, m in zip(*np.nonzero(trajectory.speeds < -NEGATIVE_SPEED_TOL))
-    ]
+    collisions = np.argwhere(s < fd.S - COLLISION_TOL)
+    # Spacing column m is the gap in front of vehicle m + 1.
+    collisions[:, 1] += 1
+    negatives = np.argwhere(trajectory.speeds < -NEGATIVE_SPEED_TOL)
     min_spacing = float(np.min(s)) if s.size else float("inf")
     acc = trajectory.accelerations
     max_acc = float(np.max(np.abs(acc, out=acc))) if acc.size else 0.0
@@ -128,28 +125,19 @@ def _crossings(trajectory: Trajectory, level: float, rising: bool) -> tuple[np.n
     A vehicle only contributes if it starts strictly on the far side,
     so vehicles already past the front at t = 0 are excluded.
     """
-    times = trajectory.times
-    ts, xs = [], []
-    for m in range(1, trajectory.speeds.shape[1]):
-        v = trajectory.speeds[:, m]
-        past = v >= level if rising else v <= level
-        if past[0]:
-            continue
-        hits = np.nonzero(past)[0]
-        if hits.size == 0:
-            continue
-        j = int(hits[0])
-        if v[j] == level:
-            ts.append(float(times[j]))
-            xs.append(float(trajectory.positions[j, m]))
-        else:
-            frac = (level - v[j - 1]) / (v[j] - v[j - 1])
-            ts.append(float(times[j - 1] + frac * (times[j] - times[j - 1])))
-            xs.append(float(
-                trajectory.positions[j - 1, m]
-                + frac * (trajectory.positions[j, m] - trajectory.positions[j - 1, m])
-            ))
-    return np.asarray(ts), np.asarray(xs)
+    t, x, v = trajectory.times, trajectory.positions, trajectory.speeds
+    past = v[:, 1:] >= level if rising else v[:, 1:] <= level
+    # The first row past the level, per follower.  It is 0 both for a
+    # follower that never gets there and for one that starts past it, and
+    # these are exactly the followers that do not contribute.
+    first = past.argmax(axis=0)
+    m = np.nonzero(first)[0] + 1
+    j = first[m - 1]
+    hit = v[j, m] == level
+    frac = (level - v[j - 1, m]) / (v[j, m] - v[j - 1, m])
+    ts = np.where(hit, t[j], t[j - 1] + frac * (t[j] - t[j - 1]))
+    xs = np.where(hit, x[j, m], x[j - 1, m] + frac * (x[j, m] - x[j - 1, m]))
+    return ts, xs
 
 
 def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMeasurement:
@@ -178,8 +166,6 @@ def measure_startup_wave(trajectory: Trajectory, speed_threshold: float | None =
     measurement error, so a uniformly moving platoon is rejected.
     """
     if speed_threshold is None:
-        if trajectory.scenario is None:
-            raise ValueError("no threshold given and trajectory has no scenario")
         speed_threshold = 1e-3 * trajectory.scenario.fd.V
     ts, xs = _crossings(trajectory, speed_threshold, rising=True)
     if ts.size < 3:
@@ -234,7 +220,7 @@ def string_stability_experiment(
     traj = simulate(scenario, model=model, lead_speeds=lead)
 
     report = diagnose(traj, fd)
-    if report.collision_events:
+    if report.collision_count:
         raise ExperimentInvalid(
             f"platoon collided {report.collision_count} times; amplitude too large"
         )

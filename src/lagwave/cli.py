@@ -434,13 +434,13 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
     return 0
 
 
-def _displayed_slots(spec: RunSpec, dn: float, m: int) -> list[int]:
-    """Slot indices of the displayed whole-numbered vehicles (leader excluded)."""
-    slots = []
+def _displayed_slots(spec: RunSpec, dn: float, m: int) -> dict[int, int]:
+    """Slot of each displayed whole-numbered vehicle, keyed by vehicle number (leader excluded)."""
+    slots = {}
     for n in range(1, spec.display_vehicles + 1):
         slot = round(n / dn)
         if 1 <= slot <= m:
-            slots.append(slot)
+            slots[n] = slot
     return slots
 
 
@@ -468,13 +468,9 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
         speed, _ = _measurement(spec, traj)
 
         slots = _displayed_slots(spec, dn, m)
-        max_acc = float(np.max(np.abs(traj.accelerations[:, slots]))) if slots else math.nan
-
-        curves = {
-            n: traj.positions[:, round(n / dn)]
-            for n in range(1, spec.display_vehicles + 1)
-            if round(n / dn) <= m
-        }
+        cols = list(slots.values())
+        max_acc = float(np.max(np.abs(traj.accelerations[:, cols]))) if cols else math.nan
+        curves = {n: traj.positions[:, slot] for n, slot in slots.items()}
         diff = math.nan
         if prev is not None:
             t_prev, curves_prev = prev

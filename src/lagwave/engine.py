@@ -157,10 +157,14 @@ class Trajectory:
     times: np.ndarray
     positions: np.ndarray
     speeds: np.ndarray
-    scenario: Scenario | None = None
+    scenario: Scenario
     model: Model | None = None
     scheme: Scheme | None = None
-    dn: float = 1.0
+
+    @property
+    def dn(self) -> float:
+        """Vehicle-index increment, read from the scenario."""
+        return self.scenario.dn
 
     @property
     def accelerations(self) -> np.ndarray:
@@ -288,5 +292,4 @@ def simulate(
         scenario=scenario,
         model=model,
         scheme=scheme,
-        dn=scenario.dn,
     )

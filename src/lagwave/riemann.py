@@ -136,5 +136,4 @@ def synthetic_shock_trajectory(
         scenario=scenario,
         model=None,
         scheme=None,
-        dn=dn,
     )

@@ -1,13 +1,17 @@
 """Diagnostics, wave-speed measurement, string stability, and the
 linearized growth-rate analyzers."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lagwave.analysis import (
+    COLLISION_TOL,
+    NEGATIVE_SPEED_TOL,
     ExperimentInvalid,
     MeasurementError,
+    _crossings,
     diagnose,
     diffusion_coefficient,
     eulerian_dispersion_roots,
@@ -15,8 +19,11 @@ from lagwave.analysis import (
     measure_startup_wave,
     string_stability_experiment,
 )
-from lagwave.engine import NonstandardLWR, PhillipsRelax, Scenario, simulate
+from lagwave.cli import load_spec
+from lagwave.engine import NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
+from lagwave.riemann import synthetic_shock_trajectory
+from lagwave.templates import TEMPLATES, template_text
 
 G = GreenshieldsFD()
 T = TriangularFD()
@@ -45,9 +52,9 @@ def test_diagnose_hand_trajectory():
     traj = FakeTrajectory(positions, speeds, dt=1.0, fd=G)
     rep = diagnose(traj)
     # gap dips to 6 at step 1, vehicle index 1
-    assert rep.collision_events == [(1, 1)]
+    assert np.array_equal(rep.collision_events, [[1, 1]])
     assert rep.collision_count == 1
-    assert rep.negative_speed_events == [(1, 1)]
+    assert np.array_equal(rep.negative_speed_events, [[1, 1]])
     assert rep.negative_speed_count == 1
     assert rep.min_spacing == 6.0
     assert rep.max_abs_acceleration == pytest.approx(3.5)
@@ -59,7 +66,7 @@ def test_diagnose_clean_run():
                   duration=7.0)
     rep = diagnose(simulate(sc))
     assert rep.clean
-    assert rep.collision_events == []
+    assert rep.collision_events.shape == (0, 2)
     assert rep.min_spacing > G.S
 
 
@@ -76,6 +83,115 @@ def test_diagnose_nonfinite_trajectory_is_not_clean(positions, speeds, count):
     assert rep.negative_speed_count == 0
     assert rep.nonfinite_count == count
     assert not rep.clean
+
+
+def test_trajectory_requires_its_scenario():
+    arrays = dict(times=np.arange(3.0), positions=np.array([[0.0, -8.0], [0.0, -6.0], [0.0, -7.5]]),
+                  speeds=np.array([[0.0, 2.0], [0.0, -1.5], [0.0, 0.5]]))
+    with pytest.raises(TypeError):
+        Trajectory(**arrays)
+    sc = Scenario(fd=G, k1=G.K / 2.0, lead_speed=0.0, m=1, dn=1.0, dt=1.0, duration=2.0)
+    rep = diagnose(Trajectory(**arrays, scenario=sc))
+    assert np.array_equal(rep.collision_events, [[1, 1]])
+    assert rep.max_abs_acceleration == 3.5
+
+
+def _reference_events(trajectory, fd):
+    """The audit's events as (j, m) tuples, built one by one: the loop
+    that ``diagnose`` replaced, kept as its reference."""
+    s = trajectory.spacings()
+    collisions = [
+        (int(j), int(m) + 1) for j, m in zip(*np.nonzero(s < fd.S - COLLISION_TOL))
+    ]
+    negatives = [
+        (int(j), int(m)) for j, m in zip(*np.nonzero(trajectory.speeds < -NEGATIVE_SPEED_TOL))
+    ]
+    return collisions, negatives
+
+
+def _reference_crossings(trajectory, level, rising):
+    """The per-vehicle loop that ``_crossings`` replaced, kept as its reference."""
+    times = trajectory.times
+    ts, xs = [], []
+    for m in range(1, trajectory.speeds.shape[1]):
+        v = trajectory.speeds[:, m]
+        past = v >= level if rising else v <= level
+        if past[0]:
+            continue
+        hits = np.nonzero(past)[0]
+        if hits.size == 0:
+            continue
+        j = int(hits[0])
+        if v[j] == level:
+            ts.append(float(times[j]))
+            xs.append(float(trajectory.positions[j, m]))
+        else:
+            frac = (level - v[j - 1]) / (v[j] - v[j - 1])
+            ts.append(float(times[j - 1] + frac * (times[j] - times[j - 1])))
+            xs.append(float(
+                trajectory.positions[j - 1, m]
+                + frac * (trajectory.positions[j, m] - trajectory.positions[j - 1, m])
+            ))
+    return np.asarray(ts), np.asarray(xs)
+
+
+_SYNTHETIC_SHOCKS = {
+    "greenshields": (G, G.K / 4.0, 0.625 * G.K, 20, 0.5, 40.0, 0.2),
+    "triangular-congested": (T, 0.4 * T.K, 0.8 * T.K, 15, 1.0, 60.0, 0.25),
+    "greenshields-short": (G, G.K / 4.0, 0.625 * G.K, 5, 1.0, 1.0, 0.1),
+    "greenshields-fine": (G, G.K / 8.0, 0.5 * G.K, 40, 0.25, 40.0, 0.05),
+}
+
+
+def _reference_cases():
+    """Every run template, every scheme on the shock templates, a
+    leader-only platoon and the synthetic shocks."""
+    cases = []
+    for name in sorted(TEMPLATES):
+        spec = load_spec(template_text(name))
+        if spec.stability is None:
+            schemes = list(Scheme) if "shock" in name else [spec.scheme]
+            cases += [f"{name}:{scheme.value}" for scheme in schemes]
+    return cases + ["greenshields-shock-a:m=0"] + [f"synthetic:{k}" for k in _SYNTHETIC_SHOCKS]
+
+
+def _reference_trajectory(case):
+    source, variant = case.split(":")
+    if source == "synthetic":
+        fd, k1, k2, m, dn, duration, dt = _SYNTHETIC_SHOCKS[variant]
+        return synthetic_shock_trajectory(fd, k1, k2, m=m, dn=dn, duration=duration, dt=dt)
+    spec = load_spec(template_text(source))
+    if variant == "m=0":
+        return simulate(replace(spec.scenario, m=0), model=spec.model, scheme=spec.scheme)
+    # the shock templates use the equilibrium model, which every scheme supports
+    return simulate(spec.scenario, model=spec.model, scheme=Scheme(variant))
+
+
+@pytest.mark.parametrize("case", _reference_cases())
+def test_audit_and_crossings_match_reference_loops(case):
+    traj = _reference_trajectory(case)
+    sc = traj.scenario
+    rep = diagnose(traj)
+    collisions, negatives = _reference_events(traj, sc.fd)
+    assert rep.collision_events.shape == (len(collisions), 2)
+    assert rep.negative_speed_events.shape == (len(negatives), 2)
+    assert list(map(tuple, rep.collision_events.tolist())) == collisions
+    assert list(map(tuple, rep.negative_speed_events.tolist())) == negatives
+    # perfbench hashes the counts' repr, which an np.int64 would change
+    assert type(rep.collision_count) is int and type(rep.negative_speed_count) is int
+
+    v = traj.speeds
+    v1 = sc.fd.eta(sc.k1) if sc.initial_speed is None else sc.initial_speed
+    # the two measurements' levels, the extremes, and speeds the last
+    # follower takes, so that some crossings land exactly on a sample
+    levels = [0.5 * (v1 + sc.lead_speed), 1e-3 * sc.fd.V, v.min(), v.max()]
+    levels += list(v[[len(v) // 3, 2 * len(v) // 3], -1])
+    for level in levels:
+        for rising in (True, False):
+            got = _crossings(traj, level, rising)
+            want = _reference_crossings(traj, level, rising)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_measure_front_speed_rejects_equal_levels():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import lagwave
@@ -19,7 +20,7 @@ from lagwave.cli import (
     sweep,
     thresholds,
 )
-from lagwave.engine import Corrected1, JWZ, NonstandardLWR, PhillipsRelax, Scheme
+from lagwave.engine import Corrected1, JWZ, NonstandardLWR, PhillipsRelax, Scheme, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.templates import TEMPLATES, template_text
 
@@ -250,6 +251,28 @@ def test_sweep_single_point_matches_run(tmp_path):
     assert min_spacing == summary["min_spacing"]
     assert diff == "nan"
     assert (tmp_path / "s" / "trajectory_dn1.csv").exists()
+
+
+def test_sweep_difference_never_compares_the_leader(tmp_path):
+    # At dn = 2.5 vehicle 1 rounds to slot 0, the leader, so only
+    # vehicles 2..5 (slots 1, 1, 2, 2) are compared with the dn = 1 run.
+    spec = replace(load_spec(template_text("greenshields-discharge")), output_dir=str(tmp_path))
+    sweep(spec, (1.0, 2.5))
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[2].split(",")
+
+    a, b = (
+        simulate(replace(spec.scenario, dn=dn, dt=spec.dt_ratio * dn, m=round(spec.vehicles / dn)),
+                 model=spec.model, scheme=spec.scheme)
+        for dn in (1.0, 2.5)
+    )
+    grid = a.times[a.times <= min(a.times[-1], b.times[-1])]
+    worst = max(
+        float(np.max(np.abs(np.interp(grid, a.times, a.positions[:, n])
+                            - np.interp(grid, b.times, b.positions[:, slot]))))
+        for n, slot in {2: 1, 3: 1, 4: 2, 5: 2}.items()
+    )
+    assert row[0] == "2.5"
+    assert float(row[4]) == worst
 
 
 def test_sweep_requires_relative_spec():

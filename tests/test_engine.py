@@ -61,8 +61,9 @@ def test_init_initial_speed_override():
 
 
 def test_trajectory_spacings_normalized():
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=0.0, m=2, dn=0.5, dt=1.0, duration=0.0)
     traj = Trajectory(times=np.zeros(1), positions=np.array([[0.0, -7.0, -21.0]]),
-                      speeds=np.zeros((1, 3)), dn=0.5)
+                      speeds=np.zeros((1, 3)), scenario=sc)
     # one row, one spacing per follower
     assert np.allclose(traj.spacings(), [[14.0, 28.0]])
 
