@@ -7,11 +7,13 @@ for every discretization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import Model, Scenario, Trajectory, _relaxation_time, simulate
+from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -23,6 +25,9 @@ __all__ = [
     "diagnose",
     "measure_front_speed",
     "measure_startup_wave",
+    "measure_wave",
+    "SweepRow",
+    "sweep_dn",
     "string_stability_experiment",
     "eulerian_dispersion_roots",
     "diffusion_coefficient",
@@ -30,6 +35,8 @@ __all__ = [
 
 COLLISION_TOL = 1e-9
 NEGATIVE_SPEED_TOL = 1e-12
+# Followers below this fraction of the free-flow speed are at rest.
+STARTUP_FRACTION = 1e-3
 
 
 class MeasurementError(RuntimeError):
@@ -157,21 +164,104 @@ def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMea
     return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
 
 
-def measure_startup_wave(trajectory: Trajectory, speed_threshold: float | None = None) -> WaveMeasurement:
+def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
     """Fit the wave at which vehicles released from rest start moving.
 
-    Crossing of a small speed threshold (0.001 of the free-flow speed
-    by default) is recorded per vehicle.  Vehicles that were already
-    moving at the start are excluded; fewer than three starters is a
-    measurement error, so a uniformly moving platoon is rejected.
+    Crossing of STARTUP_FRACTION of the free-flow speed is recorded per
+    vehicle.  Vehicles that were already moving at the start are
+    excluded; fewer than three starters is a measurement error, so a
+    uniformly moving platoon is rejected.
     """
-    if speed_threshold is None:
-        speed_threshold = 1e-3 * trajectory.scenario.fd.V
-    ts, xs = _crossings(trajectory, speed_threshold, rising=True)
+    level = STARTUP_FRACTION * trajectory.scenario.fd.V
+    ts, xs = _crossings(trajectory, level, rising=True)
     if ts.size < 3:
         raise MeasurementError(f"only {ts.size} vehicles started from rest")
     slope, r2 = _fit_line(ts, xs)
     return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
+
+
+def measure_wave(trajectory: Trajectory) -> tuple[float, float]:
+    """Speed and r^2 of the wave the trajectory's scenario sets off.
+
+    Followers at rest set off the startup wave; followers whose speed
+    differs from the leader's set off the front between the two speeds.
+    A uniform platoon, or a fit with too few crossings, gives (nan, nan).
+    """
+    sc = trajectory.scenario
+    v1 = sc.initial_speed if sc.initial_speed is not None else sc.fd.eta(sc.k1)
+    try:
+        if v1 < STARTUP_FRACTION * sc.fd.V:
+            meas = measure_startup_wave(trajectory)
+        elif abs(v1 - sc.lead_speed) > 1e-9:
+            meas = measure_front_speed(trajectory, v1, sc.lead_speed)
+        else:
+            return math.nan, math.nan
+    except MeasurementError:
+        return math.nan, math.nan
+    return meas.speed, meas.r_squared
+
+
+class SweepRow(NamedTuple):
+    """One dn of a convergence sweep; the fields are sweep.csv's columns."""
+
+    dn: float
+    measured_speed: float
+    max_abs_accel: float
+    min_spacing: float
+    traj_diff_prev: float
+
+
+def _displayed_slots(dn: float, m: int, count: int) -> dict[int, int]:
+    """Slot of each displayed whole-numbered vehicle 1..count, keyed by
+    vehicle number; a vehicle whose slot is the leader's or lies past
+    slot m is not displayed."""
+    slots = {n: round(n / dn) for n in range(1, count + 1)}
+    return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
+
+
+def sweep_dn(
+    scenario: Scenario,
+    dn_values: Iterable[float],
+    vehicles: int,
+    dt_ratio: float,
+    model: Model | None = None,
+    scheme: Scheme = Scheme.ANISOTROPIC_SYMPLECTIC,
+    display_vehicles: int = 5,
+) -> Iterator[tuple[Trajectory, SweepRow]]:
+    """Re-run ``scenario`` at each dn, with m = round(vehicles / dn) and
+    dt = dt_ratio * dn, and yield (trajectory, row) one dn at a time.
+
+    Max |acceleration| and the trajectory difference are taken over the
+    displayed whole-numbered vehicles 1..display_vehicles, matching what
+    the plots show; min spacing is over every simulated slot.  The
+    difference is the largest gap between a displayed vehicle's
+    positions at this dn and at the previous one, on the previous time
+    grid up to the shorter duration; it is nan for the first dn.
+    """
+    prev = None
+    for dn in dn_values:
+        m = round(vehicles / dn)
+        traj = simulate(replace(scenario, dn=dn, dt=dt_ratio * dn, m=m), model=model, scheme=scheme)
+        report = diagnose(traj)
+        speed, _ = measure_wave(traj)
+
+        slots = _displayed_slots(dn, m, display_vehicles)
+        cols = list(slots.values())
+        max_acc = float(np.max(np.abs(traj.accelerations[:, cols]))) if cols else math.nan
+        # Copies: a view would keep the whole earlier positions grid alive.
+        curves = {n: traj.positions[:, slot].copy() for n, slot in slots.items()}
+        diff = math.nan
+        if prev is not None:
+            t_prev, curves_prev = prev
+            grid = t_prev[t_prev <= min(float(t_prev[-1]), float(traj.times[-1]))]
+            diff = 0.0
+            for n, x_prev in curves_prev.items():
+                if n in curves:
+                    a = np.interp(grid, t_prev, x_prev)
+                    b = np.interp(grid, traj.times, curves[n])
+                    diff = max(diff, float(np.max(np.abs(a - b))))
+        prev = (traj.times, curves)
+        yield traj, SweepRow(dn, speed, max_acc, report.min_spacing, diff)
 
 
 @dataclass(eq=False)

@@ -18,16 +18,17 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
-import numpy as np
-
+# perfbench/tracing.py patches measure_front_speed and measure_startup_wave here without a hasattr guard.
 from .analysis import (
     DiagnosticsReport,
     ExperimentInvalid,
-    MeasurementError,
+    SweepRow,
     diagnose,
     measure_front_speed,
     measure_startup_wave,
+    measure_wave,
     string_stability_experiment,
+    sweep_dn,
 )
 from .conditions import cfl_threshold, collision_free_threshold, validate_step_sizes
 from .engine import (
@@ -289,6 +290,8 @@ def _dn_values(raw: str) -> tuple[float, ...]:
 
 
 def _check_sweep(values: tuple[float, ...]) -> None:
+    if not values:
+        raise ConfigError("sweep needs at least one dn value")
     if not all(math.isfinite(v) and v > 0.0 for v in values):
         raise ConfigError("sweep dn values must be positive and finite")
     if len(set(values)) != len(values):
@@ -351,42 +354,24 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
+_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    J = traj.speeds.shape[0] - 1
-    width = traj.speeds.shape[1]
+    # One time row at a time through tolist(): a whole array costs ~40 MB on triangular-discharge.
     acc = traj.accelerations
+    numbers = traj.vehicle_numbers().tolist()
+    width = len(numbers)
     with open(path, "w") as fh:
         fh.write("t,vehicle,N,x,v,a\n")
-        for j in range(J + 1):
-            t = _g17(float(traj.times[j]))
-            for m in range(width):
-                a = float(acc[j, m]) if j < J else 0.0
-                fh.write(
-                    f"{t},{m},{_g17(m * traj.dn)},"
-                    f"{_g17(float(traj.positions[j, m]))},"
-                    f"{_g17(float(traj.speeds[j, m]))},{_g17(a)}\n"
-                )
-
-
-def _measurement(spec: RunSpec, traj: Trajectory) -> tuple[float, float]:
-    """Front or startup wave speed, whichever the scenario calls for."""
-    sc = spec.scenario
-    v1 = sc.initial_speed if sc.initial_speed is not None else sc.fd.eta(sc.k1)
-    v2 = sc.lead_speed
-    try:
-        if v1 < 1e-3 * sc.fd.V:
-            meas = measure_startup_wave(traj)
-        elif abs(v1 - v2) > 1e-9:
-            meas = measure_front_speed(traj, v1, v2)
-        else:
-            return math.nan, math.nan
-        return meas.speed, meas.r_squared
-    except MeasurementError:
-        return math.nan, math.nan
+        for j, t in enumerate(traj.times.tolist()):
+            a = acc[j].tolist() if j < len(acc) else [0.0] * width
+            rows = zip([t] * width, range(width), numbers, traj.positions[j].tolist(), traj.speeds[j].tolist(), a)
+            fh.writelines(_CSV_ROW % row for row in rows)
 
 
 def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -> list[str]:
-    speed, r2 = _measurement(spec, traj)
+    speed, r2 = measure_wave(traj)
     fd = spec.scenario.fd
     return [
         f"measured_shock_speed = {_g17(speed)}",
@@ -434,23 +419,8 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
     return 0
 
 
-def _displayed_slots(spec: RunSpec, dn: float, m: int) -> dict[int, int]:
-    """Slot of each displayed whole-numbered vehicle, keyed by vehicle number (leader excluded)."""
-    slots = {}
-    for n in range(1, spec.display_vehicles + 1):
-        slot = round(n / dn)
-        if 1 <= slot <= m:
-            slots[n] = slot
-    return slots
-
-
 def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
-    """Re-run the scenario across dn values; write a convergence table.
-
-    Max |acceleration| and trajectory differences are taken over the
-    displayed whole-numbered vehicles, matching what the plots show;
-    min spacing is over every simulated slot.
-    """
+    """Re-run the scenario across dn values (``sweep_dn``); write each trajectory and sweep.csv."""
     _check_sweep(tuple(dn_list))
     if spec.dt_ratio is None:
         raise ConfigError("sweep requires scenario.dt_ratio (fixed dt/dn ratio)")
@@ -459,44 +429,19 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []
-    prev: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
-    for dn in dn_list:
-        m = round(spec.vehicles / dn)
-        scenario = replace(spec.scenario, dn=dn, dt=spec.dt_ratio * dn, m=m)
-        traj = simulate(scenario, model=spec.model, scheme=spec.scheme)
-        report = diagnose(traj, scenario.fd)
-        speed, _ = _measurement(spec, traj)
-
-        slots = _displayed_slots(spec, dn, m)
-        cols = list(slots.values())
-        max_acc = float(np.max(np.abs(traj.accelerations[:, cols]))) if cols else math.nan
-        curves = {n: traj.positions[:, slot] for n, slot in slots.items()}
-        diff = math.nan
-        if prev is not None:
-            t_prev, curves_prev = prev
-            t_hi = min(float(t_prev[-1]), float(traj.times[-1]))
-            grid = t_prev[t_prev <= t_hi]
-            worst = 0.0
-            for n, x_prev in curves_prev.items():
-                if n not in curves:
-                    continue
-                a = np.interp(grid, t_prev, x_prev)
-                b = np.interp(grid, traj.times, curves[n])
-                worst = max(worst, float(np.max(np.abs(a - b))))
-            diff = worst
-        prev = (traj.times, curves)
-
-        fname = f"trajectory_dn{dn:g}.csv"
-        _write_trajectory_csv(os.path.join(spec.output_dir, fname), traj)
-        rows.append((dn, speed, max_acc, report.min_spacing, diff))
+    for traj, row in sweep_dn(
+        spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
+    ):
+        _write_trajectory_csv(os.path.join(spec.output_dir, f"trajectory_dn{row.dn:g}.csv"), traj)
+        rows.append(row)
         print(
-            f"[sweep] dn={dn:g} speed={speed:.6g} max_accel={max_acc:.6g} "
-            f"min_spacing={report.min_spacing:.6g} diff_prev={diff:.6g}"
+            f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "
+            f"min_spacing={row.min_spacing:.6g} diff_prev={row.traj_diff_prev:.6g}"
         )
 
     table_path = os.path.join(spec.output_dir, "sweep.csv")
     with open(table_path, "w") as fh:
-        fh.write("dn,measured_speed,max_abs_accel,min_spacing,traj_diff_prev\n")
+        fh.write(",".join(SweepRow._fields) + "\n")
         for row in rows:
             fh.write(",".join(_g17(v) for v in row) + "\n")
     print(f"[sweep] wrote {table_path}")
@@ -601,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "thresholds":
             return thresholds(spec)
         return stability(spec)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,8 +158,6 @@ class Trajectory:
     positions: np.ndarray
     speeds: np.ndarray
     scenario: Scenario
-    model: Model | None = None
-    scheme: Scheme | None = None
 
     @property
     def dn(self) -> float:
@@ -285,11 +283,4 @@ def simulate(
     speeds[0, 0] = scenario.lead_speed
     _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
 
-    return Trajectory(
-        times=np.arange(J + 1) * dt,
-        positions=positions,
-        speeds=speeds,
-        scenario=scenario,
-        model=model,
-        scheme=scheme,
-    )
+    return Trajectory(times=np.arange(J + 1) * dt, positions=positions, speeds=speeds, scenario=scenario)

@@ -114,26 +114,16 @@ def synthetic_shock_trajectory(
     J = max(int(math.ceil(duration / dt_snapped - 1e-9)), 0)
 
     times = np.arange(J + 1) * dt_snapped
-    positions = np.empty((J + 1, m + 1))
-    speeds = np.empty((J + 1, m + 1))
-    for i in range(m + 1):
-        j_kink = i * L
-        t_kink = j_kink * dt_snapped
-        x0 = -i * s1
-        before = times <= t_kink
-        positions[:, i] = np.where(
-            before, x0 + v1 * times, (x0 + v1 * t_kink) + v2 * (times - t_kink)
-        )
-        speeds[:, i] = np.where(np.arange(J + 1) < j_kink, v1, v2)
+    # One column per vehicle i, with its kink at step i*L.
+    i = np.arange(m + 1)
+    j_kink = i * L
+    t_kink = j_kink * dt_snapped
+    x0 = -i * s1
+    t = times[:, None]
+    positions = np.where(t <= t_kink, x0 + v1 * t, (x0 + v1 * t_kink) + v2 * (t - t_kink))
+    speeds = np.where(np.arange(J + 1)[:, None] < j_kink, v1, v2)
 
     scenario = Scenario(
         fd=fd, k1=k1, lead_speed=v2, m=m, dn=dn, dt=dt_snapped, duration=J * dt_snapped
     )
-    return Trajectory(
-        times=times,
-        positions=positions,
-        speeds=speeds,
-        scenario=scenario,
-        model=None,
-        scheme=None,
-    )
+    return Trajectory(times=times, positions=positions, speeds=speeds, scenario=scenario)

@@ -1,6 +1,8 @@
 """Diagnostics, wave-speed measurement, string stability, and the
 linearized growth-rate analyzers."""
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +14,15 @@ from lagwave.analysis import (
     ExperimentInvalid,
     MeasurementError,
     _crossings,
+    _displayed_slots,
     diagnose,
     diffusion_coefficient,
     eulerian_dispersion_roots,
     measure_front_speed,
     measure_startup_wave,
+    measure_wave,
     string_stability_experiment,
+    sweep_dn,
 )
 from lagwave.cli import load_spec
 from lagwave.engine import NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
@@ -192,6 +197,60 @@ def test_audit_and_crossings_match_reference_loops(case):
             want = _reference_crossings(traj, level, rising)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _reference_measurement(trajectory):
+    """The wave choice the command line made before ``measure_wave``,
+    kept as its reference."""
+    sc = trajectory.scenario
+    v1 = sc.initial_speed if sc.initial_speed is not None else sc.fd.eta(sc.k1)
+    v2 = sc.lead_speed
+    try:
+        if v1 < 1e-3 * sc.fd.V:
+            meas = measure_startup_wave(trajectory)
+        elif abs(v1 - v2) > 1e-9:
+            meas = measure_front_speed(trajectory, v1, v2)
+        else:
+            return math.nan, math.nan
+        return meas.speed, meas.r_squared
+    except MeasurementError:
+        return math.nan, math.nan
+
+
+@pytest.mark.parametrize("case", _reference_cases() + ["uniform"])
+def test_measure_wave_matches_reference(case):
+    if case == "uniform":
+        traj = simulate(Scenario(fd=G, k1=G.K / 4.0, lead_speed=G.eta(G.K / 4.0), m=5, dn=1.0, dt=0.35,
+                                 duration=7.0))
+    else:
+        traj = _reference_trajectory(case)
+    got, want = measure_wave(traj), _reference_measurement(traj)
+    for a, b in zip(got, want):
+        assert a == b or (math.isnan(a) and math.isnan(b))
+    if case == "uniform":
+        assert all(math.isnan(x) for x in got)
+
+
+@pytest.mark.parametrize("dn, m, slots", [
+    (2.5, 4, {2: 1, 3: 1, 4: 2, 5: 2}),  # vehicle 1 rounds to the leader's slot
+    (1.0 / 16.0, 160, {n: 16 * n for n in range(1, 6)}),
+    (0.1, 5, {}),  # kerner-redlight: no whole vehicle among 5 slots of 0.1
+])
+def test_displayed_slots(dn, m, slots):
+    assert _displayed_slots(dn, m, 5) == slots
+
+
+def test_sweep_dn_keeps_no_earlier_trajectory():
+    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
+    dns = (1.0, 0.5, 0.25, 0.125)
+    kept = []
+    for traj, row in sweep_dn(sc, dns, vehicles=4, dt_ratio=0.35):
+        assert row.dn == traj.scenario.dn and traj.scenario.m == round(4 / row.dn)
+        kept.append(weakref.ref(traj.positions))
+        del traj
+        gc.collect()
+        assert [ref() is None for ref in kept] == [True] * (len(kept) - 1) + [False]
+    assert len(kept) == len(dns)
 
 
 def test_measure_front_speed_rejects_equal_levels():

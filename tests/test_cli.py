@@ -172,6 +172,7 @@ FIELD_CASES = [
     (make_cfg(run_sec={"sweep": "-1.0"}), "positive"),
     (make_cfg(run_sec={"sweep": "1.0,nan"}), "finite"),
     (make_cfg(run_sec={"sweep": "inf"}), "finite"),
+    (make_cfg(run_sec={"sweep": ""}), "sweep needs at least one dn value"),
     (make_cfg(scenario={**BASE_SC, "dn": "nan", "vehicles": "10"}), "scenario.dn must be positive and finite"),
     (make_cfg(scenario={**BASE_SC, "dn": "inf", "vehicles": "10"}), "scenario.dn must be positive and finite"),
     (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
@@ -368,6 +369,37 @@ def test_main_sweep_nonfinite_dn_exits_2(tmp_path, capsys, value):
     assert main(["sweep", "greenshields-discharge", "--out", str(tmp_path / "x"), "--dn", value]) == 2
     assert capsys.readouterr().err.startswith("error: sweep dn values must be positive and finite")
     assert not (tmp_path / "x").exists()
+
+
+def test_main_empty_sweep_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sw.ini"
+    cfg.write_text(SWEEPABLE + "\n[run]\nsweep =\n")
+    for args in (["sweep", str(cfg)], ["sweep", "greenshields-discharge", "--dn", ","]):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: sweep needs at least one dn value\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_file_system_errors_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["thresholds", "greenshields-discharge", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+
+
+def test_perfbench_tracer_installs():
+    # The tracer patches names on lagwave.cli with no hasattr guard, so a
+    # name that cli stops importing breaks every traced benchmark run.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.Tracer().install()"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([perfbench, src])},
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("key, value", [("v", "nan"), ("k", "0")])

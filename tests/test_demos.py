@@ -12,7 +12,8 @@ DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "dem
 PUBLIC = {
     "DiagnosticsReport", "ExperimentInvalid", "MeasurementError", "StringStabilityResult",
     "WaveMeasurement", "diagnose", "diffusion_coefficient", "eulerian_dispersion_roots",
-    "measure_front_speed", "measure_startup_wave", "string_stability_experiment",
+    "measure_front_speed", "measure_startup_wave", "measure_wave", "string_stability_experiment",
+    "SweepRow", "sweep_dn",
     "ConfigError", "RunSpec", "StabilitySpec", "load_spec", "serialize",
     "TEMPLATES", "template_text",
     "StepSizeReport", "cfl_threshold", "check_concave", "collision_free_threshold",

@@ -144,6 +144,43 @@ def test_synthetic_rejects_rarefaction_order():
                                    duration=10.0, dt=0.1)
 
 
+def _reference_synthetic(fd, k1, k2, m, dn, duration, dt):
+    """The per-vehicle loop that ``synthetic_shock_trajectory`` replaced,
+    kept as its reference: (times, positions, speeds)."""
+    v1, v2 = fd.eta(k1), fd.eta(k2)
+    sigma = shock_speed_rh(fd, k1, k2)
+    s1 = dn / k1
+    L = max(1, round(s1 / (v1 - sigma) / dt))
+    dt_snapped = s1 / (v1 - sigma) / L
+    J = max(int(np.ceil(duration / dt_snapped - 1e-9)), 0)
+    times = np.arange(J + 1) * dt_snapped
+    positions = np.empty((J + 1, m + 1))
+    speeds = np.empty((J + 1, m + 1))
+    for i in range(m + 1):
+        j_kink = i * L
+        t_kink = j_kink * dt_snapped
+        x0 = -i * s1
+        positions[:, i] = np.where(
+            times <= t_kink, x0 + v1 * times, (x0 + v1 * t_kink) + v2 * (times - t_kink)
+        )
+        speeds[:, i] = np.where(np.arange(J + 1) < j_kink, v1, v2)
+    return times, positions, speeds
+
+
+@pytest.mark.parametrize("fd, k1, k2", [
+    (G, G.K / 4.0, 0.625 * G.K), (G, G.K / 8.0, 0.875 * G.K),
+    (T, T.K / 10.0, 0.4 * T.K), (T, 0.4 * T.K, 0.8 * T.K),
+])
+@pytest.mark.parametrize("m", [0, 1, 7, 40])
+@pytest.mark.parametrize("dn, duration, dt", [(1.0, 40.0, 0.2), (0.25, 7.0, 0.05), (0.5, 0.0, 0.1)])
+def test_synthetic_matches_reference_loop(fd, k1, k2, m, dn, duration, dt):
+    traj = synthetic_shock_trajectory(fd, k1, k2, m=m, dn=dn, duration=duration, dt=dt)
+    for got, want in zip((traj.times, traj.positions, traj.speeds),
+                         _reference_synthetic(fd, k1, k2, m, dn, duration, dt)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_lax_entropy_on_random_shocks():
     rng = np.random.default_rng(11)
     for fd in (G, T):
