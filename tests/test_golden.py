@@ -4,8 +4,9 @@
 file that template writes: ``trajectory.csv`` and ``summary.txt`` for run
 templates, ``stability.txt`` for templates with a [stability] section.
 ``config.ini`` is the template's canonical config text, ``serialize`` of
-its loaded spec.  A refactor of the stepping, the audit or the config
-parsing must leave every hash unchanged.
+its loaded spec, and ``template.ini`` the text ``template_text`` renders.
+A refactor of the stepping, the audit, the config parsing or the presets
+must leave every hash unchanged.
 """
 import hashlib
 import json
@@ -42,3 +43,9 @@ def test_template_outputs_match_manifest(name, tmp_path):
 def test_canonical_config_matches_manifest(name):
     text = serialize(load_spec(template_text(name)))
     assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST[f"{name}/config.ini"]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_template_text_matches_manifest(name):
+    text = template_text(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST[f"{name}/template.ini"]
