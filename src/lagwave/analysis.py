@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, simulate
+from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, acceleration, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -247,7 +247,9 @@ def sweep_dn(
 
         slots = _displayed_slots(dn, m, display_vehicles)
         cols = list(slots.values())
-        max_acc = float(np.max(np.abs(traj.accelerations[:, cols]))) if cols else math.nan
+        # The displayed columns only: the whole (J, M+1) grid is ~10 MB on triangular-discharge.
+        acc = acceleration(traj.speeds[:, cols], traj.scenario.dt)
+        max_acc = float(np.max(np.abs(acc))) if cols else math.nan
         # Copies: a view would keep the whole earlier positions grid alive.
         curves = {n: traj.positions[:, slot].copy() for n, slot in slots.items()}
         diff = math.nan

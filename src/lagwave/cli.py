@@ -88,6 +88,7 @@ class RunSpec:
 _DIAGRAMS = {"greenshields": GreenshieldsFD, "triangular": TriangularFD, "kerner": KernerFD}
 _MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
 _CORRECTIONS = {"none": None, "1": Corrected1, "2": Corrected2}
+_SCHEMES = {s.value: s for s in Scheme}
 _NAMES = {cls: name for table in (_DIAGRAMS, _MODELS, _CORRECTIONS) for name, cls in table.items()}
 
 # [run] keys besides the model's own fields.
@@ -245,16 +246,9 @@ def load_spec(text: str) -> RunSpec:
     if correction is not None:
         model = correction(model)
 
-    scheme_name = run_sec.get("scheme", "anisotropic")
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown run.scheme {scheme_name!r}; expected one of "
-            + ", ".join(s.value for s in Scheme)
-        ) from None
+    scheme = _lookup(_SCHEMES, "run.scheme", run_sec.get("scheme", "anisotropic"))
     if scheme is not Scheme.ANISOTROPIC_SYMPLECTIC and not isinstance(model, NonstandardLWR):
-        raise ConfigError(f"run.scheme {scheme_name!r} supports only model nonstandard")
+        raise ConfigError(f"run.scheme {scheme.value!r} supports only model nonstandard")
 
     display = _to_int("run", "display_vehicles", run_sec.get("display_vehicles", "5"))
     if display < 1:
@@ -467,10 +461,15 @@ def thresholds(spec: RunSpec) -> int:
 
 
 def stability(spec: RunSpec) -> int:
-    """Run the string-stability experiment described by the spec."""
+    """Run the string-stability experiment described by the spec.  The
+    leader oscillates about theta(1/k1), so scenario.lead_speed is not read."""
     if spec.stability is None:
         raise ConfigError("config has no [stability] section")
+    if spec.scheme is not Scheme.ANISOTROPIC_SYMPLECTIC:
+        raise ConfigError(f"stability runs only run.scheme anisotropic, got {spec.scheme.value!r}")
     sc = spec.scenario
+    if sc.initial_speed is not None:
+        raise ConfigError("stability starts the followers in equilibrium; remove scenario.initial_speed")
     try:
         result = string_stability_experiment(
             fd=sc.fd,

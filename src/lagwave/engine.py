@@ -124,20 +124,13 @@ class Scenario:
     initial_speed: float | None = None
 
     def __post_init__(self):
-        for name in ("lead_speed", "dn", "dt", "duration", "initial_speed"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_fields(self, ("dn", "dt"))
         if not 0.0 < self.k1 <= self.fd.K:
             raise ValueError(f"k1 must lie in (0, K={self.fd.K!r}]")
         if self.lead_speed < 0.0:
             raise ValueError("lead_speed must be nonnegative")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
-        if self.dn <= 0.0:
-            raise ValueError("dn must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.duration < 0.0:
             raise ValueError("duration must be nonnegative")
 

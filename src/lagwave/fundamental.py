@@ -32,12 +32,13 @@ class SpacingBelowJam(ValueError):
 
 
 def _check_fields(obj, positive: tuple[str, ...] = ()) -> None:
-    """Reject non-finite float fields of the dataclass ``obj``, and
-    non-positive values of the fields named in ``positive``, naming the
-    field.  Boolean fields are skipped."""
+    """Reject non-finite values of the dataclass ``obj``'s float fields
+    and non-positive values of the fields named in ``positive``, naming
+    the field.  A float field is one whose annotation text (the modules
+    postpone annotations) starts with ``float``; a None value is skipped."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, bool):
+        if not f.type.startswith("float") or value is None:
             continue
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")

@@ -442,3 +442,19 @@ def test_main_bad_model_or_stability_exits_2(tmp_path, capsys, verb, overrides, 
     assert main([verb, str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("template, overrides, message", [
+    ("nonstandard-stability", "scheme = forward\n", "error: stability runs only run.scheme anisotropic"),
+    ("nonstandard-stability", "scheme = harmonic\n", "error: stability runs only run.scheme anisotropic"),
+    ("nonstandard-stability", "[scenario]\nlead_speed = 3.0\ninitial_speed = 0.0\n",
+     "error: stability starts the followers in equilibrium"),
+    ("phillips-stability", "[scenario]\ninitial_speed = 5.0\n",
+     "error: stability starts the followers in equilibrium"),
+])
+def test_main_stability_refuses_inputs_it_ignores(tmp_path, capsys, template, overrides, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[run]\ntemplate = {template}\n" + overrides)
+    assert main(["stability", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "x").exists()

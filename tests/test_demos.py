@@ -1,12 +1,14 @@
 """The package as its users meet it: the demos run, and the public names hold."""
 import glob
 import os
+import re
 import runpy
 
 import pytest
 
 import lagwave
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "*.py")))
 
 PUBLIC = {
@@ -42,3 +44,14 @@ def test_package_surface():
     assert len(lagwave.__all__) == len(PUBLIC)
     for name in lagwave.__all__:
         getattr(lagwave, name)
+
+
+def test_readme_library_tour(capsys):
+    with open(README) as fh:
+        (tour,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    exec(compile(tour, "README.md", "exec"), {})
+    report, clean, front, rh = capsys.readouterr().out.splitlines()
+    assert "collision_free_ok=True" in report and "cfl_ok=True" in report
+    assert clean == "True"
+    assert abs(float(front) - 2.5) < 1e-3
+    assert rh == "2.5"
