@@ -37,6 +37,8 @@ COLLISION_TOL = 1e-9
 NEGATIVE_SPEED_TOL = 1e-12
 # Followers below this fraction of the free-flow speed are at rest.
 STARTUP_FRACTION = 1e-3
+# Grid values per block of diagnose's audit.
+_AUDIT_BLOCK = 65536
 
 
 class MeasurementError(RuntimeError):
@@ -79,24 +81,45 @@ class DiagnosticsReport:
 
 
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
-    """Scan a trajectory for spacing violations and negative speeds."""
+    """Scan a trajectory for spacing violations and negative speeds.
+
+    The grid is audited in blocks of time rows, so the temporaries stay
+    near _AUDIT_BLOCK values whatever the run's size; the report is the
+    same as one whole-grid pass.
+    """
     if fd is None:
         fd = trajectory.scenario.fd
+    x, v = trajectory.positions, trajectory.speeds
+    dn, dt = trajectory.dn, trajectory.scenario.dt
+    rows = max(1, _AUDIT_BLOCK // x.shape[1])
 
-    s = trajectory.spacings()
-    collisions = np.argwhere(s < fd.S - COLLISION_TOL)
-    # Spacing column m is the gap in front of vehicle m + 1.
-    collisions[:, 1] += 1
-    negatives = np.argwhere(trajectory.speeds < -NEGATIVE_SPEED_TOL)
-    min_spacing = float(np.min(s)) if s.size else float("inf")
-    acc = trajectory.accelerations
-    max_acc = float(np.max(np.abs(acc, out=acc))) if acc.size else 0.0
-    nonfinite = sum(int(np.count_nonzero(~np.isfinite(a))) for a in (trajectory.positions, trajectory.speeds))
+    collisions, negatives = [], []
+    # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
+    min_spacing, max_acc, nonfinite = math.inf, 0.0, 0
+    for j0 in range(0, len(x), rows):
+        xb, vb = x[j0 : j0 + rows], v[j0 : j0 + rows]
+        s = (xb[:, :-1] - xb[:, 1:]) / dn
+        hits = np.argwhere(s < fd.S - COLLISION_TOL)
+        # Spacing column m is the gap in front of vehicle m + 1.
+        hits += (j0, 1)
+        collisions.append(hits)
+        if s.size:
+            min_spacing = np.minimum(min_spacing, np.min(s))
+        del s  # before the next block-sized array, to keep the peak at about one block
+        hits = np.argwhere(vb < -NEGATIVE_SPEED_TOL)
+        hits[:, 0] += j0
+        negatives.append(hits)
+        # One row of overlap: the block's last step ends in the next block.
+        acc = acceleration(v[j0 : j0 + rows + 1], dt)
+        if acc.size:
+            max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
+        del acc
+        nonfinite += sum(int(np.count_nonzero(~np.isfinite(a))) for a in (xb, vb))
     return DiagnosticsReport(
-        collision_events=collisions,
-        negative_speed_events=negatives,
-        min_spacing=min_spacing,
-        max_abs_acceleration=max_acc,
+        collision_events=np.concatenate(collisions),
+        negative_speed_events=np.concatenate(negatives),
+        min_spacing=float(min_spacing),
+        max_abs_acceleration=float(max_acc),
         nonfinite_count=nonfinite,
     )
 

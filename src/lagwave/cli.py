@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain
 
 # perfbench/tracing.py patches measure_front_speed and measure_startup_wave here without a hasattr guard.
 from .analysis import (
@@ -42,6 +43,7 @@ from .engine import (
     Scheme,
     Trajectory,
     _Correction,
+    acceleration,
     simulate,
 )
 from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
@@ -228,7 +230,7 @@ def load_spec(text: str) -> RunSpec:
     vehicles = dt_ratio = None
     if "vehicles" in sc_sec:
         vehicles = _to_int("scenario", "vehicles", sc_sec["vehicles"])
-        given["m"] = round(vehicles / dn)
+        given["m"] = _slot_count(vehicles, dn, "keys scenario.vehicles and scenario.dn")
     elif "m" not in sc_sec:
         given["m"] = 50
     if "dt_ratio" in sc_sec:
@@ -276,6 +278,15 @@ def load_spec(text: str) -> RunSpec:
         vehicles=vehicles,
         dt_ratio=dt_ratio,
     )
+
+
+def _slot_count(vehicles: int, dn: float, keys: str) -> int:
+    """m = round(vehicles / dn), as ``load_spec`` and ``sweep_dn`` take it;
+    a quotient too large for a float is refused, naming ``keys``."""
+    try:
+        return round(vehicles / dn)
+    except OverflowError:
+        raise ConfigError(f"{keys}: the slot count vehicles / dn is too large for a float") from None
 
 
 def _dn_values(raw: str) -> tuple[float, ...]:
@@ -348,20 +359,35 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
+# Values (x, v and a together) that one %-format call of the CSV writer
+# fills: enough to amortise the call, few enough that a block's lists
+# stay near 100 kB.
+_CSV_BLOCK = 4096
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    # One time row at a time through tolist(): a whole array costs ~40 MB on triangular-discharge.
-    acc = traj.accelerations
+    # Each line's "t,vehicle,N," is rendered once into a block template;
+    # one % call then fills the block's x, v, a.  Blocks are sized by
+    # value count so that narrow, long runs (kerner-redlight) batch too.
     numbers = traj.vehicle_numbers().tolist()
     width = len(numbers)
+    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, n) for i, n in enumerate(numbers)]
+    rows = max(1, _CSV_BLOCK // (3 * width))
+    count = len(traj.times)
     with open(path, "w") as fh:
         fh.write("t,vehicle,N,x,v,a\n")
-        for j, t in enumerate(traj.times.tolist()):
-            a = acc[j].tolist() if j < len(acc) else [0.0] * width
-            rows = zip([t] * width, range(width), numbers, traj.positions[j].tolist(), traj.speeds[j].tolist(), a)
-            fh.writelines(_CSV_ROW % row for row in rows)
+        for j0 in range(0, count, rows):
+            j1 = min(j0 + rows, count)
+            lines = []
+            for t in traj.times[j0:j1].tolist():
+                prefix = "%.17g," % t
+                lines.append(prefix + prefix.join(tails))
+            a = acceleration(traj.speeds[j0 : j1 + 1], traj.scenario.dt).ravel().tolist()
+            if j1 == count:  # the last time row has no step after it
+                a += [0.0] * width
+            x = traj.positions[j0:j1].ravel().tolist()
+            v = traj.speeds[j0:j1].ravel().tolist()
+            fh.write("".join(lines) % tuple(chain.from_iterable(zip(x, v, a))))
 
 
 def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -> list[str]:
@@ -420,6 +446,8 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
         raise ConfigError("sweep requires scenario.dt_ratio (fixed dt/dn ratio)")
     if spec.vehicles is None:
         raise ConfigError("sweep requires scenario.vehicles (whole-vehicle count)")
+    for dn in dn_list:
+        _slot_count(spec.vehicles, dn, f"key run.sweep value {dn!r}")
     os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []

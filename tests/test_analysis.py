@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lagwave.analysis
 from lagwave.analysis import (
     COLLISION_TOL,
     NEGATIVE_SPEED_TOL,
@@ -73,6 +74,20 @@ def test_diagnose_clean_run():
     assert rep.clean
     assert rep.collision_events.shape == (0, 2)
     assert rep.min_spacing > G.S
+
+
+@pytest.mark.parametrize("block", [2, 4])
+def test_diagnose_hand_trajectory_in_row_blocks(block, monkeypatch):
+    # one and two rows per block: the hand stand-in serves the blocked audit too
+    monkeypatch.setattr(lagwave.analysis, "_AUDIT_BLOCK", block)
+    positions = [[0.0, -8.0], [0.0, -6.0], [0.0, -7.5]]
+    speeds = [[0.0, 2.0], [0.0, -1.5], [0.0, np.nan]]
+    rep = diagnose(FakeTrajectory(positions, speeds, dt=1.0, fd=G))
+    assert np.array_equal(rep.collision_events, [[1, 1]])
+    assert np.array_equal(rep.negative_speed_events, [[1, 1]])
+    assert rep.min_spacing == 6.0
+    assert math.isnan(rep.max_abs_acceleration)
+    assert rep.nonfinite_count == 1
 
 
 @pytest.mark.parametrize("positions, speeds, count", [
