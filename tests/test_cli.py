@@ -390,23 +390,18 @@ def test_main_file_system_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: [Errno")
 
 
-@pytest.mark.parametrize("verb, override, keys", [
-    ("thresholds", "[scenario]\nvehicles = 1" + "0" * 400 + "\n", "keys scenario.vehicles and scenario.dn"),
-    ("thresholds", "[scenario]\ndn = 1e-320\n", "keys scenario.vehicles and scenario.dn"),
-    ("sweep", "sweep = 1,1e-320\n", "key run.sweep value 1e-320"),
-], ids=["vehicles", "dn", "run.sweep"])
-def test_main_slot_count_overflow_exits_2(verb, override, keys, tmp_path, capsys):
+@pytest.mark.parametrize("verb, override, dn, keys", [
+    ("thresholds", "[scenario]\nvehicles = 1" + "0" * 400 + "\n", [], "keys scenario.vehicles and scenario.dn"),
+    ("thresholds", "[scenario]\ndn = 1e-320\n", [], "keys scenario.vehicles and scenario.dn"),
+    ("sweep", "sweep = 1,1e-320\n", [], "key run.sweep value 1e-320"),
+    ("sweep", "", ["--dn", "1e-320"], "key run.sweep value 1e-320"),
+], ids=["vehicles", "dn", "run.sweep", "--dn"])
+def test_main_slot_count_overflow_exits_2(verb, override, dn, keys, tmp_path, capsys):
     # round(vehicles / dn) raised OverflowError, a traceback with exit 1
     cfg = tmp_path / "big.ini"
     cfg.write_text("[run]\ntemplate = greenshields-discharge\n" + override)
-    assert main([verb, str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert main([verb, str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
     assert capsys.readouterr().err == f"error: {keys}: the slot count vehicles / dn is too large for a float\n"
-    assert not (tmp_path / "x").exists()
-
-
-def test_main_sweep_dn_overflow_exits_2(tmp_path, capsys):
-    assert main(["sweep", "greenshields-discharge", "--dn", "1e-320", "--out", str(tmp_path / "x")]) == 2
-    assert "key run.sweep value 1e-320" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
