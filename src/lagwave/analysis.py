@@ -170,6 +170,14 @@ def _crossings(trajectory: Trajectory, level: float, rising: bool) -> tuple[np.n
     return ts, xs
 
 
+def _fit_wave(ts: np.ndarray, xs: np.ndarray, what: str) -> WaveMeasurement:
+    """Line through three or more crossing points, else "only <count> <what>"."""
+    if ts.size < 3:
+        raise MeasurementError(f"only {ts.size} {what}")
+    slope, r2 = _fit_line(ts, xs)
+    return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
+
+
 def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMeasurement:
     """Fit the speed of the front separating speed states v1 and v2.
 
@@ -180,11 +188,7 @@ def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMea
     if v1 == v2:
         raise ValueError("v1 and v2 must differ")
     level = 0.5 * (v1 + v2)
-    ts, xs = _crossings(trajectory, level, rising=v2 > v1)
-    if ts.size < 3:
-        raise MeasurementError(f"only {ts.size} crossings, need at least 3")
-    slope, r2 = _fit_line(ts, xs)
-    return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
+    return _fit_wave(*_crossings(trajectory, level, rising=v2 > v1), "crossings, need at least 3")
 
 
 def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
@@ -196,11 +200,7 @@ def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
     uniformly moving platoon is rejected.
     """
     level = STARTUP_FRACTION * trajectory.scenario.fd.V
-    ts, xs = _crossings(trajectory, level, rising=True)
-    if ts.size < 3:
-        raise MeasurementError(f"only {ts.size} vehicles started from rest")
-    slope, r2 = _fit_line(ts, xs)
-    return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
+    return _fit_wave(*_crossings(trajectory, level, rising=True), "vehicles started from rest")
 
 
 def measure_wave(trajectory: Trajectory) -> tuple[float, float]:
@@ -242,6 +242,16 @@ def _displayed_slots(dn: float, m: int, count: int) -> dict[int, int]:
     return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
 
 
+def _slot_count(vehicles: int, dn: float) -> int:
+    """The slot count m of a run of ``vehicles`` whole vehicles: vehicles / dn, rounded."""
+    if not (math.isfinite(dn) and dn > 0.0):
+        raise ValueError(f"dn must be positive and finite, got {dn!r}")
+    try:
+        return round(vehicles / dn)
+    except OverflowError:
+        raise ValueError("the slot count vehicles / dn is too large for a float") from None
+
+
 def sweep_dn(
     scenario: Scenario,
     dn_values: Iterable[float],
@@ -251,8 +261,9 @@ def sweep_dn(
     scheme: Scheme = Scheme.ANISOTROPIC_SYMPLECTIC,
     display_vehicles: int = 5,
 ) -> Iterator[tuple[Trajectory, SweepRow]]:
-    """Re-run ``scenario`` at each dn, with m = round(vehicles / dn) and
-    dt = dt_ratio * dn, and yield (trajectory, row) one dn at a time.
+    """Re-run ``scenario`` at each dn, with m = vehicles / dn rounded (a
+    ValueError for a dn that gives none) and dt = dt_ratio * dn, and
+    yield (trajectory, row) one dn at a time.
 
     Max |acceleration| and the trajectory difference are taken over the
     displayed whole-numbered vehicles 1..display_vehicles, matching what
@@ -263,7 +274,7 @@ def sweep_dn(
     """
     prev = None
     for dn in dn_values:
-        m = round(vehicles / dn)
+        m = _slot_count(vehicles, dn)
         traj = simulate(replace(scenario, dn=dn, dt=dt_ratio * dn, m=m), model=model, scheme=scheme)
         report = diagnose(traj)
         speed, _ = measure_wave(traj)

@@ -24,6 +24,7 @@ from .analysis import (
     DiagnosticsReport,
     ExperimentInvalid,
     SweepRow,
+    _slot_count,
     diagnose,
     measure_front_speed,
     measure_startup_wave,
@@ -95,6 +96,9 @@ _NAMES = {cls: name for table in (_DIAGRAMS, _MODELS, _CORRECTIONS) for name, cl
 
 # [run] keys besides the model's own fields.
 _RUN_KEYS = {"template", "model", "corrected", "scheme", "display_vehicles", "out", "sweep"}
+
+# A sweep's file for each dn value.
+_TRAJECTORY_FILE = "trajectory_dn{:g}.csv"
 
 _REQUIRED = (
     "fd.type", "scenario.k1", "scenario.lead_speed", "scenario.dn",
@@ -215,7 +219,7 @@ def load_spec(text: str) -> RunSpec:
     _check_keys("fd", fd_sec, _FIELDS[fd_cls].keys() | {"type"}, f" for type {kind!r}")
     fd = _build(fd_cls, "fd", fd_sec, "fd")
 
-    # The aliases: m = round(vehicles / dn) (m = 50 when neither is given)
+    # The aliases: m = vehicles / dn, rounded (m = 50 when neither is given),
     # and dt = dt_ratio * dn.  dn must be finite before anything is rounded.
     if "dt" in sc_sec and "dt_ratio" in sc_sec:
         raise ConfigError("give exactly one of scenario.dt and scenario.dt_ratio")
@@ -230,7 +234,7 @@ def load_spec(text: str) -> RunSpec:
     vehicles = dt_ratio = None
     if "vehicles" in sc_sec:
         vehicles = _to_int("scenario", "vehicles", sc_sec["vehicles"])
-        given["m"] = _slot_count(vehicles, dn, "keys scenario.vehicles and scenario.dn")
+        given["m"] = _slots(vehicles, dn, "keys scenario.vehicles and scenario.dn")
     elif "m" not in sc_sec:
         given["m"] = 50
     if "dt_ratio" in sc_sec:
@@ -256,10 +260,7 @@ def load_spec(text: str) -> RunSpec:
     if display < 1:
         raise ConfigError("key run.display_vehicles must be at least 1")
 
-    sweep = None
-    if "sweep" in run_sec:
-        sweep = _dn_values(run_sec["sweep"])
-        _check_sweep(sweep)
+    sweep = _dn_values(run_sec["sweep"]) if "sweep" in run_sec else None
 
     stability = None
     st_sec = sections.get("stability")
@@ -280,27 +281,30 @@ def load_spec(text: str) -> RunSpec:
     )
 
 
-def _slot_count(vehicles: int, dn: float, keys: str) -> int:
-    """m = round(vehicles / dn), as ``load_spec`` and ``sweep_dn`` take it;
-    a quotient too large for a float is refused, naming ``keys``."""
+def _slots(vehicles: int, dn: float, keys: str) -> int:
+    """The slot count m of ``vehicles`` at ``dn``; a refusal names ``keys``."""
     try:
-        return round(vehicles / dn)
-    except OverflowError:
-        raise ConfigError(f"{keys}: the slot count vehicles / dn is too large for a float") from None
+        return _slot_count(vehicles, dn)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _dn_values(raw: str) -> tuple[float, ...]:
-    """Comma-separated dn values, from run.sweep or from ``sweep --dn``."""
-    return tuple(_to_float("run", "sweep", p) for p in raw.split(",") if p.strip())
-
-
-def _check_sweep(values: tuple[float, ...]) -> None:
+    """Comma-separated dn values, from run.sweep or from ``sweep --dn``:
+    at least one, each positive, finite and with its own trajectory file."""
+    values = tuple(_to_float("run", "sweep", p) for p in raw.split(",") if p.strip())
     if not values:
         raise ConfigError("sweep needs at least one dn value")
     if not all(math.isfinite(v) and v > 0.0 for v in values):
         raise ConfigError("sweep dn values must be positive and finite")
     if len(set(values)) != len(values):
         raise ConfigError("sweep dn values must be distinct")
+    files = {}
+    for v in values:
+        name = _TRAJECTORY_FILE.format(v)
+        if files.setdefault(name, v) != v:
+            raise ConfigError(f"sweep dn values {files[name]!r} and {v!r} both write {name}")
+    return values
 
 
 def _name(obj, what: str) -> str:
@@ -441,20 +445,19 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
 
 def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     """Re-run the scenario across dn values (``sweep_dn``); write each trajectory and sweep.csv."""
-    _check_sweep(tuple(dn_list))
     if spec.dt_ratio is None:
         raise ConfigError("sweep requires scenario.dt_ratio (fixed dt/dn ratio)")
     if spec.vehicles is None:
         raise ConfigError("sweep requires scenario.vehicles (whole-vehicle count)")
     for dn in dn_list:
-        _slot_count(spec.vehicles, dn, f"key run.sweep value {dn!r}")
+        _slots(spec.vehicles, dn, f"key run.sweep value {dn!r}")
     os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []
     for traj, row in sweep_dn(
         spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
     ):
-        _write_trajectory_csv(os.path.join(spec.output_dir, f"trajectory_dn{row.dn:g}.csv"), traj)
+        _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
         rows.append(row)
         print(
             f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "

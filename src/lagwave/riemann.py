@@ -7,7 +7,6 @@ trajectory set for exercising the measurement code.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +95,9 @@ def synthetic_shock_trajectory(
     """
     if not k1 < k2:
         raise ValueError("need k1 < k2 for a shock")
-    if not check_concave(fd):
-        raise NonConcaveDiagram(
-            "flow is not concave; classical entropy solutions do not apply"
-        )
     v1 = fd.eta(k1)
     v2 = fd.eta(k2)
-    sigma = shock_speed_rh(fd, k1, k2)
+    sigma = riemann_wave(fd, k1, k2).speed
     if v1 <= sigma:
         raise ValueError("vehicles at v1 never reach the shock line")
 
@@ -111,7 +106,8 @@ def synthetic_shock_trajectory(
     t1 = s1 / (v1 - sigma)
     L = max(1, round(t1 / dt))
     dt_snapped = t1 / L
-    J = max(int(math.ceil(duration / dt_snapped - 1e-9)), 0)
+    scenario = Scenario(fd=fd, k1=k1, lead_speed=v2, m=m, dn=dn, dt=dt_snapped, duration=duration)
+    J = scenario.steps
 
     times = np.arange(J + 1) * dt_snapped
     # One column per vehicle i, with its kink at step i*L.
@@ -122,8 +118,4 @@ def synthetic_shock_trajectory(
     t = times[:, None]
     positions = np.where(t <= t_kink, x0 + v1 * t, (x0 + v1 * t_kink) + v2 * (t - t_kink))
     speeds = np.where(np.arange(J + 1)[:, None] < j_kink, v1, v2)
-
-    scenario = Scenario(
-        fd=fd, k1=k1, lead_speed=v2, m=m, dn=dn, dt=dt_snapped, duration=J * dt_snapped
-    )
     return Trajectory(times=times, positions=positions, speeds=speeds, scenario=scenario)

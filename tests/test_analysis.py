@@ -26,7 +26,7 @@ from lagwave.analysis import (
     sweep_dn,
 )
 from lagwave.cli import load_spec
-from lagwave.engine import NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
+from lagwave.engine import Corrected1, NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import synthetic_shock_trajectory
 from lagwave.templates import TEMPLATES, template_text
@@ -268,6 +268,15 @@ def test_sweep_dn_keeps_no_earlier_trajectory():
     assert len(kept) == len(dns)
 
 
+@pytest.mark.parametrize("dn", [1e-320, 0.0, math.nan])
+def test_sweep_dn_refuses_a_dn_without_a_slot_count(dn):
+    # These raised OverflowError, ZeroDivisionError and "cannot convert
+    # float NaN to integer" from round(vehicles / dn).
+    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
+    with pytest.raises(ValueError, match="dn"):
+        next(sweep_dn(sc, (dn,), vehicles=4, dt_ratio=0.35))
+
+
 def test_measure_front_speed_rejects_equal_levels():
     sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175,
                   duration=7.0)
@@ -348,6 +357,25 @@ def test_string_stability_validation():
     with pytest.raises(ValueError):
         string_stability_experiment(G, NonstandardLWR(), s0=14.0,
                                     amplitude=0.02, omega=0.1, m=1)
+    with pytest.raises(ValueError, match="amplitude must be nonnegative"):
+        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
+                                    amplitude=-0.02, omega=0.1)
+
+
+def test_string_stability_needs_every_follower_to_oscillate():
+    # Three steps move only the first followers; the rest stay in equilibrium.
+    with pytest.raises(ExperimentInvalid, match="no oscillation"):
+        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
+                                    amplitude=0.02, omega=0.1, duration=1.05)
+
+
+def test_string_stability_corrected_model_uses_inner_relaxation_time():
+    inner = PhillipsRelax(T=5.0)
+    res = string_stability_experiment(G, Corrected1(inner), s0=14.0,
+                                      amplitude=0.02, omega=0.1)
+    assert res.predicted_ratio == string_stability_experiment(
+        G, inner, s0=14.0, amplitude=0.02, omega=0.1).predicted_ratio
+    assert res.predicted_ratio == pytest.approx(math.exp(0.07), rel=1e-12)
 
 
 def test_string_stability_collision_invalidates():

@@ -121,6 +121,31 @@ def test_round_trip_with_sweep_and_stability():
     assert load_spec(serialize(spec)) == spec
 
 
+@pytest.mark.parametrize("text, line", [
+    (make_cfg(fd={"type": "kerner", "clamp_nonnegative": "yes"}), "clamp_nonnegative = true"),
+    (make_cfg(run_sec={"out": "results"}), "out = results"),
+])
+def test_round_trip_of_keys_given_by_hand(text, line):
+    spec = load_spec(text)
+    assert line in serialize(spec).splitlines()
+    assert load_spec(serialize(spec)) == spec
+
+
+def test_serialize_refuses_an_unregistered_diagram():
+    class Unlisted(GreenshieldsFD):
+        pass
+
+    spec = load_spec(MINIMAL)
+    spec = replace(spec, scenario=replace(spec.scenario, fd=Unlisted()))
+    with pytest.raises(ConfigError, match="cannot serialize diagram"):
+        serialize(spec)
+
+
+def test_template_text_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="no template named 'nope'"):
+        template_text("nope")
+
+
 def _keys(cls):
     return {f.name.lower() for f in fields(cls)}
 
@@ -174,6 +199,15 @@ FIELD_CASES = [
     (make_cfg(run_sec={"sweep": "1.0,nan"}), "finite"),
     (make_cfg(run_sec={"sweep": "inf"}), "finite"),
     (make_cfg(run_sec={"sweep": ""}), "sweep needs at least one dn value"),
+    (make_cfg(run_sec={"sweep": "1.0000001,1.0000002"}),
+     "sweep dn values 1.0000001 and 1.0000002 both write trajectory_dn1.csv"),
+    (make_cfg(scenario={**BASE_SC, "m": "2.5"}), "key scenario.m is not an integer: '2.5'"),
+    (make_cfg(fd={"type": "kerner", "clamp_nonnegative": "maybe"}),
+     "key fd.clamp_nonnegative is not a boolean: 'maybe'"),
+    ("[fd\ntype = greenshields\n", "malformed config: "),
+    (make_cfg(fd={}), "missing required key fd.type"),
+    (make_cfg(scenario={k: v for k, v in BASE_SC.items() if k != "dn"}), "missing required key scenario.dn"),
+    (make_cfg(run_sec={"display_vehicles": "0"}), "key run.display_vehicles must be at least 1"),
     (make_cfg(scenario={**BASE_SC, "dn": "nan", "vehicles": "10"}), "scenario.dn must be positive and finite"),
     (make_cfg(scenario={**BASE_SC, "dn": "inf", "vehicles": "10"}), "scenario.dn must be positive and finite"),
     (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
@@ -402,6 +436,21 @@ def test_main_slot_count_overflow_exits_2(verb, override, dn, keys, tmp_path, ca
     cfg.write_text("[run]\ntemplate = greenshields-discharge\n" + override)
     assert main([verb, str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
     assert capsys.readouterr().err == f"error: {keys}: the slot count vehicles / dn is too large for a float\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("override, dn", [
+    ("sweep = 1.0000001,1.0000002\n", []),
+    ("", ["--dn", "1.0000001,1.0000002"]),
+], ids=["run.sweep", "--dn"])
+def test_main_sweep_file_name_collision_exits_2(override, dn, tmp_path, capsys):
+    # Both values are written as trajectory_dn1.csv, so the second run replaced the first.
+    cfg = tmp_path / "twins.ini"
+    cfg.write_text("[run]\ntemplate = greenshields-discharge\n" + override)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep dn values 1.0000001 and 1.0000002 both write trajectory_dn1.csv\n"
+    )
     assert not (tmp_path / "x").exists()
 
 

@@ -48,14 +48,21 @@ def test_kerner_thresholds():
     assert cfl_threshold(KC) == pytest.approx(1.6112019673576, rel=1e-8)
 
 
-def test_threshold_grid_convergence():
-    for fd in (G, T, KC):
-        a = collision_free_threshold(fd, grid=50_000)
-        b = collision_free_threshold(fd, grid=100_000)
-        assert a == pytest.approx(b, rel=1e-9)
-        a = cfl_threshold(fd, grid=50_000)
-        b = cfl_threshold(fd, grid=100_000)
-        assert a == pytest.approx(b, rel=1e-9)
+def test_threshold_grid_convergence(monkeypatch):
+    # The suprema read conditions._GRID at call time; both are cached on
+    # the diagram alone, so no 50 000-point value may outlive this test.
+    caches = (collision_free_threshold, cfl_threshold)
+    values = {}
+    try:
+        for grid in (50_000, 100_000):
+            monkeypatch.setattr(conditions, "_GRID", grid)
+            for fn in caches:
+                fn.cache_clear()
+            values[grid] = [fn(fd) for fd in (G, T, KC) for fn in caches]
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert values[50_000] == pytest.approx(values[100_000], rel=1e-9)
 
 
 def test_concavity_classification():

@@ -46,6 +46,12 @@ def test_package_surface():
         getattr(lagwave, name)
 
 
+def test_version_matches_pyproject():
+    with open(os.path.join(os.path.dirname(README), "pyproject.toml")) as fh:
+        (version,) = re.findall(r'^version = "(.*)"$', fh.read(), re.M)
+    assert lagwave.__version__ == version
+
+
 def test_readme_library_tour(capsys):
     with open(README) as fh:
         (tour,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)

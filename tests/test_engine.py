@@ -172,6 +172,8 @@ def test_scenario_validation():
         Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=-1.0, dt=0.1, duration=1.0)
     with pytest.raises(ValueError):
         Scenario(fd=G, k1=0.05, lead_speed=-2.0, m=3, dn=1.0, dt=0.1, duration=1.0)
+    with pytest.raises(ValueError, match="duration must be nonnegative"):
+        Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=-1.0)
 
 
 def test_scenario_steps_rounding():
@@ -211,6 +213,13 @@ def test_simulate_scheme_model_conflict():
                   duration=3.5)
     with pytest.raises(ValueError):
         simulate(sc, model=PhillipsRelax(), scheme=Scheme.FORWARD_SPACING)
+
+
+def test_simulate_rejects_unknown_model():
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=2, dn=1.0, dt=0.35,
+                  duration=3.5)
+    with pytest.raises(TypeError, match="unknown model"):
+        simulate(sc, model=object())
 
 
 def test_simulate_phillips_t_equal_dt_matches_equilibrium():

@@ -138,6 +138,14 @@ def test_synthetic_rejects_comoving():
                                    duration=10.0, dt=0.1)
 
 
+def test_synthetic_rejects_negative_duration():
+    # The step count comes from the trajectory's Scenario, which refuses
+    # this; before, a negative duration gave a one-row record.
+    with pytest.raises(ValueError, match="duration must be nonnegative"):
+        synthetic_shock_trajectory(G, G.K / 4.0, 0.625 * G.K, m=5, dn=1.0,
+                                   duration=-1.0, dt=0.1)
+
+
 def test_synthetic_rejects_rarefaction_order():
     with pytest.raises(ValueError):
         synthetic_shock_trajectory(G, 0.625 * G.K, G.K / 4.0, m=5, dn=1.0,
