@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import lru_cache
 from itertools import chain
 
 # perfbench/tracing.py patches measure_front_speed and measure_startup_wave here without a hasattr guard.
@@ -536,7 +537,10 @@ def _load_config_arg(arg: str) -> str:
     raise ConfigError(f"no such config file or template: {arg!r}")
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and reused by every
+    later ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="lagwave",
         description="Car-following experiments for kinematic wave traffic models.",
@@ -557,8 +561,11 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--dn", help="comma-separated dn values (default from run.sweep in the config)")
     sub.add_parser("thresholds", parents=[common], help="report step-size admissibility")
     sub.add_parser("stability", parents=[common], help="string-stability experiment")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = load_spec(_load_config_arg(args.config))
         if args.out is not None:

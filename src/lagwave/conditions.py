@@ -9,12 +9,21 @@ the ratio ``dn/dt``:
 * the CFL threshold, ``sup |eta_prime(k)| * k**2``, the classical
   stability bound for the explicit update.
 
-The suprema are computed on a dense grid and then polished around the
-best grid point with Brent's bounded minimisation, run as a maximiser
-(Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 5).
-The first one is singular at ``k = K``; its boundary value is taken as
-the L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for
-diagrams that reach zero speed at jam density.
+On the concave laws both suprema have a closed form, the diagram's
+``critical_rate``: ``V*K`` for Greenshields, where ``phi(k)/(1 - k/K)
+= V*k`` and ``|eta_prime(k)|*k**2 = (V/K)*k**2`` both rise to ``k = K``,
+and ``W*K`` for the triangular law, where both expressions equal ``W*K``
+on the whole congested branch and stay below it on the free branch.
+Both thresholds return it exactly, so that Newell's rate ``dn/dt = W*K``
+passes both checks.
+
+Where a law has no closed form (the sigmoid), the suprema are computed
+on a dense grid and then polished around the best grid point with
+Brent's bounded minimisation, run as a maximiser (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 5).  The first
+one is singular at ``k = K``; its boundary value is taken as the
+L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for diagrams
+that reach zero speed at jam density.
 """
 from __future__ import annotations
 
@@ -118,6 +127,8 @@ def _refine_max(f, lo: float, hi: float, n: int) -> float:
 @lru_cache(maxsize=128)
 def collision_free_threshold(fd: FundamentalDiagram) -> float:
     """Supremum of ``phi(k) / (1 - k/K)`` over densities below jam."""
+    if (rate := fd.critical_rate) is not None:
+        return rate
     K = fd.K
 
     def f(k):
@@ -132,6 +143,8 @@ def collision_free_threshold(fd: FundamentalDiagram) -> float:
 @lru_cache(maxsize=128)
 def cfl_threshold(fd: FundamentalDiagram) -> float:
     """Supremum of ``|eta_prime(k)| * k**2`` over the full density range."""
+    if (rate := fd.critical_rate) is not None:
+        return rate
 
     def g(k):
         return np.abs(fd.eta_prime(k)) * k * k

@@ -82,6 +82,12 @@ class FundamentalDiagram(ABC):
         """Densities where ``eta`` is not differentiable (may be empty)."""
         return ()
 
+    @property
+    def critical_rate(self) -> float | None:
+        """Closed form of both step-size thresholds (``conditions``),
+        or None when the law has none and they are searched."""
+        return None
+
     # -- Eulerian form -------------------------------------------------
 
     def eta(self, k):
@@ -155,6 +161,10 @@ class GreenshieldsFD(FundamentalDiagram):
     K: float = 1.0 / 7.0
     _positive = ("V", "K")
 
+    @property
+    def critical_rate(self) -> float:
+        return self.V * self.K
+
     def _eta(self, k):
         return self.V * (1.0 - k / self.K)
 
@@ -184,6 +194,10 @@ class TriangularFD(FundamentalDiagram):
     @property
     def critical_density(self) -> float:
         return self.W * self.K / (self.V + self.W)
+
+    @property
+    def critical_rate(self) -> float:
+        return self.W * self.K
 
     def kinks(self) -> tuple[float, ...]:
         return (self.critical_density,)

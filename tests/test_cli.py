@@ -373,6 +373,47 @@ def test_main_accepts_bare_template_name(tmp_path):
     assert (out / "thresholds.txt").exists()
 
 
+def test_thresholds_at_newell_rate_is_collision_free(tmp_path):
+    # dn/dt = W*K exactly: Newell's model, which runs clean.
+    fd = TriangularFD()
+    cfg = tmp_path / "newell.ini"
+    cfg.write_text(make_cfg(fd={"type": "triangular"}, scenario={**BASE_SC, "dn": repr(fd.W * fd.K), "dt": "1.0"}))
+    assert main(["thresholds", str(cfg), "--out", str(tmp_path / "thr")]) == 0
+    lines = (tmp_path / "thr" / "thresholds.txt").read_text().splitlines()
+    assert f"collision_free_threshold = {fd.W * fd.K:.17g}" in lines
+    assert "collision_free_ok = true" in lines
+    assert "cfl_ok = true" in lines
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    from lagwave.cli import _parser
+
+    cfg = tmp_path / "sweepable.ini"
+    cfg.write_text(SWEEPABLE)
+    calls = [
+        ("thresholds", "triangular-shock-a", ("thresholds.txt",)),
+        ("run", str(cfg), ("trajectory.csv", "summary.txt")),
+        ("stability", "nonstandard-stability", ("stability.txt",)),
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i, (verb, config, names) in enumerate(calls):
+        alone, together = tmp_path / f"alone{i}", tmp_path / f"together{i}"
+        subprocess.run([sys.executable, "-m", "lagwave", verb, config, "--out", str(alone)],
+                       capture_output=True, env=env, check=True)
+        assert main([verb, config, "--out", str(together)]) == 0
+        for name in names:
+            assert (together / name).read_bytes() == (alone / name).read_bytes()
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-verb", "triangular-shock-a"])
+        assert exc.value.code == 2
+    assert "invalid choice: 'no-such-verb'" in capsys.readouterr().err
+    assert main(["thresholds", "kerner-redlight", "--out", str(tmp_path / "after")]) == 0
+    assert _parser() is _parser()
+
+
 def test_main_sweep_dn_flag(tmp_path):
     cfg = tmp_path / "sw.ini"
     cfg.write_text(SWEEPABLE)

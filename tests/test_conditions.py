@@ -11,6 +11,7 @@ evaluation of the same suprema.
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,24 @@ from lagwave.templates import TEMPLATES, template_text
 G = GreenshieldsFD()
 T = TriangularFD()
 KC = KernerFD()
+
+# The grid and Brent search serves the sigmoid law alone.  These
+# subclasses hide the concave laws' closed form, so that the search is
+# still run on a kink (the triangular CFL plateau starts at the critical
+# density) and on a boundary maximum (Greenshields at k = K).
+
+
+class _SearchedGreenshields(GreenshieldsFD):
+    critical_rate = None
+
+
+class _SearchedTriangular(TriangularFD):
+    critical_rate = None
+
+
+def _searched(fd):
+    cls = _SearchedGreenshields if isinstance(fd, GreenshieldsFD) else _SearchedTriangular
+    return cls(**{f.name: getattr(fd, f.name) for f in fields(fd)})
 
 
 def test_greenshields_closed_forms():
@@ -58,7 +77,7 @@ def test_threshold_grid_convergence(monkeypatch):
             monkeypatch.setattr(conditions, "_GRID", grid)
             for fn in caches:
                 fn.cache_clear()
-            values[grid] = [fn(fd) for fd in (G, T, KC) for fn in caches]
+            values[grid] = [fn(fd) for fd in (_searched(G), _searched(T), KC) for fn in caches]
     finally:
         for fn in caches:
             fn.cache_clear()
@@ -137,6 +156,8 @@ def _thresholds_both_ways(fd):
 def test_polish_matches_scipy_on_templates(name):
     pytest.importorskip("scipy")
     fd = lagwave.load_spec(template_text(name)).scenario.fd
+    if fd.critical_rate is not None:
+        fd = _searched(fd)  # polish the kink and the boundary maximum, not the closed form
     ours, theirs = _thresholds_both_ways(fd)
     assert ours == theirs
 
@@ -166,3 +187,70 @@ def test_polish_matches_scipy_on_edge_brackets(f, a, b):
     pytest.importorskip("scipy")
     xatol = 1e-13 * (b - a)
     assert conditions._brent_max(f, a, b, xatol) == _scipy_brent_max(f, a, b, xatol)
+
+
+# -- closed forms on the concave diagrams ------------------------------
+#
+# Both thresholds of a Greenshields diagram equal V*K and both of a
+# triangular diagram W*K, the critical rate.  The diagrams declare it,
+# and the suprema return it exactly, so that Newell's rate dn/dt = W*K
+# passes both checks.  The draws use thresholds-grid's ranges.
+
+_DRAWS = np.random.default_rng(14)
+DRAWN_GREENSHIELDS = [
+    GreenshieldsFD(V=float(_DRAWS.uniform(10.0, 35.0)), K=float(_DRAWS.uniform(0.1, 0.2))) for _ in range(50)
+]
+DRAWN_TRIANGULAR = [
+    TriangularFD(V=float(_DRAWS.uniform(15.0, 35.0)), W=float(_DRAWS.uniform(3.0, 8.0)),
+                 K=float(_DRAWS.uniform(0.1, 0.2)))
+    for _ in range(50)
+]
+
+
+def test_critical_rate_is_declared_by_the_concave_laws_only():
+    assert G.critical_rate == G.V * G.K
+    assert T.critical_rate == T.W * T.K
+    assert KC.critical_rate is None
+    assert KernerFD(clamp_nonnegative=False).critical_rate is None
+    # a property, not a field: no config key, so no pinned config.ini moves
+    assert not [fd for fd in (G, T, KC) if "critical_rate" in {f.name for f in fields(fd)}]
+
+
+@pytest.mark.parametrize("fd", DRAWN_GREENSHIELDS, ids=lambda fd: f"V={fd.V:.3f},K={fd.K:.4f}")
+def test_greenshields_thresholds_are_exactly_v_k(fd):
+    assert collision_free_threshold(fd) == cfl_threshold(fd) == fd.V * fd.K
+
+
+@pytest.mark.parametrize("fd", DRAWN_TRIANGULAR, ids=lambda fd: f"V={fd.V:.3f},W={fd.W:.3f},K={fd.K:.4f}")
+def test_triangular_thresholds_are_exactly_w_k(fd):
+    assert collision_free_threshold(fd) == cfl_threshold(fd) == fd.W * fd.K
+
+
+def test_newell_rate_passes_both_checks():
+    rep = validate_step_sizes(T, dn=T.W * T.K, dt=1.0)
+    assert rep.collision_free_ok
+    assert rep.cfl_ok
+
+
+@pytest.mark.parametrize("fd", [G, T, *DRAWN_GREENSHIELDS[:20], *DRAWN_TRIANGULAR[:20]], ids=repr)
+def test_search_agrees_with_the_closed_form(fd):
+    hidden = _searched(fd)
+    assert hidden.critical_rate is None
+    assert collision_free_threshold.__wrapped__(hidden) == pytest.approx(fd.critical_rate, rel=1e-10)
+    assert cfl_threshold.__wrapped__(hidden) == pytest.approx(fd.critical_rate, rel=1e-10)
+
+
+# -- the sigmoid law keeps every bit -----------------------------------
+
+
+@pytest.mark.parametrize("fd, cf, cfl", [
+    (KernerFD(), "0.8941502939567331", "1.6112019673575597"),
+    (KernerFD(clamp_nonnegative=False), "0.8941502939567331", "1.6112019673575597"),
+    # drawn from thresholds-grid's ranges
+    (KernerFD(unit_length=35.07083671699118, relax_time=5.673820565786469, K=0.1815235051643931),
+     "0.995298594601321", "1.793464772721374"),
+], ids=["clamped", "unclamped", "drawn"])
+def test_kerner_thresholds_keep_their_bits(fd, cf, cfl):
+    assert repr(collision_free_threshold(fd)) == cf
+    assert repr(cfl_threshold(fd)) == cfl
+    assert repr(check_concave(fd)) == "False"
