@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def collision_free_threshold(fd: FundamentalDiagram) -> float:
     K = fd.K
 
     def f(k):
-        return fd.phi(k) / (1.0 - k / K)
+        return k * fd._eta(k) / (1.0 - k / K)
 
     # Stop one grid cell short of K where the expression is 0/0.
     interior = _refine_max(f, 0.0, K * (1.0 - 1.0 / _GRID), _GRID)
@@ -147,7 +147,7 @@ def cfl_threshold(fd: FundamentalDiagram) -> float:
         return rate
 
     def g(k):
-        return np.abs(fd.eta_prime(k)) * k * k
+        return np.abs(fd._eta_prime(k)) * k * k
 
     return _refine_max(g, 0.0, fd.K, _GRID)
 
@@ -161,7 +161,7 @@ def check_concave(fd: FundamentalDiagram) -> bool:
     kink the one-sided derivatives of either branch satisfy it too.
     """
     ks = np.linspace(0.0, fd.K, 10_002)[1:-1]
-    expr = ks * fd.eta_second(ks) + 2.0 * fd.eta_prime(ks)
+    expr = ks * fd._eta_second(ks) + 2.0 * fd._eta_prime(ks)
     return bool(np.all(expr <= 1e-9))
 
 
@@ -185,8 +185,8 @@ def validate_step_sizes(fd: FundamentalDiagram, dn: float, dt: float) -> StepSiz
     with 1e-12 of relative slack so that exactly-critical pairs are
     accepted.
     """
-    if dn <= 0.0 or dt <= 0.0:
-        raise ValueError("step sizes must be positive")
+    if not (0.0 < dn < inf and 0.0 < dt < inf):
+        raise ValueError(f"dn and dt must be positive and finite, got dn={dn!r}, dt={dt!r}")
     rate = dn / dt
     cf = collision_free_threshold(fd)
     cfl = cfl_threshold(fd)

@@ -208,13 +208,12 @@ def _step_kernel(
     T = _relaxation_time(model)
     r = None if T is None else 1.0 - dt / T
     stencil = _STENCILS[scheme]
-    S, K = fd.S, fd.K
+    S = fd.S
     for j in range(len(lead)):
         x, u, v = positions[j], speeds[j], speeds[j + 1]
         gaps = x[:-1] - x[1:]
-        # The unchecked _eta: clamping spacings to >= S and densities to <= K
-        # keeps them in [0, K], so neither theta's nor eta's checks can fire.
-        th = fd._eta(np.minimum(1.0 / np.maximum(stencil(gaps / dn), S), K))
+        # The unchecked _theta: spacings clamped to >= S cannot fail theta's check.
+        th = fd._theta(np.maximum(stencil(gaps / dn), S))
         new = th if r is None else th + r * (u[1:] - th)
         if isinstance(model, JWZ):
             far = np.abs(gaps) > 1e-12
@@ -231,8 +230,8 @@ def _step_kernel(
 def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
     """Per-step accelerations (U^{j+1} - U^j) / dt for a speed record."""
     speeds = np.asarray(speeds, dtype=float)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     a = np.diff(speeds, axis=0)
     a /= dt
     return a

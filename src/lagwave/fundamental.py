@@ -28,7 +28,7 @@ __all__ = [
 
 
 class SpacingBelowJam(ValueError):
-    """Raised when a speed-spacing law is evaluated below the jam spacing."""
+    """Raised when a speed-spacing law is evaluated below the jam spacing or at NaN."""
 
 
 def _check_fields(obj, positive: tuple[str, ...] = ()) -> None:
@@ -58,12 +58,16 @@ class FundamentalDiagram(ABC):
     ``S`` : float
         Jam spacing, ``1/K``.
 
-    and implement ``_eta`` (the speed formula on a density array already
-    known to lie in [0, K]), ``eta_prime`` and ``eta_second``.  Everything
-    else (the checked ``eta``, flow, spacing form, derivatives of the
-    spacing form) is derived here.  Construction rejects non-finite
-    parameters and non-positive values of the fields named in
-    ``_positive``, naming the field.
+    and implement three formulas, ``_eta``, ``_eta_prime`` and
+    ``_eta_second``, on float arrays of densities already known to lie
+    in [0, K]; they check nothing.  The public methods (``eta`` and its
+    derivatives, the flow ``phi``, the spacing form ``theta``) live here
+    only: each checks its input once, refusing NaN and values outside
+    the domain, and returns a plain float for scalar input.  Library
+    code that builds its own in-range arrays calls the formulas (and
+    ``_theta``) directly.  Construction rejects non-finite parameters
+    and non-positive values of the fields named in ``_positive``,
+    naming the field.
     """
 
     K: float
@@ -94,17 +98,13 @@ class FundamentalDiagram(ABC):
         """Equilibrium speed at density ``k``, for ``0 <= k <= K``."""
         return _descalar(self._eta(self._check_density(k)))
 
-    @abstractmethod
-    def _eta(self, k):
-        """``eta`` on a float array of densities in [0, K], unchecked."""
-
-    @abstractmethod
     def eta_prime(self, k):
         """Derivative of ``eta`` (one-sided, congested branch at kinks)."""
+        return _descalar(self._eta_prime(self._check_density(k)))
 
-    @abstractmethod
     def eta_second(self, k):
         """Second derivative of ``eta`` (same one-sided convention)."""
+        return _descalar(self._eta_second(self._check_density(k)))
 
     def phi(self, k):
         """Equilibrium flow ``k * eta(k)``."""
@@ -114,37 +114,50 @@ class FundamentalDiagram(ABC):
     def phi_prime(self, k):
         """Characteristic (kinematic wave) speed ``eta + k * eta_prime``."""
         k = self._check_density(k)
-        return _descalar(self._eta(k) + k * self.eta_prime(k))
+        return _descalar(self._eta(k) + k * self._eta_prime(k))
+
+    @abstractmethod
+    def _eta(self, k):
+        """``eta`` on a float array of densities in [0, K], unchecked."""
+
+    @abstractmethod
+    def _eta_prime(self, k):
+        """``eta_prime`` on a float array of densities in [0, K], unchecked."""
+
+    @abstractmethod
+    def _eta_second(self, k):
+        """``eta_second`` on a float array of densities in [0, K], unchecked."""
 
     # -- Lagrangian form -----------------------------------------------
 
     def theta(self, s):
         """Equilibrium speed at spacing ``s >= S``; ``theta(s) = eta(1/s)``."""
-        return _descalar(self._eta(self._spacing_to_density(s)))
+        return _descalar(self._theta(self._check_spacing(s)))
 
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
-        s = np.asarray(s, dtype=float)
-        return _descalar(-self.eta_prime(self._spacing_to_density(s)) / (s * s))
+        s = self._check_spacing(s)
+        return _descalar(-self._eta_prime(np.minimum(1.0 / s, self.K)) / (s * s))
+
+    def _theta(self, s):
+        """``theta`` on a float array of spacings >= S, unchecked."""
+        # 1/s can land one ulp above K when s == S; clamp back into range.
+        return self._eta(np.minimum(1.0 / s, self.K))
 
     # -- helpers -------------------------------------------------------
 
     def _check_density(self, k):
         k = np.asarray(k, dtype=float)
-        if np.any(k < 0.0) or np.any(k > self.K):
-            raise ValueError(f"density outside [0, {self.K!r}]")
+        # Written so that NaN fails it too.
+        if not np.all((k >= 0.0) & (k <= self.K)):
+            raise ValueError(f"density must be a number in [0, {self.K!r}]")
         return k
 
-    def _spacing_to_density(self, s):
+    def _check_spacing(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s <= 0.0):
-            raise SpacingBelowJam("spacing must be positive")
-        if np.any(s < self.S * (1.0 - 1e-12)):
-            raise SpacingBelowJam(
-                f"spacing below jam spacing S={self.S!r}"
-            )
-        # 1/s can land one ulp above K when s == S; clamp back into range.
-        return np.minimum(1.0 / s, self.K)
+        if not np.all(s >= self.S * (1.0 - 1e-12)):
+            raise SpacingBelowJam(f"spacing must be a number at or above the jam spacing S={self.S!r}")
+        return s
 
 
 def _descalar(x):
@@ -168,13 +181,11 @@ class GreenshieldsFD(FundamentalDiagram):
     def _eta(self, k):
         return self.V * (1.0 - k / self.K)
 
-    def eta_prime(self, k):
-        k = self._check_density(k)
-        return _descalar(np.full_like(k, -self.V / self.K))
+    def _eta_prime(self, k):
+        return np.full_like(k, -self.V / self.K)
 
-    def eta_second(self, k):
-        k = self._check_density(k)
-        return _descalar(np.zeros_like(k))
+    def _eta_second(self, k):
+        return np.zeros_like(k)
 
 
 @dataclass(frozen=True)
@@ -206,17 +217,15 @@ class TriangularFD(FundamentalDiagram):
         congested = np.where(k > 0.0, self.W * (self.K / np.where(k > 0.0, k, 1.0) - 1.0), np.inf)
         return np.minimum(self.V, congested)
 
-    def eta_prime(self, k):
-        k = self._check_density(k)
+    def _eta_prime(self, k):
         kc = self.critical_density
         safe = np.where(k >= kc, k, 1.0)
-        return _descalar(np.where(k >= kc, -self.W * self.K / (safe * safe), 0.0))
+        return np.where(k >= kc, -self.W * self.K / (safe * safe), 0.0)
 
-    def eta_second(self, k):
-        k = self._check_density(k)
+    def _eta_second(self, k):
         kc = self.critical_density
         safe = np.where(k >= kc, k, 1.0)
-        return _descalar(np.where(k >= kc, 2.0 * self.W * self.K / safe**3, 0.0))
+        return np.where(k >= kc, 2.0 * self.W * self.K / safe**3, 0.0)
 
 
 @dataclass(frozen=True)
@@ -248,30 +257,23 @@ class KernerFD(FundamentalDiagram):
     def V(self) -> float:
         return self.eta(0.0)
 
-    def _raw(self, k):
-        x = (k / self.K - self.c2) / self.c3
-        return self.amplitude * (1.0 / (1.0 + np.exp(x)) - self.c4)
-
     def _eta(self, k):
-        raw = self._raw(k)
-        if self.clamp_nonnegative:
-            raw = np.maximum(raw, 0.0)
-        return raw
+        x = (k / self.K - self.c2) / self.c3
+        raw = self.amplitude * (1.0 / (1.0 + np.exp(x)) - self.c4)
+        return np.maximum(raw, 0.0) if self.clamp_nonnegative else raw
 
-    def eta_prime(self, k):
-        k = self._check_density(k)
+    def _eta_prime(self, k):
         x = (k / self.K - self.c2) / self.c3
         sig = 1.0 / (1.0 + np.exp(x))
         d = -self.amplitude * sig * (1.0 - sig) / (self.c3 * self.K)
         if self.clamp_nonnegative:
-            # The amplitude is positive, so _raw(k) > 0 exactly where sig > c4.
+            # The amplitude is positive, so the raw curve is > 0 exactly where sig > c4.
             d = np.where(sig - self.c4 > 0.0, d, 0.0)
-        return _descalar(d)
+        return d
 
-    def eta_second(self, k):
+    def _eta_second(self, k):
         # No tidy closed form is needed anywhere downstream, so a
-        # centred difference of eta itself is used.  The step is tiny
-        # relative to K; callers stay away from the domain edges.
-        k = self._check_density(k)
+        # centred difference of _eta itself is used.  The formula is
+        # defined a step h beyond either edge, so this holds on all of [0, K].
         h = 1e-6 * self.K
-        return _descalar((self.eta(k + h) - 2.0 * self.eta(k) + self.eta(k - h)) / (h * h))
+        return (self._eta(k + h) - 2.0 * self._eta(k) + self._eta(k - h)) / (h * h)

@@ -64,8 +64,7 @@ def riemann_wave(fd: FundamentalDiagram, k1: float, k2: float) -> WaveSolution:
         raise NonConcaveDiagram(
             "flow is not concave; classical entropy solutions do not apply"
         )
-    if not (0.0 <= k1 <= fd.K and 0.0 <= k2 <= fd.K):
-        raise ValueError(f"densities must lie in [0, {fd.K!r}]")
+    fd._check_density((k1, k2))
     if k1 == k2:
         return WaveSolution(kind="uniform", k1=k1, k2=k2)
     if k1 < k2:

@@ -163,6 +163,12 @@ def test_acceleration_shape_and_values():
         acceleration(speeds, dt=0.0)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_acceleration_rejects_nonfinite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        acceleration(np.zeros((3, 2)), dt)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(fd=G, k1=G.K * 1.01, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=1.0)

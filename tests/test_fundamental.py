@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lagwave.conditions import check_concave, cfl_threshold, collision_free_threshold
+from lagwave.engine import Scenario, simulate
 from lagwave.fundamental import (
     GreenshieldsFD,
     KernerFD,
@@ -162,6 +164,62 @@ def test_unchecked_eta_matches_eta():
     for fd in (G, T, KC, KU):
         sub = ks[ks <= fd.K]
         assert np.array_equal(fd._eta(sub), fd.eta(sub))
+        assert np.array_equal(fd._eta_prime(sub), fd.eta_prime(sub))
+        assert np.array_equal(fd._eta_second(sub), fd.eta_second(sub))
+        spacings = fd.S * np.linspace(1.0, 50.0, 1001)
+        assert np.array_equal(fd._theta(spacings), fd.theta(spacings))
+
+
+DENSITY_METHODS = ("eta", "eta_prime", "eta_second", "phi", "phi_prime")
+SPACING_METHODS = ("theta", "theta_prime")
+
+
+@pytest.mark.parametrize("fd", [G, T, KC], ids=lambda fd: type(fd).__name__)
+@pytest.mark.parametrize("method", DENSITY_METHODS + SPACING_METHODS)
+def test_nan_input_is_refused(fd, method):
+    valid = 2.0 * fd.S if method in SPACING_METHODS else 0.5 * fd.K
+    for bad in (np.nan, np.array([valid, np.nan, valid])):
+        with pytest.raises(ValueError):
+            getattr(fd, method)(bad)
+
+
+@pytest.mark.parametrize("fd", [KC, KU], ids=["clamped", "unclamped"])
+def test_kerner_eta_second_is_defined_at_the_domain_edges(fd):
+    assert np.isfinite(fd.eta_second(0.0))
+    assert np.isfinite(fd.eta_second(fd.K))
+
+
+def test_infinite_spacing_is_free_flow():
+    for fd in (G, T, KC):
+        assert fd.theta(np.inf) == fd.V
+
+
+class _CountingKerner(KernerFD):
+    """A Kerner diagram that counts the density checks run on it."""
+
+    checks = 0
+
+    def _check_density(self, k):
+        _CountingKerner.checks += 1
+        return super()._check_density(k)
+
+
+def test_checks_stay_out_of_the_threshold_searches():
+    fd = _CountingKerner()
+    _CountingKerner.checks = 0
+    collision_free_threshold.__wrapped__(fd)
+    cfl_threshold.__wrapped__(fd)
+    check_concave.__wrapped__(fd)
+    assert _CountingKerner.checks <= 1
+
+
+def test_checks_stay_out_of_the_stepping_kernel():
+    scenario = Scenario(fd=_CountingKerner(), k1=0.05, lead_speed=5.0, m=20, dn=1.0, dt=0.1, duration=60.0)
+    assert scenario.steps == 600
+    _CountingKerner.checks = 0
+    simulate(scenario)
+    # The one check is eta(k1), the followers' starting speed.
+    assert _CountingKerner.checks == 1
 
 
 def test_spacing_domain_errors():
@@ -173,6 +231,9 @@ def test_spacing_domain_errors():
         G.theta(-3.0)
     with pytest.raises(SpacingBelowJam):
         G.theta_prime(6.9)
+    with pytest.raises(ValueError) as err:
+        G.theta(np.nan)
+    assert "below jam spacing" not in str(err.value)
 
 
 def test_vector_evaluation():
