@@ -16,6 +16,7 @@ import configparser
 import math
 import os
 import sys
+import threading
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from itertools import chain
@@ -147,13 +148,31 @@ _FIELDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _config_parser() -> tuple[configparser.ConfigParser, threading.Lock]:
+    """The config parser, built on first use and emptied for every later
+    text, with the lock that keeps one text in it at a time."""
+    return configparser.ConfigParser(interpolation=None), threading.Lock()
+
+
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
-    return {name: dict(cp[name]) for name in cp.sections()}
+    cp, lock = _config_parser()
+    with lock:
+        # clear() keeps the [DEFAULT] keys, which would pass into the next text.
+        cp.clear()
+        cp.defaults().clear()
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config: {exc}") from None
+        sections = {}
+        for name in cp.sections():
+            # Keys in the order cp[name] gives, the section's own before the
+            # [DEFAULT] keys that items() lists first, so the first unknown
+            # key reported stays the same.
+            values = dict(cp.items(name, raw=True))
+            sections[name] = {key: values[key] for key in cp.options(name)}
+    return sections
 
 
 def _check_keys(section: str, sec: dict[str, str], allowed, context: str = "") -> None:

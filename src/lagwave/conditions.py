@@ -17,10 +17,14 @@ on the whole congested branch and stay below it on the free branch.
 Both thresholds return it exactly, so that Newell's rate ``dn/dt = W*K``
 passes both checks.
 
-Where a law has no closed form (the sigmoid), the suprema are computed
-on a dense grid and then polished around the best grid point with
-Brent's bounded minimisation, run as a maximiser (Brent 1973,
-*Algorithms for Minimization without Derivatives*, ch. 5).  The first
+Where a law has no closed form (the sigmoid), each supremum is the
+maximum over a fixed grid of ``_GRID`` (100 000) points, polished around
+the best grid point with Brent's bounded minimisation, run as a
+maximiser (Brent 1973, *Algorithms for Minimization without
+Derivatives*, ch. 5).  The grid maximum is found from a coarse pass over
+every ``_STRIDE``-th point and windows around its local maxima and both
+ends; on the sigmoid it equals the maximum over the whole grid bit for
+bit.  The first
 one is singular at ``k = K``; its boundary value is taken as the
 L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for diagrams
 that reach zero speed at jam density.
@@ -45,6 +49,8 @@ __all__ = [
 
 # Grid points of the two suprema before the polish.
 _GRID = 100_000
+# Stride of the coarse passes over the suprema's and the concavity test's grids.
+_STRIDE = 100
 
 
 def _brent_max(f, a: float, b: float, xatol: float) -> float:
@@ -113,12 +119,42 @@ def _brent_max(f, a: float, b: float, xatol: float) -> float:
     return fx
 
 
+def _grid_argmax(f, ks) -> tuple[int, float]:
+    """First index of the largest value of ``f`` over the grid ``ks``, and that value.
+
+    ``f`` is evaluated on every ``_STRIDE``-th point and the last, then on
+    the windows of ``2 * _STRIDE`` points either side of both ends and of
+    every coarse local maximum (a point at least as large as both coarse
+    neighbours, so plateaus count), and the first maximum over their union
+    is taken.  Each subset is a contiguous copy, evaluated by the same ufunc
+    loops as the whole grid, so every value keeps its bits.  A peak narrower
+    than the stride that no coarse local maximum sits next to would be
+    missed; on the diagrams here the result equals the whole grid's
+    ``np.argmax`` (tests/test_conditions.py checks it bit for bit).
+    """
+    last = len(ks) - 1
+    coarse = np.append(np.arange(0, last, _STRIDE), last)
+    cv = f(ks[coarse])
+    peak = (cv[1:-1] >= cv[:-2]) & (cv[1:-1] >= cv[2:])
+    centres = np.concatenate(([0], coarse[1:-1][peak], [last]))
+    starts = np.maximum(centres - 2 * _STRIDE, 0)
+    stops = np.minimum(centres + 2 * _STRIDE, last) + 1
+    # Both bounds rise with the centres, so a window opens a new run of
+    # points exactly where it starts after the previous window stops, and
+    # a run stops where its last window does.
+    first = np.flatnonzero(np.r_[True, starts[1:] > stops[:-1]])
+    ends = stops[np.r_[first[1:] - 1, -1]]
+    idx = np.concatenate([np.arange(a, b) for a, b in zip(starts[first], ends)])
+    vals = f(ks[idx])
+    j = int(np.argmax(vals))
+    return int(idx[j]), float(vals[j])
+
+
 def _refine_max(f, lo: float, hi: float, n: int) -> float:
-    """Grid maximum of ``f`` over [lo, hi], polished near the best point."""
+    """Maximum of ``f`` over the ``n``-point grid on [lo, hi], polished
+    between the best grid point's neighbours."""
     ks = np.linspace(lo, hi, n)
-    vals = f(ks)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
+    i, best = _grid_argmax(f, ks)
     a = float(ks[max(i - 1, 0)])
     b = float(ks[min(i + 1, n - 1)])
     return max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * (hi - lo)))
@@ -159,10 +195,16 @@ def check_concave(fd: FundamentalDiagram) -> bool:
     Concavity of ``phi`` is equivalent to ``k*eta_second + 2*eta_prime
     <= 0``, checked with 1e-9 of slack at 10 000 interior points.  At a
     kink the one-sided derivatives of either branch satisfy it too.
+    Every ``_STRIDE``-th point is tested first, and a violation there
+    returns False without testing the rest.
     """
     ks = np.linspace(0.0, fd.K, 10_002)[1:-1]
-    expr = ks * fd._eta_second(ks) + 2.0 * fd._eta_prime(ks)
-    return bool(np.all(expr <= 1e-9))
+
+    def concave_on(k):
+        return bool(np.all(k * fd._eta_second(k) + 2.0 * fd._eta_prime(k) <= 1e-9))
+
+    # A violation on the coarse subset already decides; its copy is contiguous, as ks is.
+    return concave_on(ks[::_STRIDE].copy()) and concave_on(ks)
 
 
 @dataclass(frozen=True)

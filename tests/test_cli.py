@@ -414,6 +414,40 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert _parser() is _parser()
 
 
+# load_spec reuses one ConfigParser per process.  A config that fails,
+# or that sets [DEFAULT] keys, must leave nothing in it for the next one.
+@pytest.mark.parametrize("text, message", [
+    ("[fd]\ntype = greenshields\ntype = triangular\n",
+     "malformed config: While reading from '<string>' [line  3]: option 'type' in section 'fd' already exists"),
+    ("[run]\ntemplate = greenshields-shock-a\n[run]\nmodel = jwz\n",
+     "malformed config: While reading from '<string>' [line  3]: section 'run' already exists"),
+    ("[DEFAULT]\nv = 20.0\n\n[run]\ntemplate = greenshields-shock-a\n", "unknown key run.v for model 'nonstandard'"),
+    # a section's own keys are checked before the [DEFAULT] keys it inherits
+    ("[DEFAULT]\nv = 20.0\n" + MINIMAL + "qq = 3\n", "unknown key scenario.qq"),
+    ("[run]\ntemplate = greenshields-shock-a\nthis line has no separator\n",
+     "malformed config: Source contains parsing errors: '<string>'\n\t[line  3]: 'this line has no separator\\n'"),
+], ids=["duplicate-key", "duplicate-section", "default-key", "default-key-order", "malformed-line"])
+def test_config_errors_leave_the_parser_clean(tmp_path, capsys, text, message):
+    from lagwave.cli import _config_parser
+
+    with pytest.raises(ConfigError) as exc_info:
+        load_spec(text)
+    assert str(exc_info.value) == message
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["thresholds", str(cfg), "--out", str(tmp_path / "thr")]) == 2
+    assert message.splitlines()[0] in capsys.readouterr().err
+
+    clean = template_text("greenshields-shock-a")
+    after = load_spec(clean)
+    parser, _ = _config_parser()
+    _config_parser.cache_clear()
+    assert _config_parser()[0] is not parser
+    assert after == load_spec(clean)
+    # a bare [DEFAULT] header defines no key, so it still loads
+    assert load_spec("[DEFAULT]\n" + clean) == after
+
+
 def test_main_sweep_dn_flag(tmp_path):
     cfg = tmp_path / "sw.ini"
     cfg.write_text(SWEEPABLE)
@@ -574,3 +608,25 @@ def test_main_stability_refuses_inputs_it_ignores(tmp_path, capsys, template, ov
     assert main(["stability", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "x").exists()
+
+
+def test_config_parser_is_shared_safely_between_threads():
+    # Four threads on two cores, switching every microsecond, each load
+    # the templates in its own order through the one parser.
+    from concurrent.futures import ThreadPoolExecutor
+
+    names = sorted(TEMPLATES)
+    expected = {name: load_spec(template_text(name)) for name in names}
+
+    def load_all(offset):
+        order = names[offset:] + names[:offset]
+        return all(load_spec(template_text(name)) == expected[name] for name in order * 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(load_all, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)

@@ -263,3 +263,90 @@ def test_kerner_thresholds_keep_their_bits(fd, cf, cfl):
     assert repr(collision_free_threshold(fd)) == cf
     assert repr(cfl_threshold(fd)) == cfl
     assert repr(check_concave(fd)) == "False"
+
+
+# -- the coarse-first search keeps the full grid's bits ----------------
+#
+# The suprema find their grid maximum from a coarse pass and windows
+# around its local maxima and both ends, and check_concave tests a
+# coarse subset first.  The references here evaluate every grid point,
+# as the definitions read, and must agree bit for bit.
+
+
+def _full_grid_max(f, lo, hi, n):
+    ks = np.linspace(lo, hi, n)
+    vals = f(ks)
+    i = int(np.argmax(vals))
+    a, b = float(ks[max(i - 1, 0)]), float(ks[min(i + 1, n - 1)])
+    polished = conditions._brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * (hi - lo))
+    return max(float(vals[i]), polished)
+
+
+def _full_grid_reference(fd):
+    K, n = fd.K, conditions._GRID
+    cf = max(_full_grid_max(lambda k: k * fd._eta(k) / (1.0 - k / K), 0.0, K * (1.0 - 1.0 / n), n),
+             float(-fd.eta_prime(K) * K * K))
+    cfl = _full_grid_max(lambda k: np.abs(fd._eta_prime(k)) * k * k, 0.0, K, n)
+    ks = np.linspace(0.0, K, 10_002)[1:-1]
+    concave = bool(np.all(ks * fd._eta_second(ks) + 2.0 * fd._eta_prime(ks) <= 1e-9))
+    return cf, cfl, concave
+
+
+def _assert_full_grid_bits(fd):
+    # sharp sigmoids overflow exp to inf, which the formulas take in their stride
+    with np.errstate(over="ignore"):
+        got = (collision_free_threshold.__wrapped__(fd), cfl_threshold.__wrapped__(fd), check_concave.__wrapped__(fd))
+        want = _full_grid_reference(fd)
+    # repr tells -0.0 from 0.0 and matches nan to nan
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    unit_length=_log_uniform(1e-2, 1e3), relax_time=_log_uniform(1e-2, 1e3), K=_log_uniform(1e-3, 1e2),
+    c1=_log_uniform(1e-2, 1e2), c2=st.floats(-2.0, 3.0), c3=_log_uniform(1e-6, 10.0),
+    c4=st.one_of(st.floats(-1.0, 2.0), _log_uniform(1e-10, 1e-2)), clamp=st.booleans(),
+)
+def test_kerner_search_keeps_the_full_grid_bits(unit_length, relax_time, K, c1, c2, c3, c4, clamp):
+    _assert_full_grid_bits(KernerFD(unit_length=unit_length, relax_time=relax_time, K=K, c1=c1, c2=c2, c3=c3, c4=c4,
+                                    clamp_nonnegative=clamp))
+
+
+# Sharp sigmoids whose convex stretch lies between check_concave's coarse points.
+NARROW_KERNER = [KernerFD(c2=0.50005, c3=1e-4, clamp_nonnegative=clamp) for clamp in (True, False)]
+
+
+@pytest.mark.parametrize("fd", [KC, KernerFD(clamp_nonnegative=False), *NARROW_KERNER, G, T,
+                                *DRAWN_GREENSHIELDS, *DRAWN_TRIANGULAR], ids=repr)
+def test_searched_diagrams_keep_the_full_grid_bits(fd):
+    _assert_full_grid_bits(fd if isinstance(fd, KernerFD) else _searched(fd))
+
+
+def test_full_grid_bits_hold_off_avx512():
+    # numpy picks its SIMD loops per host; this child runs the two tests
+    # above on the loops of a host without AVX-512.  The golden pins are
+    # not run there: three of them hold on AVX-512 hosts alone.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    code = (
+        "import sys, pytest\n"
+        "try:\n"
+        "    from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+        "except ImportError:  # numpy 1.x\n"
+        "    from numpy.core._multiarray_umath import __cpu_features__ as cpu\n"
+        "assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'keep_the_full_grid_bits']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, __file__], capture_output=True, text=True, env=env)
+    output = proc.stdout + proc.stderr
+    if "part of the baseline" in output:
+        pytest.skip("this numpy build has AVX-512 in its baseline")
+    assert proc.returncode == 0, output  # 0 also means tests were collected and ran
