@@ -384,8 +384,8 @@ def eulerian_dispersion_roots(
     a root (or a neutral one) exists at every admissible state, no
     matter the parameters.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0 and math.isfinite(wavenumber)):
+        raise ValueError(f"T must be positive and finite, wavenumber finite; got T={T!r}, wavenumber={wavenumber!r}")
     v0 = fd.eta(k0)
     ep = fd.eta_prime(k0)
     w = wavenumber
@@ -402,6 +402,6 @@ def diffusion_coefficient(fd: FundamentalDiagram, k: float, T: float) -> float:
     Never positive: the Eulerian relaxation approximation behaves like
     a backward heat equation, which is ill posed.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be positive and finite, got {T!r}")
     return -T * (k * fd.eta_prime(k)) ** 2

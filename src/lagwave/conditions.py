@@ -15,17 +15,17 @@ On the concave laws both suprema have a closed form, the diagram's
 and ``W*K`` for the triangular law, where both expressions equal ``W*K``
 on the whole congested branch and stay below it on the free branch.
 Both thresholds return it exactly, so that Newell's rate ``dn/dt = W*K``
-passes both checks.
+passes both checks, and such a law is concave by construction.
 
-Where a law has no closed form (the sigmoid), each supremum is the
-maximum over a fixed grid of ``_GRID`` (100 000) points, polished around
-the best grid point with Brent's bounded minimisation, run as a
-maximiser (Brent 1973, *Algorithms for Minimization without
-Derivatives*, ch. 5).  The grid maximum is found from a coarse pass over
-every ``_STRIDE``-th point and windows around its local maxima and both
-ends; on the sigmoid it equals the maximum over the whole grid bit for
-bit.  The first
-one is singular at ``k = K``; its boundary value is taken as the
+Where a law has no closed form (the sigmoid), concavity is tested
+numerically (``check_concave``), and each supremum is the maximum over a
+fixed grid of ``_GRID`` (100 000) points, polished around the best grid
+point with Brent's bounded minimisation, run as a maximiser (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 5).  The grid
+maximum is found from a coarse pass over every ``_STRIDE``-th point and
+windows around its local maxima and both ends; on the sigmoid it equals
+the maximum over the whole grid bit for bit.  The collision-free
+supremum is singular at ``k = K``; its boundary value is taken as the
 L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for diagrams
 that reach zero speed at jam density.
 """
@@ -125,39 +125,35 @@ def _grid_argmax(f, ks) -> tuple[int, float]:
     ``f`` is evaluated on every ``_STRIDE``-th point and the last, then on
     the windows of ``2 * _STRIDE`` points either side of both ends and of
     every coarse local maximum (a point at least as large as both coarse
-    neighbours, so plateaus count), and the first maximum over their union
-    is taken.  Each subset is a contiguous copy, evaluated by the same ufunc
-    loops as the whole grid, so every value keeps its bits.  A peak narrower
-    than the stride that no coarse local maximum sits next to would be
-    missed; on the diagrams here the result equals the whole grid's
-    ``np.argmax`` (tests/test_conditions.py checks it bit for bit).
+    neighbours, so plateaus count), marked on the grid and read back in
+    order.  Each subset is a contiguous copy, evaluated by the same ufunc
+    loops as the whole grid, so every value keeps its bits.  A peak
+    narrower than the stride that no coarse local maximum sits next to
+    would be missed; on the diagrams here the result equals the whole
+    grid's ``np.argmax`` (tests/test_conditions.py checks it bit for bit).
     """
     last = len(ks) - 1
     coarse = np.append(np.arange(0, last, _STRIDE), last)
     cv = f(ks[coarse])
     peak = (cv[1:-1] >= cv[:-2]) & (cv[1:-1] >= cv[2:])
     centres = np.concatenate(([0], coarse[1:-1][peak], [last]))
-    starts = np.maximum(centres - 2 * _STRIDE, 0)
-    stops = np.minimum(centres + 2 * _STRIDE, last) + 1
-    # Both bounds rise with the centres, so a window opens a new run of
-    # points exactly where it starts after the previous window stops, and
-    # a run stops where its last window does.
-    first = np.flatnonzero(np.r_[True, starts[1:] > stops[:-1]])
-    ends = stops[np.r_[first[1:] - 1, -1]]
-    idx = np.concatenate([np.arange(a, b) for a, b in zip(starts[first], ends)])
+    inside = np.zeros(last + 1, dtype=bool)
+    for c in centres:
+        inside[max(c - 2 * _STRIDE, 0):c + 2 * _STRIDE + 1] = True
+    idx = np.flatnonzero(inside)
     vals = f(ks[idx])
     j = int(np.argmax(vals))
     return int(idx[j]), float(vals[j])
 
 
-def _refine_max(f, lo: float, hi: float, n: int) -> float:
-    """Maximum of ``f`` over the ``n``-point grid on [lo, hi], polished
+def _refine_max(f, hi: float) -> float:
+    """Maximum of ``f`` over the ``_GRID``-point grid on [0, hi], polished
     between the best grid point's neighbours."""
-    ks = np.linspace(lo, hi, n)
+    ks = np.linspace(0.0, hi, _GRID)
     i, best = _grid_argmax(f, ks)
     a = float(ks[max(i - 1, 0)])
-    b = float(ks[min(i + 1, n - 1)])
-    return max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * (hi - lo)))
+    b = float(ks[min(i + 1, _GRID - 1)])
+    return max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * hi))
 
 
 @lru_cache(maxsize=128)
@@ -171,7 +167,7 @@ def collision_free_threshold(fd: FundamentalDiagram) -> float:
         return k * fd._eta(k) / (1.0 - k / K)
 
     # Stop one grid cell short of K where the expression is 0/0.
-    interior = _refine_max(f, 0.0, K * (1.0 - 1.0 / _GRID), _GRID)
+    interior = _refine_max(f, K * (1.0 - 1.0 / _GRID))
     boundary = -fd.eta_prime(K) * K * K
     return max(interior, float(boundary))
 
@@ -185,19 +181,22 @@ def cfl_threshold(fd: FundamentalDiagram) -> float:
     def g(k):
         return np.abs(fd._eta_prime(k)) * k * k
 
-    return _refine_max(g, 0.0, fd.K, _GRID)
+    return _refine_max(g, fd.K)
 
 
 @lru_cache(maxsize=128)
 def check_concave(fd: FundamentalDiagram) -> bool:
     """True when the flow ``phi`` is concave on the open density range.
 
-    Concavity of ``phi`` is equivalent to ``k*eta_second + 2*eta_prime
+    A law with a ``critical_rate`` is concave by that contract.  Elsewhere
+    concavity of ``phi`` is equivalent to ``k*eta_second + 2*eta_prime
     <= 0``, checked with 1e-9 of slack at 10 000 interior points.  At a
     kink the one-sided derivatives of either branch satisfy it too.
     Every ``_STRIDE``-th point is tested first, and a violation there
     returns False without testing the rest.
     """
+    if fd.critical_rate is not None:
+        return True
     ks = np.linspace(0.0, fd.K, 10_002)[1:-1]
 
     def concave_on(k):

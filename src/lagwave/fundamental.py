@@ -88,8 +88,8 @@ class FundamentalDiagram(ABC):
 
     @property
     def critical_rate(self) -> float | None:
-        """Closed form of both step-size thresholds (``conditions``),
-        or None when the law has none and they are searched."""
+        """Closed form of both step-size thresholds (``conditions``), or None
+        to search them; a law that returns a rate is concave, and both equal it."""
         return None
 
     # -- Eulerian form -------------------------------------------------

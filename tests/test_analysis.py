@@ -397,6 +397,12 @@ def test_dispersion_roots_hand_values():
 def test_dispersion_rejects_bad_relaxation():
     with pytest.raises(ValueError):
         eulerian_dispersion_roots(G, G.K / 2.0, 0.0, 0.1)
+    for t_rel in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^T must be positive"):
+            eulerian_dispersion_roots(G, G.K / 2.0, t_rel, 0.1)
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="wavenumber"):
+            eulerian_dispersion_roots(G, G.K / 2.0, 5.0, w)
 
 
 def test_diffusion_coefficient_values():
@@ -404,8 +410,9 @@ def test_diffusion_coefficient_values():
     assert diffusion_coefficient(G, G.K / 2.0, 5.0) == pytest.approx(-500.0, rel=1e-12)
     # free branch of the triangular diagram is flat, so zero
     assert diffusion_coefficient(T, T.K / 100.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        diffusion_coefficient(G, G.K / 2.0, -1.0)
+    for t_rel in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^T must be positive"):
+            diffusion_coefficient(G, G.K / 2.0, t_rel)
 
 
 def test_diffusion_never_positive():

@@ -385,6 +385,16 @@ def test_thresholds_at_newell_rate_is_collision_free(tmp_path):
     assert "cfl_ok = true" in lines
 
 
+def test_thresholds_call_a_steep_triangular_diagram_concave(tmp_path):
+    # k*eta'' + 2*eta' cancels exactly on the congested branch, and here
+    # its rounding error exceeds a numerical test's 1e-9 slack.
+    cfg = tmp_path / "steep.ini"
+    fd = {"type": "triangular", "v": "100.0", "w": "1.0", "k": "0.001"}
+    cfg.write_text(make_cfg(fd=fd, scenario={**BASE_SC, "k1": "0.0005"}))
+    assert main(["thresholds", str(cfg), "--out", str(tmp_path / "thr")]) == 0
+    assert "concave = true" in (tmp_path / "thr" / "thresholds.txt").read_text().splitlines()
+
+
 def test_main_reuses_one_parser(tmp_path, capsys):
     from lagwave.cli import _parser
 
