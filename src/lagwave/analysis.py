@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, acceleration, simulate
+from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, _row_blocks, acceleration, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -83,37 +83,30 @@ class DiagnosticsReport:
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
     """Scan a trajectory for spacing violations and negative speeds.
 
-    The grid is audited in blocks of time rows, so the temporaries stay
-    near _AUDIT_BLOCK values whatever the run's size; the report is the
-    same as one whole-grid pass.
+    The grid is audited in blocks of time rows (``engine._row_blocks``), so
+    the temporaries stay near _AUDIT_BLOCK values whatever the run's size;
+    the report is the same as one whole-grid pass.
     """
     if fd is None:
         fd = trajectory.scenario.fd
-    x, v = trajectory.positions, trajectory.speeds
-    dn, dt = trajectory.dn, trajectory.scenario.dt
-    rows = max(1, _AUDIT_BLOCK // x.shape[1])
 
     collisions, negatives = [], []
     # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
     min_spacing, max_acc, nonfinite = math.inf, 0.0, 0
-    for j0 in range(0, len(x), rows):
-        xb, vb = x[j0 : j0 + rows], v[j0 : j0 + rows]
-        s = (xb[:, :-1] - xb[:, 1:]) / dn
+    for j0, xb, vb, acc in _row_blocks(trajectory, _AUDIT_BLOCK):
+        max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
+        del acc  # before the next block-sized array, to keep the peak at about one block
+        s = (xb[:, :-1] - xb[:, 1:]) / trajectory.dn
         hits = np.argwhere(s < fd.S - COLLISION_TOL)
         # Spacing column m is the gap in front of vehicle m + 1.
         hits += (j0, 1)
         collisions.append(hits)
         if s.size:
             min_spacing = np.minimum(min_spacing, np.min(s))
-        del s  # before the next block-sized array, to keep the peak at about one block
+        del s
         hits = np.argwhere(vb < -NEGATIVE_SPEED_TOL)
         hits[:, 0] += j0
         negatives.append(hits)
-        # One row of overlap: the block's last step ends in the next block.
-        acc = acceleration(v[j0 : j0 + rows + 1], dt)
-        if acc.size:
-            max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
-        del acc
         nonfinite += sum(int(np.count_nonzero(~np.isfinite(a))) for a in (xb, vb))
     return DiagnosticsReport(
         collision_events=np.concatenate(collisions),

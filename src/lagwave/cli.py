@@ -46,7 +46,7 @@ from .engine import (
     Scheme,
     Trajectory,
     _Correction,
-    acceleration,
+    _row_blocks,
     simulate,
 )
 from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
@@ -391,27 +391,17 @@ _CSV_BLOCK = 4096
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
     # Each line's "t,vehicle,N," is rendered once into a block template;
-    # one % call then fills the block's x, v, a.  Blocks are sized by
-    # value count so that narrow, long runs (kerner-redlight) batch too.
+    # one % call then fills the block's x, v, a.  engine._row_blocks sizes
+    # the blocks by value count, so narrow, long runs (kerner-redlight) batch too.
     numbers = traj.vehicle_numbers().tolist()
-    width = len(numbers)
     tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, n) for i, n in enumerate(numbers)]
-    rows = max(1, _CSV_BLOCK // (3 * width))
-    count = len(traj.times)
     with open(path, "w") as fh:
         fh.write("t,vehicle,N,x,v,a\n")
-        for j0 in range(0, count, rows):
-            j1 = min(j0 + rows, count)
-            lines = []
-            for t in traj.times[j0:j1].tolist():
-                prefix = "%.17g," % t
-                lines.append(prefix + prefix.join(tails))
-            a = acceleration(traj.speeds[j0 : j1 + 1], traj.scenario.dt).ravel().tolist()
-            if j1 == count:  # the last time row has no step after it
-                a += [0.0] * width
-            x = traj.positions[j0:j1].ravel().tolist()
-            v = traj.speeds[j0:j1].ravel().tolist()
-            fh.write("".join(lines) % tuple(chain.from_iterable(zip(x, v, a))))
+        for j0, x, v, a in _row_blocks(traj, _CSV_BLOCK // 3):
+            prefixes = ["%.17g," % t for t in traj.times[j0 : j0 + len(x)].tolist()]
+            lines = "".join(prefix + prefix.join(tails) for prefix in prefixes)
+            values = zip(x.ravel().tolist(), v.ravel().tolist(), a.ravel().tolist())
+            fh.write(lines % tuple(chain.from_iterable(values)))
 
 
 def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -> list[str]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -235,6 +236,21 @@ def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
     a = np.diff(speeds, axis=0)
     a /= dt
     return a
+
+
+def _row_blocks(traj: Trajectory, values: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(j0, positions, speeds, accelerations) per block of max(1, values // width) time
+    rows.  The accelerations read one row of the next block, and the last row gets zeros;
+    each block is built in the yield, so the walk keeps no reference to it."""
+    x, v, dt = traj.positions, traj.speeds, traj.scenario.dt
+    count, width = x.shape
+    rows = max(1, values // width)
+    for j0 in range(0, count, rows):
+        j1 = j0 + rows
+        yield j0, x[j0:j1], v[j0:j1], (
+            acceleration(v[j0 : j1 + 1], dt) if j1 < count
+            else np.concatenate((acceleration(v[j0:], dt), np.zeros((1, width))))
+        )
 
 
 def simulate(
