@@ -231,7 +231,8 @@ def _displayed_slots(dn: float, m: int, count: int) -> dict[int, int]:
     """Slot of each displayed whole-numbered vehicle 1..count, keyed by
     vehicle number; a vehicle whose slot is the leader's or lies past
     slot m is not displayed."""
-    slots = {n: round(n / dn) for n in range(1, count + 1)}
+    # Every vehicle past (m + 1) * dn has round(n / dn) > m: stop there.
+    slots = {n: round(n / dn) for n in range(1, min(count, int((m + 1) * dn) + 1) + 1)}
     return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
 
 
@@ -286,9 +287,9 @@ def sweep_dn(
             diff = 0.0
             for n, x_prev in curves_prev.items():
                 if n in curves:
-                    a = np.interp(grid, t_prev, x_prev)
+                    # grid is a prefix of t_prev, so the previous curve is read on its own knots.
                     b = np.interp(grid, traj.times, curves[n])
-                    diff = max(diff, float(np.max(np.abs(a - b))))
+                    diff = max(diff, float(np.max(np.abs(x_prev[: len(grid)] - b))))
         prev = (traj.times, curves)
         yield traj, SweepRow(dn, speed, max_acc, report.min_spacing, diff)
 
@@ -333,7 +334,10 @@ def string_stability_experiment(
         fd=fd, k1=1.0 / s0, lead_speed=veq, m=m, dn=dn, dt=dt, duration=duration
     )
     J = scenario.steps
-    lead = veq + amplitude * np.sin(omega * (np.arange(J) + 1) * dt)
+    try:
+        lead = veq + amplitude * np.sin(omega * (np.arange(J) + 1) * dt)
+    except MemoryError as exc:  # as simulate refuses a grid that numpy cannot allocate
+        raise ValueError(f"numpy cannot allocate the {J} lead speeds: {exc}") from None
     if np.any(lead < 0.0):
         raise ValueError("perturbation drives the lead speed negative")
     traj = simulate(scenario, model=model, lead_speeds=lead)

@@ -434,7 +434,10 @@ def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
 def run(spec: RunSpec, expect_clean: bool = False) -> int:
     """Execute one run; write trajectory.csv and summary.txt."""
     os.makedirs(spec.output_dir, exist_ok=True)
-    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    try:
+        traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    except ValueError as exc:  # a grid that numpy cannot allocate
+        raise ConfigError(str(exc)) from None
 
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
@@ -464,15 +467,17 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []
-    for traj, row in sweep_dn(
-        spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
-    ):
-        _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
-        rows.append(row)
-        print(
-            f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "
-            f"min_spacing={row.min_spacing:.6g} diff_prev={row.traj_diff_prev:.6g}"
-        )
+    runs = sweep_dn(spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles)
+    try:
+        for traj, row in runs:
+            _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
+            rows.append(row)
+            print(
+                f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "
+                f"min_spacing={row.min_spacing:.6g} diff_prev={row.traj_diff_prev:.6g}"
+            )
+    except ValueError as exc:  # a dn whose step count or grid cannot be had
+        raise ConfigError(str(exc)) from None
 
     table_path = os.path.join(spec.output_dir, "sweep.csv")
     with open(table_path, "w") as fh:

@@ -134,6 +134,8 @@ class Scenario:
             raise ValueError("m must be nonnegative")
         if self.duration < 0.0:
             raise ValueError("duration must be nonnegative")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(f"the step count duration / dt is not finite: duration={self.duration!r}, dt={self.dt!r}")
 
     @property
     def steps(self) -> int:
@@ -272,6 +274,11 @@ def simulate(
         raise ValueError(f"scheme {scheme.value!r} supports only the equilibrium model")
 
     J = scenario.steps
+    shape = (J + 1, scenario.m + 1)
+    try:
+        positions, speeds = np.empty(shape), np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"numpy cannot allocate the {shape} grid: {exc}") from None
     if lead_speeds is None:
         lead = np.full(J, scenario.lead_speed)
     else:
@@ -283,8 +290,6 @@ def simulate(
 
     # Initial platoon: uniform spacing dn/k1, leader at the origin.
     dt = scenario.dt
-    positions = np.empty((J + 1, scenario.m + 1))
-    speeds = np.empty((J + 1, scenario.m + 1))
     positions[0] = -np.arange(scenario.m + 1) * (scenario.dn / scenario.k1)
     v0 = scenario.initial_speed
     speeds[0] = scenario.fd.eta(scenario.k1) if v0 is None else v0

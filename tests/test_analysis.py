@@ -255,6 +255,24 @@ def test_displayed_slots(dn, m, slots):
     assert _displayed_slots(dn, m, 5) == slots
 
 
+def _unbounded_displayed_slots(dn, m, count):
+    """_displayed_slots before its range was bounded by the slots that exist."""
+    slots = {n: round(n / dn) for n in range(1, count + 1)}
+    return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
+
+
+@pytest.mark.parametrize("dn", [0.1, 1.0 / 3.0, 0.0625, 0.5, 0.7, 1.0, 1.5, 2.5, 3.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 160])
+def test_displayed_slots_bound_changes_nothing(dn, m):
+    for count in (1, 2, 5, 10, 40, 400):
+        assert _displayed_slots(dn, m, count) == _unbounded_displayed_slots(dn, m, count)
+
+
+def test_displayed_slots_of_a_huge_count_stop_at_the_slots():
+    # The dict over range(1, count + 1) grew at ~2.7 million entries a second.
+    assert _displayed_slots(0.5, 20, 10**12) == _unbounded_displayed_slots(0.5, 20, 50)
+
+
 def test_sweep_dn_keeps_no_earlier_trajectory():
     sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
     dns = (1.0, 0.5, 0.25, 0.125)

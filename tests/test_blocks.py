@@ -4,6 +4,7 @@ both block sizes so that every grid crosses many block edges; the memory
 tests keep the defaults and bound what one pass holds."""
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ import lagwave.analysis
 import lagwave.cli
 from lagwave.analysis import COLLISION_TOL, NEGATIVE_SPEED_TOL, diagnose
 from lagwave.cli import _write_trajectory_csv, load_spec
-from lagwave.engine import Scheme, Trajectory, simulate
+from lagwave.engine import Scheme, Trajectory, _row_blocks, simulate
 from lagwave.templates import TEMPLATES, template_text
 
 
@@ -188,3 +189,39 @@ def test_audit_memory_is_a_block(wide_run):
     # The whole-grid audit held spacings and accelerations, about 2x.
     peak, grid = _traced_peak(diagnose, wide_run), wide_run.positions.nbytes
     assert peak < grid / 4
+
+
+def _short_run():
+    """greenshields-shock-a cut to 10 steps: 161 slots, 11 rows."""
+    spec = load_spec(template_text("greenshields-shock-a"))
+    sc = spec.scenario
+    return simulate(replace(sc, duration=10 * sc.dt), model=spec.model, scheme=spec.scheme)
+
+
+@pytest.mark.parametrize("case", ["greenshields-shock-a:m=0", "greenshields-shock-a:duration=0",
+                                  "greenshields-shock-b:special", "short"])
+def test_row_blocks_cover_the_grid_once(case):
+    traj = _short_run() if case == "short" else _case_trajectory(case)
+    count, width = traj.positions.shape
+    # tobytes compares NaN, infinities and signed zeros exactly
+    want_acc = np.concatenate((traj.accelerations, np.zeros((1, width)))).tobytes()
+    for values in range(1, width + 4):
+        rows = max(1, values // width)
+        blocks = list(_row_blocks(traj, values))
+        assert [j0 for j0, *_ in blocks] == list(range(0, count, rows))
+        for j0, x, v, a in blocks:
+            assert len(x) == len(v) == len(a) == min(rows, count - j0)
+            assert x.tobytes() == traj.positions[j0 : j0 + rows].tobytes()
+            assert v.tobytes() == traj.speeds[j0 : j0 + rows].tobytes()
+        assert np.concatenate([a for *_, a in blocks]).tobytes() == want_acc
+
+
+def test_row_blocks_keep_no_block():
+    # The audit frees each block's accelerations before it builds the next
+    # block-sized array; a reference held by the walk would double its peak.
+    traj = _short_run()
+    walk = _row_blocks(traj, 2 * traj.positions.shape[1])
+    for _, _, _, a in walk:
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None

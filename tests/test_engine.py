@@ -281,6 +281,21 @@ def test_scenario_rejects_nonfinite(field, value):
         Scenario(**kwargs)
 
 
+def test_scenario_refuses_a_step_count_that_is_not_finite():
+    # duration / dt overflowed to inf, and math.ceil raised OverflowError in steps
+    with pytest.raises(ValueError, match=r"duration / dt is not finite: duration=1\.0, dt=1e-320"):
+        Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=1e-320, duration=1.0)
+
+
+@pytest.mark.parametrize("m, dt", [(3, 1e-15), (3, 1e-300), (10**30, 0.1)],
+                         ids=["unable to allocate", "steps past the dimension limit", "slots past it"])
+def test_simulate_refuses_a_grid_numpy_cannot_allocate(m, dt):
+    # Every shape is far past the address space, so numpy refuses it before touching memory.
+    sc = Scenario(fd=G, k1=0.05, lead_speed=0.0, m=m, dn=1.0, dt=dt, duration=1.0)
+    with pytest.raises(ValueError, match=rf"numpy cannot allocate the \({sc.steps + 1}, {m + 1}\) grid"):
+        simulate(sc)
+
+
 @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
 def test_simulate_rejects_bad_lead_speeds(bad):
     sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=2, dn=1.0, dt=0.35,
