@@ -467,7 +467,9 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []
-    runs = sweep_dn(spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles)
+    runs = sweep_dn(
+        spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
+    )
     try:
         for traj, row in runs:
             _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
