@@ -87,8 +87,7 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
     the temporaries stay near _AUDIT_BLOCK values whatever the run's size;
     the report is the same as one whole-grid pass.
     """
-    if fd is None:
-        fd = trajectory.scenario.fd
+    fd = trajectory.scenario.fd if fd is None else fd
 
     collisions, negatives = [], []
     # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
@@ -197,19 +196,18 @@ def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
 
 
 def measure_wave(trajectory: Trajectory) -> tuple[float, float]:
-    """Speed and r^2 of the wave the trajectory's scenario sets off.
+    """Speed and r^2 of the wave the record's first row sets off.
 
     Followers at rest set off the startup wave; followers whose speed
     differs from the leader's set off the front between the two speeds.
     A uniform platoon, or a fit with too few crossings, gives (nan, nan).
     """
-    sc = trajectory.scenario
-    v1 = sc.initial_speed if sc.initial_speed is not None else sc.fd.eta(sc.k1)
+    v2, v1 = trajectory.speeds[0, [0, -1]].tolist()
     try:
-        if v1 < STARTUP_FRACTION * sc.fd.V:
+        if v1 < STARTUP_FRACTION * trajectory.scenario.fd.V:
             meas = measure_startup_wave(trajectory)
-        elif abs(v1 - sc.lead_speed) > 1e-9:
-            meas = measure_front_speed(trajectory, v1, sc.lead_speed)
+        elif abs(v1 - v2) > 1e-9:
+            meas = measure_front_speed(trajectory, v1, v2)
         else:
             return math.nan, math.nan
     except MeasurementError:
@@ -342,7 +340,7 @@ def string_stability_experiment(
         raise ValueError("perturbation drives the lead speed negative")
     traj = simulate(scenario, model=model, lead_speeds=lead)
 
-    report = diagnose(traj, fd)
+    report = diagnose(traj)
     if report.collision_count:
         raise ExperimentInvalid(
             f"platoon collided {report.collision_count} times; amplitude too large"

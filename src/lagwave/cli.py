@@ -50,7 +50,7 @@ from .engine import (
     simulate,
 )
 from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
-from .templates import TEMPLATES, template_text
+from .templates import TEMPLATES, _ini, template_text
 
 __all__ = ["ConfigError", "StabilitySpec", "RunSpec", "load_spec", "serialize"]
 
@@ -175,22 +175,20 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _check_keys(section: str, sec: dict[str, str], allowed, context: str = "") -> None:
-    for key in sec:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {section}.{key}{context}")
-
-
 def _lookup(table: dict, key: str, name: str):
     if name not in table:
         raise ConfigError(f"unknown {key} {name!r}; expected one of {', '.join(table)}")
     return table[name]
 
 
-def _build(cls, section: str, sec: dict[str, str], what: str, **kwargs):
-    """Make the dataclass ``cls`` from the keys of ``sec`` named after its
-    fields; fields passed in ``kwargs`` are taken as given."""
-    for key, (name, parse, required) in _FIELDS[cls].items():
+def _build(cls, section: str, sec: dict[str, str], what: str, extra=(), context: str = "", **kwargs):
+    """Make the dataclass ``cls`` from the keys of ``sec`` named after its fields, after
+    refusing a key that is neither a field nor in ``extra``; ``kwargs`` are taken as given."""
+    keys = _FIELDS[cls]
+    for key in sec:
+        if key not in keys and key not in extra:
+            raise ConfigError(f"unknown key {section}.{key}{context}")
+    for key, (name, parse, required) in keys.items():
         if name in kwargs:
             continue
         if key in sec:
@@ -230,14 +228,12 @@ def load_spec(text: str) -> RunSpec:
     sc_sec = sections.get("scenario", {})
     if not fd_sec and not sc_sec:
         raise ConfigError("empty config; required keys: " + ", ".join(_REQUIRED))
-    _check_keys("scenario", sc_sec, _FIELDS[Scenario].keys() | {"vehicles", "dt_ratio"})
 
     kind = fd_sec.get("type")
     if kind is None:
         raise ConfigError("missing required key fd.type")
     fd_cls = _lookup(_DIAGRAMS, "fd.type", kind)
-    _check_keys("fd", fd_sec, _FIELDS[fd_cls].keys() | {"type"}, f" for type {kind!r}")
-    fd = _build(fd_cls, "fd", fd_sec, "fd")
+    fd = _build(fd_cls, "fd", fd_sec, "fd", ("type",), f" for type {kind!r}")
 
     # The aliases: m = vehicles / dn, rounded (m = 50 when neither is given),
     # and dt = dt_ratio * dn.  dn must be finite before anything is rounded.
@@ -262,12 +258,11 @@ def load_spec(text: str) -> RunSpec:
         given["dt"] = dt_ratio * dn
     elif "dt" not in sc_sec:
         raise ConfigError("missing required key scenario.dt or scenario.dt_ratio")
-    scenario = _build(Scenario, "scenario", sc_sec, "scenario", **given)
+    scenario = _build(Scenario, "scenario", sc_sec, "scenario", ("vehicles", "dt_ratio"), **given)
 
     model_name = run_sec.get("model", "nonstandard")
     model_cls = _lookup(_MODELS, "run.model", model_name)
-    _check_keys("run", run_sec, _FIELDS[model_cls].keys() | _RUN_KEYS, f" for model {model_name!r}")
-    model = _build(model_cls, "run", run_sec, "model")
+    model = _build(model_cls, "run", run_sec, "model", _RUN_KEYS, f" for model {model_name!r}")
     correction = _lookup(_CORRECTIONS, "run.corrected", run_sec.get("corrected", "none"))
     if correction is not None:
         model = correction(model)
@@ -285,7 +280,6 @@ def load_spec(text: str) -> RunSpec:
     stability = None
     st_sec = sections.get("stability")
     if st_sec is not None:
-        _check_keys("stability", st_sec, _FIELDS[StabilitySpec])
         stability = _build(StabilitySpec, "stability", st_sec, "stability")
 
     return RunSpec(
@@ -349,31 +343,30 @@ def _render(obj, **aliases) -> list[str]:
 def serialize(spec: RunSpec) -> str:
     """Render a RunSpec as configuration text; inverse of load_spec."""
     fd = spec.scenario.fd
-    lines = ["[fd]", f"type = {_name(fd, 'diagram')}", *_render(fd)]
+    sections = {"fd": [f"type = {_name(fd, 'diagram')}", *_render(fd)]}
 
     aliases = {}
     if spec.vehicles is not None:
         aliases["m"] = ("vehicles", spec.vehicles)
     if spec.dt_ratio is not None:
         aliases["dt"] = ("dt_ratio", spec.dt_ratio)
-    lines += ["", "[scenario]", *_render(spec.scenario, **aliases)]
+    sections["scenario"] = _render(spec.scenario, **aliases)
 
     model, corrected = spec.model, None
     if isinstance(model, _Correction):
         model, corrected = model.inner, _NAMES[type(model)]
-    lines += ["", "[run]", f"model = {_name(model, 'model')}", *_render(model)]
+    run_keys = sections["run"] = [f"model = {_name(model, 'model')}", *_render(model)]
     if corrected is not None:
-        lines.append(f"corrected = {corrected}")
-    lines.append(f"scheme = {spec.scheme.value}")
-    lines.append(f"display_vehicles = {spec.display_vehicles}")
+        run_keys.append(f"corrected = {corrected}")
+    run_keys += [f"scheme = {spec.scheme.value}", f"display_vehicles = {spec.display_vehicles}"]
     if spec.output_dir != ".":
-        lines.append(f"out = {spec.output_dir}")
+        run_keys.append(f"out = {spec.output_dir}")
     if spec.sweep is not None:
-        lines.append("sweep = " + ",".join(repr(v) for v in spec.sweep))
+        run_keys.append("sweep = " + ",".join(repr(v) for v in spec.sweep))
 
     if spec.stability is not None:
-        lines += ["", "[stability]", *_render(spec.stability)]
-    return "\n".join(lines) + "\n"
+        sections["stability"] = _render(spec.stability)
+    return _ini(sections)
 
 
 # -- execution ---------------------------------------------------------
@@ -404,9 +397,9 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
             fh.write(lines % tuple(chain.from_iterable(values)))
 
 
-def _summary_lines(spec: RunSpec, traj: Trajectory, report: DiagnosticsReport) -> list[str]:
+def _summary_lines(traj: Trajectory, report: DiagnosticsReport) -> list[str]:
     speed, r2 = measure_wave(traj)
-    fd = spec.scenario.fd
+    fd = traj.scenario.fd
     return [
         f"measured_shock_speed = {_g17(speed)}",
         f"r_squared = {_g17(r2)}",
@@ -441,8 +434,8 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
 
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
-    report = diagnose(traj, spec.scenario.fd)
-    summary_path = _write_lines(spec, "summary.txt", _summary_lines(spec, traj, report))
+    report = diagnose(traj)
+    summary_path = _write_lines(spec, "summary.txt", _summary_lines(traj, report))
     print(f"[run] wrote {csv_path} and {summary_path}")
 
     if expect_clean and not report.clean:

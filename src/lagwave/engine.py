@@ -140,7 +140,7 @@ class Scenario:
     @property
     def steps(self) -> int:
         """Number of time steps covering the duration."""
-        return max(int(math.ceil(self.duration / self.dt - 1e-9)), 0)
+        return math.ceil(self.duration / self.dt - 1e-9)
 
 
 @dataclass(eq=False)

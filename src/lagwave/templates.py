@@ -77,14 +77,14 @@ TEMPLATES: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
+def _ini(sections: dict[str, list[str]]) -> str:
+    """Configuration text: a ``[name]`` header over each section's ``key = value``
+    lines, a blank line between sections and a final newline."""
+    return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
+
+
 def template_text(name: str) -> str:
     """Render a bundled template as configuration text."""
     if name not in TEMPLATES:
         raise KeyError(f"no template named {name!r}")
-    lines = []
-    for section, keys in TEMPLATES[name].items():
-        lines.append(f"[{section}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
+    return _ini({sec: [f"{key} = {value}" for key, value in keys.items()] for sec, keys in TEMPLATES[name].items()})
