@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import Model, Scenario, Scheme, Trajectory, _relaxation_time, _row_blocks, acceleration, simulate
+from .engine import Model, Scenario, Scheme, Trajectory, _count, _relaxation_time, _row_blocks, acceleration, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -238,6 +238,8 @@ def _slot_count(vehicles: int, dn: float) -> int:
     """The slot count m of a run of ``vehicles`` whole vehicles: vehicles / dn, rounded."""
     if not (math.isfinite(dn) and dn > 0.0):
         raise ValueError(f"dn must be positive and finite, got {dn!r}")
+    if vehicles < 0:
+        raise ValueError(f"vehicles must be nonnegative, got {vehicles!r}")
     try:
         return round(vehicles / dn)
     except OverflowError:
@@ -334,8 +336,8 @@ def string_stability_experiment(
     J = scenario.steps
     try:
         lead = veq + amplitude * np.sin(omega * (np.arange(J) + 1) * dt)
-    except MemoryError as exc:  # as simulate refuses a grid that numpy cannot allocate
-        raise ValueError(f"numpy cannot allocate the {J} lead speeds: {exc}") from None
+    except (MemoryError, ValueError) as exc:  # as simulate refuses a grid that numpy cannot allocate
+        raise ValueError(f"numpy cannot allocate the {_count(J)} lead speeds of duration / dt steps: {exc}") from None
     if np.any(lead < 0.0):
         raise ValueError("perturbation drives the lead speed negative")
     traj = simulate(scenario, model=model, lead_speeds=lead)

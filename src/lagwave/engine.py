@@ -130,6 +130,8 @@ class Scenario:
             raise ValueError(f"k1 must lie in (0, K={self.fd.K!r}]")
         if self.lead_speed < 0.0:
             raise ValueError("lead_speed must be nonnegative")
+        if self.initial_speed is not None and self.initial_speed < 0.0:
+            raise ValueError("initial_speed must be nonnegative")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
         if self.duration < 0.0:
@@ -255,6 +257,13 @@ def _row_blocks(traj: Trajectory, values: int) -> Iterator[tuple[int, np.ndarray
         )
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal, or ">limit" past numpy's dimension limit, so that a refusal
+    stays one short line; no float, whose range an integer count can pass."""
+    limit = int(np.iinfo(np.intp).max)
+    return str(n) if n <= limit else f">{limit}"
+
+
 def simulate(
     scenario: Scenario,
     model: Model | None = None,
@@ -278,7 +287,8 @@ def simulate(
     try:
         positions, speeds = np.empty(shape), np.empty(shape)
     except (MemoryError, ValueError) as exc:
-        raise ValueError(f"numpy cannot allocate the {shape} grid: {exc}") from None
+        raise ValueError(f"numpy cannot allocate the ({_count(J + 1)}, {_count(scenario.m + 1)}) grid "
+                         f"of duration / dt steps and m slots: {exc}") from None
     if lead_speeds is None:
         lead = np.full(J, scenario.lead_speed)
     else:

@@ -246,6 +246,16 @@ def test_measure_wave_matches_reference(case):
         assert all(math.isnan(x) for x in got)
 
 
+def test_measure_wave_reads_the_record():
+    # With k1 halved the scenario's rule gave a front between eta(K/2) and
+    # the leader's speed (9.97, 0.999998) on a record released from rest.
+    traj = simulate(load_spec(template_text("greenshields-discharge")).scenario)
+    copy = Trajectory(traj.times, traj.positions, traj.speeds, replace(traj.scenario, k1=traj.scenario.k1 / 2.0))
+    got = measure_wave(copy)
+    assert got == measure_wave(traj)
+    assert got[0] == pytest.approx(-19.98, abs=0.01) and got[1] == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("dn, m, slots", [
     (2.5, 4, {2: 1, 3: 1, 4: 2, 5: 2}),  # vehicle 1 rounds to the leader's slot
     (1.0 / 16.0, 160, {n: 16 * n for n in range(1, 6)}),
@@ -293,6 +303,12 @@ def test_sweep_dn_refuses_a_dn_without_a_slot_count(dn):
     sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
     with pytest.raises(ValueError, match="dn"):
         next(sweep_dn(sc, (dn,), vehicles=4, dt_ratio=0.35))
+
+
+def test_sweep_dn_refuses_a_negative_vehicle_count():
+    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
+    with pytest.raises(ValueError, match="^vehicles must be nonnegative, got -3$"):
+        next(sweep_dn(sc, (1.0,), vehicles=-3, dt_ratio=0.35))
 
 
 def test_measure_front_speed_rejects_equal_levels():

@@ -188,6 +188,8 @@ FIELD_CASES = [
     (make_cfg(scenario={**BASE_SC, "dt_ratio": "0.35"}), "exactly one"),
     (make_cfg(scenario={k: v for k, v in BASE_SC.items() if k != "dt"}), "dt"),
     (make_cfg(scenario={**BASE_SC, "m": "5", "vehicles": "5"}), "at most one"),
+    (make_cfg(scenario={**BASE_SC, "vehicles": "-3"}),
+     "keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3"),
     (make_cfg(run_sec={"t": "5.0"}), "run.t"),
     (make_cfg(run_sec={"model": "phillips", "c0": "2.0"}), "run.c0"),
     (make_cfg(run_sec={"corrected": "3"}), "corrected"),
@@ -546,8 +548,9 @@ def test_main_sweep_file_name_collision_exits_2(override, dn, tmp_path, capsys):
     ("sweep", "greenshields-shock-a", "dt_ratio = 1e-12", ["--dn", "1"]),
     ("stability", "phillips-stability", "dt_ratio = 1e-12", []),
     ("stability", "phillips-stability", "m = 1" + "0" * 30, []),
+    ("stability", "phillips-stability", "duration = 1e300", []),
 ], ids=["run-steps-overflow", "run-unable-to-allocate", "run-dimension-limit", "sweep", "stability-lead",
-        "stability-grid"])
+        "stability-grid", "stability-lead-dimension-limit"])
 def test_main_grid_that_cannot_be_stepped_exits_2(verb, template, override, dn, tmp_path, capsys):
     # Each ended in a traceback: OverflowError from Scenario.steps, or numpy's
     # MemoryError or ValueError.  numpy refuses every one of these shapes
@@ -558,6 +561,33 @@ def test_main_grid_that_cannot_be_stepped_exits_2(verb, template, override, dn, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert ("duration / dt is not finite" if override.endswith("e-320") else "numpy cannot allocate") in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("initial_speed = -5", "error: invalid scenario: initial_speed must be nonnegative\n"),
+    ("vehicles = -3", "error: keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3\n"),
+], ids=["initial_speed", "vehicles"])
+def test_main_negative_scenario_value_exits_2(override, message, tmp_path, capsys):
+    # A negative initial_speed ran, and a "startup wave" was fitted to followers moving backwards.
+    cfg = tmp_path / "negative.ini"
+    cfg.write_text(f"[run]\ntemplate = greenshields-shock-a\n[scenario]\n{override}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("template, override", [
+    ("greenshields-shock-a", "duration = 1e300"),
+    ("kerner-redlight", "m = 1" + "0" * 400),
+], ids=["steps", "slots"])
+def test_main_count_past_the_dimension_limit_is_one_short_line(template, override, tmp_path, capsys):
+    # The refusal printed the count in full: 302 and 401 digits.
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[run]\ntemplate = {template}\n[scenario]\n{override}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numpy cannot allocate") and f">{np.iinfo(np.intp).max}" in err
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
 
 
 def test_cli_imports_no_numpy():

@@ -2,6 +2,7 @@
 shape and validation contracts, and the two-step collision construction
 that separates the robust update from its four rivals."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,8 @@ def test_scenario_validation():
         Scenario(fd=G, k1=0.05, lead_speed=-2.0, m=3, dn=1.0, dt=0.1, duration=1.0)
     with pytest.raises(ValueError, match="duration must be nonnegative"):
         Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=-1.0)
+    with pytest.raises(ValueError, match="initial_speed must be nonnegative"):
+        Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=1.0, initial_speed=-5.0)
 
 
 def test_scenario_steps_rounding():
@@ -287,12 +290,23 @@ def test_scenario_refuses_a_step_count_that_is_not_finite():
         Scenario(fd=G, k1=0.05, lead_speed=0.0, m=3, dn=1.0, dt=1e-320, duration=1.0)
 
 
-@pytest.mark.parametrize("m, dt", [(3, 1e-15), (3, 1e-300), (10**30, 0.1)],
-                         ids=["unable to allocate", "steps past the dimension limit", "slots past it"])
-def test_simulate_refuses_a_grid_numpy_cannot_allocate(m, dt):
+LIMIT = np.iinfo(np.intp).max
+
+
+@pytest.mark.parametrize("m, dt, text", [
+    (3, 1e-15, None),
+    # A count past numpy's dimension limit is written as ">limit", not in its hundreds of digits.
+    (3, 1e-300, f"numpy cannot allocate the (>{LIMIT}, 4) grid of duration / dt steps and m slots: "),
+    (10**30, 0.1, f"numpy cannot allocate the (11, >{LIMIT}) grid of duration / dt steps and m slots: "),
+], ids=["unable to allocate", "steps past the dimension limit", "slots past it"])
+def test_simulate_refuses_a_grid_numpy_cannot_allocate(m, dt, text):
     # Every shape is far past the address space, so numpy refuses it before touching memory.
     sc = Scenario(fd=G, k1=0.05, lead_speed=0.0, m=m, dn=1.0, dt=dt, duration=1.0)
-    with pytest.raises(ValueError, match=rf"numpy cannot allocate the \({sc.steps + 1}, {m + 1}\) grid"):
+    if text is None:
+        text = rf"numpy cannot allocate the \({sc.steps + 1}, {m + 1}\) grid"
+    else:
+        text = "^" + re.escape(text)  # numpy's own reason follows
+    with pytest.raises(ValueError, match=text):
         simulate(sc)
 
 
