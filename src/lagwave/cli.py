@@ -427,10 +427,7 @@ def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
 def run(spec: RunSpec, expect_clean: bool = False) -> int:
     """Execute one run; write trajectory.csv and summary.txt."""
     os.makedirs(spec.output_dir, exist_ok=True)
-    try:
-        traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
-    except ValueError as exc:  # a grid that numpy cannot allocate
-        raise ConfigError(str(exc)) from None
+    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
 
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
@@ -463,16 +460,13 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     runs = sweep_dn(
         spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
     )
-    try:
-        for traj, row in runs:
-            _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
-            rows.append(row)
-            print(
-                f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "
-                f"min_spacing={row.min_spacing:.6g} diff_prev={row.traj_diff_prev:.6g}"
-            )
-    except ValueError as exc:  # a dn whose step count or grid cannot be had
-        raise ConfigError(str(exc)) from None
+    for traj, row in runs:
+        _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
+        rows.append(row)
+        print(
+            f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "
+            f"min_spacing={row.min_spacing:.6g} diff_prev={row.traj_diff_prev:.6g}"
+        )
 
     table_path = os.path.join(spec.output_dir, "sweep.csv")
     with open(table_path, "w") as fh:
@@ -511,22 +505,17 @@ def stability(spec: RunSpec) -> int:
     sc = spec.scenario
     if sc.initial_speed is not None:
         raise ConfigError("stability starts the followers in equilibrium; remove scenario.initial_speed")
-    try:
-        result = string_stability_experiment(
-            fd=sc.fd,
-            model=spec.model,
-            s0=1.0 / sc.k1,
-            amplitude=spec.stability.amplitude,
-            omega=spec.stability.omega,
-            m=sc.m,
-            dn=sc.dn,
-            dt=sc.dt,
-            duration=sc.duration,
-        )
-    except (ExperimentInvalid, ValueError) as exc:
-        # Too few followers, a lead speed driven negative or a colliding
-        # platoon: the config's values, not the program, are at fault.
-        raise ConfigError(str(exc)) from None
+    result = string_stability_experiment(
+        fd=sc.fd,
+        model=spec.model,
+        s0=1.0 / sc.k1,
+        amplitude=spec.stability.amplitude,
+        omega=spec.stability.omega,
+        m=sc.m,
+        dn=sc.dn,
+        dt=sc.dt,
+        duration=sc.duration,
+    )
     lines = [
         f"omega = {_g17(result.omega)}",
         f"amplification_ratio = {_g17(result.amplification_ratio)}",
@@ -592,7 +581,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "thresholds":
             return thresholds(spec)
         return stability(spec)
-    except (ConfigError, OSError) as exc:
+    # A refusal from the config, the library or the file system is the
+    # input's fault, not the program's: one line on stderr, exit 2.
+    except (ValueError, ExperimentInvalid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
