@@ -323,7 +323,8 @@ def string_stability_experiment(
     window; the reported ratio is the geometric mean of successive
     follower-to-follower ratios, normalized per unit vehicle number.
     The prediction is exp(T * omega^2 / theta'(s0)) with T the model's
-    relaxation time (dt for the equilibrium model).
+    relaxation time (dt for the equilibrium model); it is inf where
+    theta'(s0) = 0 and the exponent's numerator is not.
     """
     if m < 2:
         raise ValueError("need at least two followers to form a ratio")
@@ -349,7 +350,16 @@ def string_stability_experiment(
         )
 
     T = _relaxation_time(model)
-    predicted = float(np.exp((dt if T is None else T) * omega**2 / fd.theta_prime(s0)))
+    # Past the float range, omega**2, s0**2 in theta' and the exponent saturate
+    # without a warning; numpy's power has the bits of Python's.
+    with np.errstate(over="ignore"):
+        rate, slope = (dt if T is None else T) * np.float64(omega) ** 2, fd.theta_prime(s0)
+        if rate == 0.0:
+            predicted = 1.0
+        elif slope == 0.0:  # free flow, where it is -0.0, or an underflow: the limit from above
+            predicted = math.inf
+        else:
+            predicted = float(np.exp(rate / slope))
     cut = int(0.2 * (J + 1))
     window = traj.speeds[cut:, :]
     amps = 0.5 * (window.max(axis=0) - window.min(axis=0))
@@ -359,7 +369,9 @@ def string_stability_experiment(
             omega=omega, amplitudes=amps, amplification_ratio=1.0, predicted_ratio=predicted
         )
     if np.any(amps[1:] <= 0.0):
-        raise ExperimentInvalid("a follower shows no oscillation; window too short")
+        raise ExperimentInvalid(
+            "a follower shows no oscillation: the window is too short or the followers do not respond to the leader"
+        )
     ratios = amps[2:] / amps[1:-1]
     geo = float(np.exp(np.mean(np.log(ratios))))
     return StringStabilityResult(

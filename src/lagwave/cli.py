@@ -7,7 +7,9 @@ The keys of [fd], [scenario], of the model in [run] and of [stability]
 are the fields of the diagram, ``Scenario``, model and ``StabilitySpec``
 dataclasses in lower case; [scenario] also takes the aliases
 ``vehicles`` (for m) and ``dt_ratio`` (for dt).  All files written are
-deterministic: same spec, same bytes.
+deterministic: same spec, same bytes.  ``main`` is the one place that
+turns a refusal (a ``ValueError``, ``ExperimentInvalid`` or ``OSError``)
+into an ``error:`` line and exit status 2.
 """
 from __future__ import annotations
 
@@ -582,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
             return thresholds(spec)
         return stability(spec)
     # A refusal from the config, the library or the file system is the
-    # input's fault, not the program's: one line on stderr, exit 2.
+    # input's fault, not the program's: an error line on stderr, exit 2.
     except (ValueError, ExperimentInvalid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

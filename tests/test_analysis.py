@@ -2,6 +2,7 @@
 linearized growth-rate analyzers."""
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from lagwave.analysis import (
     sweep_dn,
 )
 from lagwave.cli import load_spec
-from lagwave.engine import Corrected1, NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
+from lagwave.engine import JWZ, Corrected1, NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import synthetic_shock_trajectory
 from lagwave.templates import TEMPLATES, template_text
@@ -401,6 +402,36 @@ def test_string_stability_needs_every_follower_to_oscillate():
     with pytest.raises(ExperimentInvalid, match="no oscillation"):
         string_stability_experiment(G, NonstandardLWR(), s0=14.0,
                                     amplitude=0.02, omega=0.1, duration=1.05)
+
+
+def test_string_stability_in_free_flow_predicts_unbounded_growth():
+    # theta'(50) is -0.0 on the triangular free branch.  The prediction was a
+    # ZeroDivisionError there, and a plain division gives exp(-inf) = 0.
+    res = string_stability_experiment(TriangularFD(), JWZ(T=5.0, c0=2.0), s0=50.0,
+                                      amplitude=0.02, omega=0.1)
+    assert res.predicted_ratio == math.inf
+    assert res.amplification_ratio == pytest.approx(0.1548, rel=1e-3)
+    assert string_stability_experiment(TriangularFD(), JWZ(T=5.0, c0=2.0), s0=50.0,
+                                       amplitude=0.0, omega=0.0).predicted_ratio == 1.0
+    # The equilibrium model's followers stay at the free speed.
+    with pytest.raises(ExperimentInvalid, match="no oscillation.*do not respond"):
+        string_stability_experiment(TriangularFD(), NonstandardLWR(), s0=50.0,
+                                    amplitude=0.02, omega=0.1)
+
+
+@pytest.mark.parametrize("fd, s0, omega", [
+    (G, 1e200, 0.1),
+    (GreenshieldsFD(K=100.0), 1e12, 0.1),
+    (G, 14.0, 1e300),
+], ids=["slope-underflow", "exponent-overflow", "omega-squared-overflow"])
+def test_string_stability_prediction_saturates_without_a_warning(fd, s0, omega):
+    # theta'(1e200) underflowed to 0 (a ZeroDivisionError), exp overflowed
+    # with a RuntimeWarning, and omega**2 raised OverflowError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = string_stability_experiment(fd, JWZ(T=5.0, c0=2.0), s0=s0, amplitude=0.0, omega=omega, m=2,
+                                          duration=3.0)
+    assert res.predicted_ratio == math.inf
 
 
 def test_string_stability_corrected_model_uses_inner_relaxation_time():

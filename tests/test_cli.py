@@ -1,13 +1,18 @@
 """Config parsing, serialization round trips, file outputs, exit codes."""
 import ast
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lagwave
 from lagwave.cli import (
@@ -633,6 +638,120 @@ def test_python_dash_m_lagwave(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "thresholds.txt").exists()
+
+
+def test_python_dash_m_lagwave_on_a_config_that_is_not_utf8(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = tmp_path / "latin.ini"
+    cfg.write_bytes(NOT_UTF8)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagwave", "run", str(cfg), "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+# A UTF-16 byte order mark: not UTF-8, and under a Latin-1 locale a line
+# before the first section header.
+NOT_UTF8 = b"\xff\xfe[fd]\n"
+
+
+def test_main_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # Reading the file raised UnicodeDecodeError, a traceback with exit 1.
+    cfg = tmp_path / "latin.ini"
+    cfg.write_bytes(NOT_UTF8)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "thresholds"])
+def test_main_nul_byte_in_out_exits_2(verb, tmp_path, capsys):
+    # os.makedirs raised ValueError("embedded null byte"), a traceback with exit 1.
+    cfg = tmp_path / "nul.ini"
+    cfg.write_text("[run]\ntemplate = greenshields-shock-a\nout = a\0b\n")
+    assert main([verb, str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: embedded null byte\n"
+
+
+_FREE_FLOW = "[fd]\ntype = triangular\n[scenario]\nk1 = 0.02\n"
+_NO_RESPONSE = "error: a follower shows no oscillation: the window is too short or the followers do not respond"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (_FREE_FLOW, _NO_RESPONSE),
+    ("model = phillips\nt = 5\n" + _FREE_FLOW, _NO_RESPONSE),
+    ("model = jwz\nt = 5\nc0 = 2\n" + _FREE_FLOW, None),
+    ("[scenario]\nk1 = 1e-200\n", _NO_RESPONSE),
+    ("[fd]\nk = 100\n[scenario]\nk1 = 1e-12\n", _NO_RESPONSE),
+], ids=["free-flow-nonstandard", "free-flow-phillips", "free-flow-jwz", "slope-underflow", "exponent-overflow"])
+def test_main_stability_where_theta_prime_is_zero(overrides, message, tmp_path, capsys):
+    # theta'(1/k1) = 0 raised ZeroDivisionError, and the overflowing exponent
+    # printed numpy's RuntimeWarning above the error line.
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("[run]\ntemplate = nonstandard-stability\n" + overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["stability", str(cfg), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+        assert "predicted_ratio = inf\n" in (tmp_path / "x" / "stability.txt").read_text()
+    else:
+        assert code == 2 and err.startswith(message) and err.count("\n") == 1
+
+
+_STABILITY_TEMPLATES = ("nonstandard-stability", "phillips-stability")
+_CASES = [
+    (name, verb)
+    for name in sorted(TEMPLATES)
+    for verb in (("stability", "run", "thresholds") if name in _STABILITY_TEMPLATES else ("run", "thresholds", "sweep"))
+]
+_NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e-200", "1e300", "1e-12", "0.02", "0.5", "3", "100"]
+# The step sizes leave out small positive values such as 1e-3: numpy
+# allocates their grids, which take minutes to step.
+_STEP_SIZES = ["0", "-1", "nan", "inf", "1e-300", "1e-200", "1e300", "0.5", "3", "100"]
+_VALUES = {
+    ("fd", "type"): ["greenshields", "triangular", "kerner"],
+    ("fd", "clamp_nonnegative"): ["true", "false"],
+    ("run", "model"): ["nonstandard", "phillips", "jwz"],
+    ("run", "corrected"): ["none", "1", "2"],
+    ("run", "scheme"): ["anisotropic", "forward", "harmonic"],
+    **{key: _NUMBERS for key in [
+        ("fd", "v"), ("fd", "w"), ("fd", "k"), ("fd", "c3"), ("scenario", "k1"), ("scenario", "lead_speed"),
+        ("scenario", "initial_speed"), ("scenario", "m"), ("scenario", "vehicles"), ("run", "t"), ("run", "c0"),
+        ("run", "display_vehicles"), ("stability", "amplitude"), ("stability", "omega"),
+    ]},
+    **{key: _STEP_SIZES for key in [("scenario", "dn"), ("scenario", "dt_ratio")]},
+}
+_OVERRIDE = st.sampled_from(sorted(_VALUES)).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(_VALUES[key])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(_CASES), overrides=st.lists(_OVERRIDE, min_size=1, max_size=2))
+@example(case=("nonstandard-stability", "stability"),
+         overrides=[(("fd", "type"), "triangular"), (("scenario", "k1"), "0.02")])
+@example(case=("nonstandard-stability", "stability"), overrides=[(("scenario", "k1"), "1e-200")])
+@example(case=("nonstandard-stability", "stability"), overrides=[(("fd", "k"), "100"), (("scenario", "k1"), "1e-12")])
+@example(case=("phillips-stability", "stability"), overrides=[(("stability", "omega"), "1e300")])
+def test_main_returns_0_or_2_and_raises_nothing(case, overrides):
+    template, verb = case
+    sections = {"run": {"template": template}, "scenario": {"duration": "60" if verb == "stability" else "3"}}
+    for (section, key), value in overrides:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        args = [verb, cfg, "--out", os.path.join(tmp, "out")] + (["--dn", "1,0.5"] if verb == "sweep" else [])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().startswith("error: ")
 
 
 @pytest.mark.parametrize("verb, overrides, message", [
