@@ -640,6 +640,11 @@ def test_python_dash_m_lagwave(tmp_path):
     assert (tmp_path / "thresholds.txt").exists()
 
 
+# A UTF-16 byte order mark: not UTF-8, and under a Latin-1 locale a line
+# before the first section header.
+NOT_UTF8 = b"\xff\xfe[fd]\n"
+
+
 def test_python_dash_m_lagwave_on_a_config_that_is_not_utf8(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -651,11 +656,6 @@ def test_python_dash_m_lagwave_on_a_config_that_is_not_utf8(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-
-# A UTF-16 byte order mark: not UTF-8, and under a Latin-1 locale a line
-# before the first section header.
-NOT_UTF8 = b"\xff\xfe[fd]\n"
 
 
 def test_main_config_that_is_not_utf8_exits_2(tmp_path, capsys):
