@@ -100,8 +100,7 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
         # Spacing column m is the gap in front of vehicle m + 1.
         hits += (j0, 1)
         collisions.append(hits)
-        if s.size:
-            min_spacing = np.minimum(min_spacing, np.min(s))
+        min_spacing = np.minimum(min_spacing, np.min(s, initial=math.inf))
         del s
         hits = np.argwhere(vb < -NEGATIVE_SPEED_TOL)
         hits[:, 0] += j0
@@ -277,7 +276,7 @@ def sweep_dn(
         cols = list(slots.values())
         # The displayed columns only: the whole (J, M+1) grid is ~10 MB on triangular-discharge.
         acc = acceleration(traj.speeds[:, cols], traj.scenario.dt)
-        max_acc = float(np.max(np.abs(acc))) if cols else math.nan
+        max_acc = float(np.max(np.abs(acc))) if acc.size else math.nan
         # Copies: a view would keep the whole earlier positions grid alive.
         curves = {n: traj.positions[:, slot].copy() for n, slot in slots.items()}
         diff = math.nan
@@ -350,34 +349,27 @@ def string_stability_experiment(
         )
 
     T = _relaxation_time(model)
-    # Past the float range, omega**2, s0**2 in theta' and the exponent saturate
-    # without a warning; numpy's power has the bits of Python's.
-    with np.errstate(over="ignore"):
-        rate, slope = (dt if T is None else T) * np.float64(omega) ** 2, fd.theta_prime(s0)
-        if rate == 0.0:
-            predicted = 1.0
-        elif slope == 0.0:  # free flow, where it is -0.0, or an underflow: the limit from above
-            predicted = math.inf
-        else:
-            predicted = float(np.exp(rate / slope))
+    # Past the float range, omega**2 and the exponent saturate without a warning;
+    # numpy's power has the bits of Python's.  + 0.0 makes the free branch's -0.0
+    # (or an underflow) +0.0, so a zero slope gives the limit from above, inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = (dt if T is None else T) * np.float64(omega) ** 2
+        predicted = float(np.exp(rate / (fd.theta_prime(s0) + 0.0))) if rate else 1.0
     cut = int(0.2 * (J + 1))
     window = traj.speeds[cut:, :]
     amps = 0.5 * (window.max(axis=0) - window.min(axis=0))
 
-    if amplitude == 0.0:
-        return StringStabilityResult(
-            omega=omega, amplitudes=amps, amplification_ratio=1.0, predicted_ratio=predicted
-        )
-    if np.any(amps[1:] <= 0.0):
-        raise ExperimentInvalid(
-            "a follower shows no oscillation: the window is too short or the followers do not respond to the leader"
-        )
-    ratios = amps[2:] / amps[1:-1]
-    geo = float(np.exp(np.mean(np.log(ratios))))
+    ratio = 1.0
+    if amplitude != 0.0:
+        if np.any(amps[1:] <= 0.0):
+            raise ExperimentInvalid(
+                "a follower shows no oscillation: the window is too short or the followers do not respond to the leader"
+            )
+        ratio = float(np.exp(np.mean(np.log(amps[2:] / amps[1:-1])))) ** (1.0 / dn)
     return StringStabilityResult(
         omega=omega,
         amplitudes=amps,
-        amplification_ratio=geo ** (1.0 / dn),
+        amplification_ratio=ratio,
         predicted_ratio=predicted,
     )
 
