@@ -428,8 +428,8 @@ def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
 
 def run(spec: RunSpec, expect_clean: bool = False) -> int:
     """Execute one run; write trajectory.csv and summary.txt."""
-    os.makedirs(spec.output_dir, exist_ok=True)
     traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    os.makedirs(spec.output_dir, exist_ok=True)
 
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
     _write_trajectory_csv(csv_path, traj)
@@ -456,13 +456,13 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
         raise ConfigError("sweep requires scenario.vehicles (whole-vehicle count)")
     for dn in dn_list:
         _slots(spec.vehicles, dn, f"key run.sweep value {dn!r}")
-    os.makedirs(spec.output_dir, exist_ok=True)
 
     rows = []
     runs = sweep_dn(
         spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
     )
     for traj, row in runs:
+        os.makedirs(spec.output_dir, exist_ok=True)
         _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
         rows.append(row)
         print(

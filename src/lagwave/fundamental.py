@@ -137,7 +137,8 @@ class FundamentalDiagram(ABC):
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
         s = self._check_spacing(s)
-        return _descalar(-self._eta_prime(np.minimum(1.0 / s, self.K)) / (s * s))
+        with np.errstate(over="ignore"):  # s * s overflows past s = 1.3e154; the quotient is then 0, its limit
+            return _descalar(-self._eta_prime(np.minimum(1.0 / s, self.K)) / (s * s))
 
     def _theta(self, s):
         """``theta`` on a float array of spacings >= S, unchecked."""

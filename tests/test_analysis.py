@@ -27,7 +27,18 @@ from lagwave.analysis import (
     sweep_dn,
 )
 from lagwave.cli import load_spec
-from lagwave.engine import JWZ, Corrected1, NonstandardLWR, PhillipsRelax, Scenario, Scheme, Trajectory, simulate
+from lagwave.engine import (
+    JWZ,
+    Corrected1,
+    Corrected2,
+    NonstandardLWR,
+    PhillipsRelax,
+    Scenario,
+    Scheme,
+    Trajectory,
+    _relaxation_time,
+    simulate,
+)
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import synthetic_shock_trajectory
 from lagwave.templates import TEMPLATES, template_text
@@ -312,6 +323,13 @@ def test_sweep_dn_refuses_a_negative_vehicle_count():
         next(sweep_dn(sc, (1.0,), vehicles=-3, dt_ratio=0.35))
 
 
+def test_sweep_dn_of_no_steps_has_no_peak_acceleration():
+    # The peak |a| over a record of no steps raised numpy's "zero-size array to reduction operation".
+    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=0.0)
+    rows = [row for _, row in sweep_dn(sc, (1.0, 0.5), vehicles=4, dt_ratio=0.35)]
+    assert [math.isnan(row.max_abs_accel) for row in rows] == [True, True]
+
+
 def test_measure_front_speed_rejects_equal_levels():
     sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175,
                   duration=7.0)
@@ -432,6 +450,42 @@ def test_string_stability_prediction_saturates_without_a_warning(fd, s0, omega):
         res = string_stability_experiment(fd, JWZ(T=5.0, c0=2.0), s0=s0, amplitude=0.0, omega=omega, m=2,
                                           duration=3.0)
     assert res.predicted_ratio == math.inf
+
+
+def _three_branch_prediction(fd, model, s0, omega, dt):
+    """The prediction as it was computed before its branches were folded into one expression."""
+    T = _relaxation_time(model)
+    with np.errstate(over="ignore"):
+        rate, slope = (dt if T is None else T) * np.float64(omega) ** 2, fd.theta_prime(s0)
+        if rate == 0.0:
+            return 1.0
+        if slope == 0.0:
+            return math.inf
+        return float(np.exp(rate / slope))
+
+
+_JWZ = JWZ(T=5.0, c0=2.0)
+
+
+@pytest.mark.parametrize("fd, model, s0, amplitude, omega, kwargs", [
+    (T, _JWZ, 50.0, 0.02, 0.1, {}),
+    (G, _JWZ, 1e200, 0.0, 0.1, dict(m=2, duration=3.0)),
+    (GreenshieldsFD(K=100.0), _JWZ, 1e12, 0.0, 0.1, dict(m=2, duration=3.0)),
+    (G, _JWZ, 14.0, 0.0, 0.0, {}),
+    (G, NonstandardLWR(), 14.0, 0.02, 0.1, {}),
+    (G, PhillipsRelax(T=5.0), 14.0, 0.02, 0.1, {}),
+    (G, _JWZ, 14.0, 0.02, 0.1, {}),
+    (G, Corrected1(_JWZ), 14.0, 0.02, 0.1, {}),
+    (G, Corrected2(_JWZ), 14.0, 0.02, 0.1, {}),
+    (G, _JWZ, 14.0, 0.02, 0.1, dict(m=20, dn=0.5, dt=0.175)),
+], ids=["free-branch", "slope-underflow", "exponent-overflow", "omega-zero",
+        "nonstandard", "phillips", "jwz", "corrected1-jwz", "corrected2-jwz", "jwz-half-dn"])
+def test_string_stability_results_match_their_reference_expressions(fd, model, s0, amplitude, omega, kwargs):
+    res = string_stability_experiment(fd, model, s0=s0, amplitude=amplitude, omega=omega, **kwargs)
+    assert res.predicted_ratio == _three_branch_prediction(fd, model, s0, omega, kwargs.get("dt", 0.35))
+    amps = res.amplitudes
+    geo = float(np.exp(np.mean(np.log(amps[2:] / amps[1:-1])))) if amplitude else 1.0
+    assert res.amplification_ratio == geo ** (1.0 / kwargs.get("dn", 1.0))
 
 
 def test_string_stability_corrected_model_uses_inner_relaxation_time():

@@ -566,6 +566,18 @@ def test_main_grid_that_cannot_be_stepped_exits_2(verb, template, override, dn, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert ("duration / dt is not finite" if override.endswith("e-320") else "numpy cannot allocate") in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_sweep_of_no_steps_writes_nan_peaks(tmp_path):
+    # A run of duration 0 exits 0; its sweep exited 2 with numpy's "zero-size
+    # array to reduction operation maximum which has no identity".
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[run]\ntemplate = greenshields-discharge\n[scenario]\nduration = 0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "1,0.5"]) == 0
+    rows = (tmp_path / "x" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows] == ["max_abs_accel", "nan", "nan"]
 
 
 @pytest.mark.parametrize("override, message", [

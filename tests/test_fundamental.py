@@ -5,6 +5,8 @@ The sigmoid-diagram constants below were evaluated independently with
 40-digit arithmetic; everything else is exact fraction arithmetic done
 by hand.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +78,14 @@ def test_triangular_theta_prime_branches():
     # congested: W/S * (S/s)^2 scaled, here -eta'(0.1)/100 = 5/7
     assert T.theta_prime(10.0) == pytest.approx(5.0 / 7.0, rel=1e-12)
     assert T.theta_prime(63.0) == 0.0
+
+
+@pytest.mark.parametrize("fd", [G, T, KC], ids=["greenshields", "triangular", "kerner"])
+def test_theta_prime_past_the_square_overflow_is_zero_without_a_warning(fd):
+    # s * s overflowed past s = 1.3e154 with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fd.theta_prime(1e200) == 0.0
 
 
 def test_triangular_kink_derivative_is_congested():
