@@ -454,9 +454,9 @@ def test_string_stability_prediction_saturates_without_a_warning(fd, s0, omega):
 
 def _three_branch_prediction(fd, model, s0, omega, dt):
     """The prediction as it was computed before its branches were folded into one expression."""
-    T = _relaxation_time(model)
+    relax = _relaxation_time(model)
     with np.errstate(over="ignore"):
-        rate, slope = (dt if T is None else T) * np.float64(omega) ** 2, fd.theta_prime(s0)
+        rate, slope = (dt if relax is None else relax) * np.float64(omega) ** 2, fd.theta_prime(s0)
         if rate == 0.0:
             return 1.0
         if slope == 0.0:
