@@ -80,32 +80,48 @@ class DiagnosticsReport:
         return not (self.collision_count or self.negative_speed_count or self.nonfinite_count)
 
 
+def _events(mask: np.ndarray, j0: int, col: int) -> np.ndarray:
+    """``np.argwhere(mask) + (j0, col)`` for a 2-D mask: the (n, 2) intp rows,
+    in the same order, from its flat indices and one divmod by its width."""
+    flat = np.flatnonzero(mask)
+    rows = np.empty((flat.size, 2), dtype=np.intp)
+    # A mask of width 0 has no flat index to divide.
+    np.divmod(flat, mask.shape[1] or 1, out=(rows[:, 0], rows[:, 1]))
+    rows += (j0, col)
+    return rows
+
+
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
     """Scan a trajectory for spacing violations and negative speeds.
 
     The grid is audited in blocks of time rows (``engine._row_blocks``), so
     the temporaries stay near _AUDIT_BLOCK values whatever the run's size;
-    the report is the same as one whole-grid pass.
+    a block is searched for events only when its minimum crosses the limit.
+    The report is the same as one whole-grid pass.
     """
     fd = trajectory.scenario.fd if fd is None else fd
+    spacing_limit = fd.S - COLLISION_TOL
 
-    collisions, negatives = [], []
+    # Each list starts with no event, so a clean run concatenates to a (0, 2) array.
+    collisions, negatives = [np.empty((0, 2), dtype=np.intp)], [np.empty((0, 2), dtype=np.intp)]
     # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
     min_spacing, max_acc, nonfinite = math.inf, 0.0, 0
     for j0, xb, vb, acc in _row_blocks(trajectory, _AUDIT_BLOCK):
         max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
         del acc  # before the next block-sized array, to keep the peak at about one block
-        s = (xb[:, :-1] - xb[:, 1:]) / trajectory.dn
-        hits = np.argwhere(s < fd.S - COLLISION_TOL)
-        # Spacing column m is the gap in front of vehicle m + 1.
-        hits += (j0, 1)
-        collisions.append(hits)
-        min_spacing = np.minimum(min_spacing, np.min(s, initial=math.inf))
+        s = xb[:, :-1] - xb[:, 1:]
+        s /= trajectory.dn
+        # A block whose minimum is at or above the limit holds no event; a NaN
+        # minimum fails the test, so such a block is searched.
+        block_min = np.min(s, initial=math.inf)
+        if not block_min >= spacing_limit:
+            # Spacing column m is the gap in front of vehicle m + 1.
+            collisions.append(_events(s < spacing_limit, j0, 1))
+        min_spacing = np.minimum(min_spacing, block_min)
         del s
-        hits = np.argwhere(vb < -NEGATIVE_SPEED_TOL)
-        hits[:, 0] += j0
-        negatives.append(hits)
-        nonfinite += sum(int(np.count_nonzero(~np.isfinite(a))) for a in (xb, vb))
+        if not np.min(vb, initial=math.inf) >= -NEGATIVE_SPEED_TOL:
+            negatives.append(_events(vb < -NEGATIVE_SPEED_TOL, j0, 0))
+        nonfinite += sum(a.size - int(np.count_nonzero(np.isfinite(a))) for a in (xb, vb))
     return DiagnosticsReport(
         collision_events=np.concatenate(collisions),
         negative_speed_events=np.concatenate(negatives),

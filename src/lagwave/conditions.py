@@ -119,8 +119,21 @@ def _brent_max(f, a: float, b: float, xatol: float) -> float:
     return fx
 
 
-def _grid_argmax(f, ks) -> tuple[int, float]:
-    """First index of the largest value of ``f`` over the grid ``ks``, and that value.
+def _grid_points(hi: float, i: np.ndarray) -> np.ndarray:
+    """Points ``i`` of the ``_GRID``-point grid on [0, hi], as
+    ``np.linspace(0.0, hi, _GRID)[i]`` computes them: i times the step
+    (i / (_GRID - 1) times hi where the step underflows to zero), and hi
+    itself last.  Only the points the search reads are computed."""
+    n = _GRID - 1
+    step = hi / n
+    ks = i * step if step else i / n * hi
+    ks[i == n] = hi
+    return ks
+
+
+def _grid_argmax(f, hi: float) -> tuple[int, float]:
+    """First index of the largest value of ``f`` over the ``_GRID``-point grid
+    on [0, hi] (``_grid_points``), and that value.
 
     ``f`` is evaluated on every ``_STRIDE``-th point and the last, then on
     the windows of ``2 * _STRIDE`` points either side of both ends and of
@@ -132,16 +145,16 @@ def _grid_argmax(f, ks) -> tuple[int, float]:
     would be missed; on the diagrams here the result equals the whole
     grid's ``np.argmax`` (tests/test_conditions.py checks it bit for bit).
     """
-    last = len(ks) - 1
+    last = _GRID - 1
     coarse = np.append(np.arange(0, last, _STRIDE), last)
-    cv = f(ks[coarse])
+    cv = f(_grid_points(hi, coarse))
     peak = (cv[1:-1] >= cv[:-2]) & (cv[1:-1] >= cv[2:])
     centres = np.concatenate(([0], coarse[1:-1][peak], [last]))
     inside = np.zeros(last + 1, dtype=bool)
     for c in centres:
         inside[max(c - 2 * _STRIDE, 0):c + 2 * _STRIDE + 1] = True
     idx = np.flatnonzero(inside)
-    vals = f(ks[idx])
+    vals = f(_grid_points(hi, idx))
     j = int(np.argmax(vals))
     return int(idx[j]), float(vals[j])
 
@@ -149,10 +162,8 @@ def _grid_argmax(f, ks) -> tuple[int, float]:
 def _refine_max(f, hi: float) -> float:
     """Maximum of ``f`` over the ``_GRID``-point grid on [0, hi], polished
     between the best grid point's neighbours."""
-    ks = np.linspace(0.0, hi, _GRID)
-    i, best = _grid_argmax(f, ks)
-    a = float(ks[max(i - 1, 0)])
-    b = float(ks[min(i + 1, _GRID - 1)])
+    i, best = _grid_argmax(f, hi)
+    a, b = _grid_points(hi, np.array([max(i - 1, 0), min(i + 1, _GRID - 1)])).tolist()
     return max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * hi))
 
 
@@ -166,9 +177,13 @@ def collision_free_threshold(fd: FundamentalDiagram) -> float:
     def f(k):
         return k * fd._eta(k) / (1.0 - k / K)
 
-    # Stop one grid cell short of K where the expression is 0/0.
-    interior = _refine_max(f, K * (1.0 - 1.0 / _GRID))
-    boundary = -fd.eta_prime(K) * K * K
+    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
+    # limit, so each search silences the warning; the audit counts any
+    # non-finite value that reaches a trajectory.
+    with np.errstate(over="ignore"):
+        # Stop one grid cell short of K where the expression is 0/0.
+        interior = _refine_max(f, K * (1.0 - 1.0 / _GRID))
+        boundary = -fd.eta_prime(K) * K * K
     return max(interior, float(boundary))
 
 
@@ -181,7 +196,8 @@ def cfl_threshold(fd: FundamentalDiagram) -> float:
     def g(k):
         return np.abs(fd._eta_prime(k)) * k * k
 
-    return _refine_max(g, fd.K)
+    with np.errstate(over="ignore"):  # exp saturates to the sigmoid's limit, as in collision_free_threshold
+        return _refine_max(g, fd.K)
 
 
 @lru_cache(maxsize=128)
@@ -203,7 +219,8 @@ def check_concave(fd: FundamentalDiagram) -> bool:
         return bool(np.all(k * fd._eta_second(k) + 2.0 * fd._eta_prime(k) <= 1e-9))
 
     # A violation on the coarse subset already decides; its copy is contiguous, as ks is.
-    return concave_on(ks[::_STRIDE].copy()) and concave_on(ks)
+    with np.errstate(over="ignore"):  # exp saturates to the sigmoid's limit, as in collision_free_threshold
+        return concave_on(ks[::_STRIDE].copy()) and concave_on(ks)
 
 
 @dataclass(frozen=True)

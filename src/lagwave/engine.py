@@ -304,6 +304,9 @@ def simulate(
     v0 = scenario.initial_speed
     speeds[0] = scenario.fd.eta(scenario.k1) if v0 is None else v0
     speeds[0, 0] = scenario.lead_speed
-    _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
+    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
+    # limit, so the warning is silenced; the audit counts any non-finite value.
+    with np.errstate(over="ignore"):
+        _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
 
     return Trajectory(times=np.arange(J + 1) * dt, positions=positions, speeds=speeds, scenario=scenario)

@@ -9,10 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import lagwave.analysis
 import lagwave.cli
-from lagwave.analysis import COLLISION_TOL, NEGATIVE_SPEED_TOL, diagnose
+from lagwave.analysis import COLLISION_TOL, NEGATIVE_SPEED_TOL, _events, diagnose
 from lagwave.cli import _write_trajectory_csv, load_spec
 from lagwave.engine import Scheme, Trajectory, _row_blocks, simulate
 from lagwave.templates import TEMPLATES, template_text
@@ -149,6 +151,20 @@ def test_audit_nan_in_one_block(where, what, tiny_blocks):
     assert not rep.clean
 
 
+def test_audit_searches_a_block_with_a_nan_minimum(tiny_blocks):
+    # A NaN makes the block's minimum NaN, which must not hide the events
+    # beside it in the same block.
+    x, v = _platoon(rows=7, width=3)
+    x[4, 0] = np.nan
+    x[4, 2] = x[4, 1] - 1.0
+    v[4, 0], v[4, 2] = np.nan, -1.0
+    traj = _trajectory(x, v)
+    rep = diagnose(traj)
+    _assert_same_report(rep, _reference_diagnose(traj))
+    assert rep.collision_events.tolist() == [[4, 2]]
+    assert rep.negative_speed_events.tolist() == [[4, 2]]
+
+
 def test_audit_events_carry_their_block_offsets(tiny_blocks):
     x, v = _platoon(rows=7, width=3)
     x[5, 2] = x[5, 1] - 1.0  # vehicle 2 runs into vehicle 1 at row 5
@@ -158,6 +174,105 @@ def test_audit_events_carry_their_block_offsets(tiny_blocks):
     assert rep.collision_events.tolist() == [[5, 2]]
     assert rep.negative_speed_events.tolist() == [[3, 1]]
     _assert_same_report(rep, _reference_diagnose(traj))
+
+
+@pytest.mark.parametrize("delta, events", [(0, 0), (-1, 1), (1, 0)], ids=["at", "ulp-below", "ulp-above"])
+def test_audit_spacing_at_the_limit(delta, events, tiny_blocks):
+    limit = load_spec(template_text("greenshields-shock-a")).scenario.fd.S - COLLISION_TOL
+    gap = np.nextafter(limit, delta * np.inf) if delta else limit
+    x, v = _platoon(width=2)
+    x[3] = 0.0, -gap  # 0.0 - (-gap) is gap exactly, and dn is 1
+    traj = _trajectory(x, v)
+    rep = diagnose(traj)
+    _assert_same_report(rep, _reference_diagnose(traj))
+    assert rep.collision_events.tolist() == [[3, 1]] * events
+    assert (rep.min_spacing == limit) == (delta == 0)
+
+
+@pytest.mark.parametrize("ulps, events", [(0, 0), (1, 1)], ids=["at", "ulp-below"])
+def test_audit_speed_at_the_limit(ulps, events, tiny_blocks):
+    x, v = _platoon(width=2)
+    v[4, 1] = -NEGATIVE_SPEED_TOL if ulps == 0 else np.nextafter(-NEGATIVE_SPEED_TOL, -np.inf)
+    traj = _trajectory(x, v)
+    rep = diagnose(traj)
+    _assert_same_report(rep, _reference_diagnose(traj))
+    assert rep.negative_speed_events.tolist() == [[4, 1]] * events
+
+
+def test_audit_leader_only_negative_speed(tiny_blocks):
+    # Width 1: every spacing block is empty, and the speed blocks are one column.
+    x, v = _platoon(width=1)
+    v[3, 0] = -1.0
+    traj = _trajectory(x, v)
+    rep = diagnose(traj)
+    _assert_same_report(rep, _reference_diagnose(traj))
+    assert rep.negative_speed_events.tolist() == [[3, 0]]
+    assert rep.collision_count == 0 and rep.min_spacing == np.inf
+
+
+@pytest.mark.parametrize("where", ["speed", "leader-position", "follower-position"])
+def test_audit_block_with_only_posinf(where, tiny_blocks):
+    # +inf leaves a speed block's minimum alone, and a spacing block's too
+    # when it is the leader's position; a follower at +inf makes a -inf spacing.
+    x, v = _platoon(width=3)
+    if where == "speed":
+        v[3, 1] = np.inf
+    else:
+        x[3, 0 if where == "leader-position" else 2] = np.inf
+    traj = _trajectory(x, v)
+    rep = diagnose(traj)
+    _assert_same_report(rep, _reference_diagnose(traj))
+    assert rep.nonfinite_count == 1
+    assert rep.collision_events.tolist() == ([[3, 2]] if where == "follower-position" else [])
+    assert rep.negative_speed_count == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)),
+       j0=st.integers(0, 10**6), col=st.integers(0, 1))
+@example(mask=np.zeros((0, 5), dtype=bool), j0=3, col=1)
+@example(mask=np.zeros((4, 0), dtype=bool), j0=3, col=1)
+@example(mask=np.zeros((4, 5), dtype=bool), j0=0, col=0)
+@example(mask=np.ones((4, 5), dtype=bool), j0=7, col=1)
+@example(mask=np.ones((6, 1), dtype=bool), j0=2, col=0)
+@example(mask=np.eye(3, 7, k=2, dtype=bool), j0=11, col=1)
+def test_events_match_argwhere(mask, j0, col):
+    got, want = _events(mask, j0, col), np.argwhere(mask) + (j0, col)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _counting_events(monkeypatch):
+    calls = []
+
+    def counted(mask, j0, col):
+        rows = _events(mask, j0, col)
+        calls.append((j0, col, len(rows)))
+        return rows
+
+    monkeypatch.setattr(lagwave.analysis, "_events", counted)
+    return calls
+
+
+def test_clean_run_searches_no_block(monkeypatch):
+    spec = load_spec(template_text("greenshields-shock-a"))
+    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    calls = _counting_events(monkeypatch)
+    assert diagnose(traj).clean
+    assert calls == []
+
+
+def test_only_blocks_with_events_are_searched(monkeypatch, tiny_blocks):
+    spec = load_spec(template_text("jwz-redlight"))
+    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    calls = _counting_events(monkeypatch)
+    rep = diagnose(traj)
+    assert rep.collision_count and rep.negative_speed_count
+    rows = max(1, lagwave.analysis._AUDIT_BLOCK // traj.positions.shape[1])
+    want = {(j0, col) for col, events in ((1, rep.collision_events), (0, rep.negative_speed_events))
+            for j0 in (events[:, 0] // rows * rows).tolist()}
+    assert sorted((j0, col) for j0, col, _ in calls) == sorted(want)
+    assert all(n for *_, n in calls)
 
 
 @pytest.fixture(scope="module")

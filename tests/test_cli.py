@@ -715,6 +715,18 @@ def test_main_stability_where_theta_prime_is_zero(overrides, message, tmp_path, 
         assert code == 2 and err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["run", "thresholds"])
+def test_main_steep_sigmoid_prints_no_warning(verb, tmp_path, capsys):
+    # exp overflows to inf on this sigmoid, its exact limit; numpy printed two
+    # RuntimeWarnings above the output.
+    cfg = tmp_path / "steep.ini"
+    cfg.write_text("[run]\ntemplate = kerner-redlight\n[fd]\nc3 = 1e-12\n[scenario]\nduration = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([verb, str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 _STABILITY_TEMPLATES = ("nonstandard-stability", "phillips-stability")
 _CASES = [
     (name, verb)

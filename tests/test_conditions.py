@@ -266,6 +266,15 @@ def test_kerner_thresholds_keep_their_bits(fd, cf, cfl):
     assert repr(check_concave(fd)) == "False"
 
 
+# 5e-320 / (_GRID - 1) underflows to zero, where np.linspace scales i / (_GRID - 1) instead.
+@pytest.mark.parametrize("hi", [0.18, 0.18 * (1.0 - 1e-5), 1.0 / 7.0, 0.1234567, 0.2, 1e-3, 100.0, 5e-320])
+def test_grid_points_are_linspace_bits(hi):
+    # The search draws only the grid points it reads; each must be np.linspace's,
+    # so a numpy whose linspace computes them otherwise fails here.
+    i = np.arange(conditions._GRID)
+    assert conditions._grid_points(hi, i).tobytes() == np.linspace(0.0, hi, conditions._GRID).tobytes()
+
+
 # -- the coarse-first search keeps the full grid's bits ----------------
 #
 # The suprema find their grid maximum from a coarse pass and windows
