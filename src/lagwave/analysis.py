@@ -110,18 +110,24 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
         max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
         del acc  # before the next block-sized array, to keep the peak at about one block
         s = xb[:, :-1] - xb[:, 1:]
-        s /= trajectory.dn
+        # Dividing by a positive dn rounds monotonically, so this is the
+        # minimum of the normalized spacings, bit for bit.
+        block_min = np.min(s, initial=math.inf) / trajectory.dn
         # A block whose minimum is at or above the limit holds no event; a NaN
         # minimum fails the test, so such a block is searched.
-        block_min = np.min(s, initial=math.inf)
         if not block_min >= spacing_limit:
+            s /= trajectory.dn
             # Spacing column m is the gap in front of vehicle m + 1.
             collisions.append(_events(s < spacing_limit, j0, 1))
         min_spacing = np.minimum(min_spacing, block_min)
         del s
-        if not np.min(vb, initial=math.inf) >= -NEGATIVE_SPEED_TOL:
+        v_min = np.min(vb, initial=math.inf)
+        if not v_min >= -NEGATIVE_SPEED_TOL:
             negatives.append(_events(vb < -NEGATIVE_SPEED_TOL, j0, 0))
-        nonfinite += sum(a.size - int(np.count_nonzero(np.isfinite(a))) for a in (xb, vb))
+        # A block holds a NaN or an infinity only if its minimum or maximum is one.
+        for a, a_min in ((xb, np.min(xb, initial=math.inf)), (vb, v_min)):
+            if not (math.isfinite(a_min) and math.isfinite(np.max(a, initial=-math.inf))):
+                nonfinite += a.size - int(np.count_nonzero(np.isfinite(a)))
     return DiagnosticsReport(
         collision_events=np.concatenate(collisions),
         negative_speed_events=np.concatenate(negatives),

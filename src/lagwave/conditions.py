@@ -138,8 +138,8 @@ def _grid_argmax(f, hi: float) -> tuple[int, float]:
     ``f`` is evaluated on every ``_STRIDE``-th point and the last, then on
     the windows of ``2 * _STRIDE`` points either side of both ends and of
     every coarse local maximum (a point at least as large as both coarse
-    neighbours, so plateaus count), marked on the grid and read back in
-    order.  Each subset is a contiguous copy, evaluated by the same ufunc
+    neighbours, so plateaus count), merged into runs of indices in order.
+    Each subset is a contiguous copy, evaluated by the same ufunc
     loops as the whole grid, so every value keeps its bits.  A peak
     narrower than the stride that no coarse local maximum sits next to
     would be missed; on the diagrams here the result equals the whole
@@ -150,10 +150,13 @@ def _grid_argmax(f, hi: float) -> tuple[int, float]:
     cv = f(_grid_points(hi, coarse))
     peak = (cv[1:-1] >= cv[:-2]) & (cv[1:-1] >= cv[2:])
     centres = np.concatenate(([0], coarse[1:-1][peak], [last]))
-    inside = np.zeros(last + 1, dtype=bool)
-    for c in centres:
-        inside[max(c - 2 * _STRIDE, 0):c + 2 * _STRIDE + 1] = True
-    idx = np.flatnonzero(inside)
+    # The windows [left, right) are sorted, so a run of indices ends where
+    # the next window starts past the end of the one before it.
+    left = np.maximum(centres - 2 * _STRIDE, 0)
+    right = np.minimum(centres + 2 * _STRIDE + 1, _GRID)
+    first = np.flatnonzero(np.append(True, left[1:] > right[:-1]))
+    starts, ends = left[first], right[np.append(first[1:] - 1, len(centres) - 1)]
+    idx = np.concatenate([np.arange(a, b) for a, b in zip(starts.tolist(), ends.tolist())])
     vals = f(_grid_points(hi, idx))
     j = int(np.argmax(vals))
     return int(idx[j]), float(vals[j])

@@ -12,7 +12,10 @@ spacing stencils and a fully explicit stepper are provided for the
 failure-mode experiments; second-order behaviour (speed relaxation,
 anticipation) enters through a model object.  One kernel steps them all:
 a scheme is a spacing stencil plus the choice of new or old speeds for
-the position update, a model is the speed update.
+the position update, a model is the speed update.  The kernel dispatches
+both once per run and steps in place: the per-vehicle rows it needs are
+allocated once, and each step writes into them and into the grid's next
+row, with the bits of the allocating expressions it replaces.
 """
 from __future__ import annotations
 
@@ -177,15 +180,38 @@ class Trajectory:
         return np.arange(self.positions.shape[1]) * self.dn
 
 
-# Spacing estimate per follower from the backward spacings s.  Forward and
-# central stencils also look at the follower behind; the last vehicle has
-# none, so they fall back to its backward spacing.
+# Spacing estimate per follower from the backward spacings s, written into
+# ``out``; ``tmp`` is a scratch row of the same length.  Forward and central
+# stencils also look at the follower behind; the last vehicle has none, so
+# they fall back to its backward spacing.  The anisotropic and
+# explicit-explicit schemes use s itself (None).
+def _forward(s, out, tmp):
+    out[:-1] = s[1:]
+    out[-1:] = s[-1:]
+
+
+def _arithmetic(s, out, tmp):
+    # 0.5 * (s[:-1] + s[1:])
+    np.add(s[:-1], s[1:], out=out[:-1])
+    np.multiply(0.5, out[:-1], out=out[:-1])
+    out[-1:] = s[-1:]
+
+
+def _harmonic(s, out, tmp):
+    # 2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])
+    np.multiply(2.0, s[:-1], out=out[:-1])
+    np.multiply(out[:-1], s[1:], out=out[:-1])
+    np.add(s[:-1], s[1:], out=tmp[:-1])
+    np.divide(out[:-1], tmp[:-1], out=out[:-1])
+    out[-1:] = s[-1:]
+
+
 _STENCILS = {
-    Scheme.ANISOTROPIC_SYMPLECTIC: lambda s: s,
-    Scheme.EXPLICIT_EXPLICIT: lambda s: s,
-    Scheme.FORWARD_SPACING: lambda s: np.concatenate((s[1:], s[-1:])),
-    Scheme.ARITHMETIC_CENTRAL: lambda s: np.concatenate((0.5 * (s[:-1] + s[1:]), s[-1:])),
-    Scheme.HARMONIC_CENTRAL: lambda s: np.concatenate((2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:]), s[-1:])),
+    Scheme.ANISOTROPIC_SYMPLECTIC: None,
+    Scheme.EXPLICIT_EXPLICIT: None,
+    Scheme.FORWARD_SPACING: _forward,
+    Scheme.ARITHMETIC_CENTRAL: _arithmetic,
+    Scheme.HARMONIC_CENTRAL: _harmonic,
 }
 
 
@@ -203,6 +229,15 @@ def _step_kernel(
 
     ``lead[j]`` is the leader speed over step j -> j+1.  The inputs are
     trusted; ``simulate`` validates them once per run.
+
+    The model, correction and scheme are dispatched once per run, and the
+    (M,) scratch rows that they need are allocated once.  Each step writes
+    its gaps, stencil, density, theta and update into those rows or into
+    row j+1 itself, with the operands and operation order of the
+    expressions quoted in the comments, so every value has the bits of
+    that allocating form.  These rows are the shape a batched kernel
+    starts from: stepping B runs of one shape together (ROADMAP's batch
+    axis) widens each to (B, M).
     """
     clamp = None
     if isinstance(model, _Correction):
@@ -212,24 +247,55 @@ def _step_kernel(
     # Interpolation form of the relaxation: exactly theta when T == dt.
     T = _relaxation_time(model)
     r = None if T is None else 1.0 - dt / T
+    antic_rate = dt * model.c0 if isinstance(model, JWZ) else None
     stencil = _STENCILS[scheme]
-    S = fd.S
+    old_speeds = scheme is Scheme.EXPLICIT_EXPLICIT
+    S, jam_gap = fd.S, fd.S * dn
+
+    M = positions.shape[1] - 1
+    gaps, s = np.empty(M), np.empty(M)
+    est = s if stencil is None else np.empty(M)
+    tmp = np.empty(M) if scheme is Scheme.HARMONIC_CENTRAL else None
+    # Without relaxation theta is the new speed, written straight into row j+1.
+    th = None if r is None else np.empty(M)
+    if antic_rate is not None:
+        far, dv, antic = np.empty(M, dtype=bool), np.empty(M), np.empty(M)
+    ceiling = np.empty(M) if clamp is Corrected2 else None
     for j in range(len(lead)):
-        x, u, v = positions[j], speeds[j], speeds[j + 1]
-        gaps = x[:-1] - x[1:]
-        # The unchecked _theta: spacings clamped to >= S cannot fail theta's check.
-        th = fd._theta(np.maximum(stencil(gaps / dn), S))
-        new = th if r is None else th + r * (u[1:] - th)
-        if isinstance(model, JWZ):
-            far = np.abs(gaps) > 1e-12
-            antic = np.where(far, (u[:-1] - u[1:]) / np.where(far, gaps, 1.0), 0.0)
-            new = new + dt * model.c0 * antic
+        x, u, v, x_next = positions[j], speeds[j], speeds[j + 1], positions[j + 1]
+        new = v[1:]
+        np.subtract(x[:-1], x[1:], out=gaps)
+        np.divide(gaps, dn, out=s)
+        if stencil is not None:
+            stencil(s, est, tmp)
+        # theta(max(stencil(gaps / dn), S)); spacings clamped to >= S cannot
+        # fail theta's check, so the unchecked formulas are called.
+        np.maximum(est, S, out=est)
+        theta = fd._eta(fd._density(est, out=est), out=new if th is None else th)
+        if r is not None:
+            # theta + r * (u[1:] - theta)
+            np.subtract(u[1:], theta, out=new)
+            np.multiply(r, new, out=new)
+            np.add(theta, new, out=new)
+        if antic_rate is not None:
+            # new + dt * c0 * where(|gaps| > 1e-12, (u[:-1] - u[1:]) / gaps, 0.0)
+            np.greater(np.abs(gaps, out=dv), 1e-12, out=far)
+            np.subtract(u[:-1], u[1:], out=dv)
+            antic.fill(0.0)
+            np.divide(dv, gaps, out=antic, where=far)
+            np.multiply(antic_rate, antic, out=antic)
+            np.add(new, antic, out=new)
         if clamp is not None:
-            ceiling = th if clamp is Corrected1 else (gaps - S * dn) / dt
-            new = np.maximum(0.0, np.minimum(new, ceiling))
+            # max(0.0, min(new, ceiling)), the ceiling theta or (gaps - S * dn) / dt
+            if clamp is Corrected2:
+                np.subtract(gaps, jam_gap, out=ceiling)
+                np.divide(ceiling, dt, out=ceiling)
+            np.minimum(new, theta if clamp is Corrected1 else ceiling, out=new)
+            np.maximum(0.0, new, out=new)
         v[0] = lead[j]
-        v[1:] = new
-        positions[j + 1] = x + dt * (u if scheme is Scheme.EXPLICIT_EXPLICIT else v)
+        # x + dt * (u if explicit-explicit else v)
+        np.multiply(dt, u if old_speeds else v, out=x_next)
+        np.add(x, x_next, out=x_next)
 
 
 def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:

@@ -65,9 +65,16 @@ class FundamentalDiagram(ABC):
     only: each checks its input once, refusing NaN and values outside
     the domain, and returns a plain float for scalar input.  Library
     code that builds its own in-range arrays calls the formulas (and
-    ``_theta``) directly.  Construction rejects non-finite parameters
-    and non-positive values of the fields named in ``_positive``,
-    naming the field.
+    ``_density``, the density of a spacing) directly.  Construction
+    rejects non-finite parameters and non-positive values of the fields
+    named in ``_positive``, naming the field.
+
+    ``_eta(k, out=None)`` is one formula for two kinds of caller.  Without
+    ``out`` it allocates its result, 0-d for a 0-d ``k``.  With ``out``,
+    an array of ``k``'s shape, every step writes into ``out``, which is
+    returned; the stepping kernel passes its scratch rows, so that a step
+    allocates nothing.  ``out`` must not share memory with ``k``.  Either
+    way ``k`` is left unchanged, and the result has the same bits.
     """
 
     K: float
@@ -117,8 +124,9 @@ class FundamentalDiagram(ABC):
         return _descalar(self._eta(k) + k * self._eta_prime(k))
 
     @abstractmethod
-    def _eta(self, k):
-        """``eta`` on a float array of densities in [0, K], unchecked."""
+    def _eta(self, k, out=None):
+        """``eta`` on a float array of densities in [0, K], unchecked,
+        written into ``out`` when it is given."""
 
     @abstractmethod
     def _eta_prime(self, k):
@@ -132,18 +140,19 @@ class FundamentalDiagram(ABC):
 
     def theta(self, s):
         """Equilibrium speed at spacing ``s >= S``; ``theta(s) = eta(1/s)``."""
-        return _descalar(self._theta(self._check_spacing(s)))
+        return _descalar(self._eta(self._density(self._check_spacing(s))))
 
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
         s = self._check_spacing(s)
         with np.errstate(over="ignore"):  # s * s overflows past s = 1.3e154; the quotient is then 0, its limit
-            return _descalar(-self._eta_prime(np.minimum(1.0 / s, self.K)) / (s * s))
+            return _descalar(-self._eta_prime(self._density(s)) / (s * s))
 
-    def _theta(self, s):
-        """``theta`` on a float array of spacings >= S, unchecked."""
+    def _density(self, s, out=None):
+        """Density ``min(1/s, K)`` of a float array of spacings >= S,
+        unchecked; ``out`` may be ``s`` itself."""
         # 1/s can land one ulp above K when s == S; clamp back into range.
-        return self._eta(np.minimum(1.0 / s, self.K))
+        return np.minimum(np.divide(1.0, s, out=out), self.K, out=out)
 
     # -- helpers -------------------------------------------------------
 
@@ -179,8 +188,12 @@ class GreenshieldsFD(FundamentalDiagram):
     def critical_rate(self) -> float:
         return self.V * self.K
 
-    def _eta(self, k):
-        return self.V * (1.0 - k / self.K)
+    def _eta(self, k, out=None):
+        # V * (1.0 - k / K); numpy scalars have no in-place reverse subtraction.
+        x = np.divide(k, self.K, out=out)
+        x = 1.0 - x if out is None else np.subtract(1.0, x, out=out)
+        x *= self.V
+        return x
 
     def _eta_prime(self, k):
         return np.full_like(k, -self.V / self.K)
@@ -214,9 +227,16 @@ class TriangularFD(FundamentalDiagram):
     def kinks(self) -> tuple[float, ...]:
         return (self.critical_density,)
 
-    def _eta(self, k):
-        congested = np.where(k > 0.0, self.W * (self.K / np.where(k > 0.0, k, 1.0) - 1.0), np.inf)
-        return np.minimum(self.V, congested)
+    def _eta(self, k, out=None):
+        # min(V, W * (K / k - 1.0)), the congested branch infinite where k is
+        # not positive (0 or NaN), so that the result there is V.
+        if out is None:
+            out = np.empty_like(k)
+        out.fill(np.inf)
+        np.divide(self.K, k, out=out, where=k > 0.0)
+        out -= 1.0
+        out *= self.W
+        return np.minimum(self.V, out, out=out)
 
     def _eta_prime(self, k):
         kc = self.critical_density
@@ -258,10 +278,21 @@ class KernerFD(FundamentalDiagram):
     def V(self) -> float:
         return self.eta(0.0)
 
-    def _eta(self, k):
-        x = (k / self.K - self.c2) / self.c3
-        raw = self.amplitude * (1.0 / (1.0 + np.exp(x)) - self.c4)
-        return np.maximum(raw, 0.0) if self.clamp_nonnegative else raw
+    def _eta(self, k, out=None):
+        # amplitude * (1.0 / (1.0 + exp((k / K - c2) / c3)) - c4), floored at 0
+        # when clamped.  On a 0-d k, as in Brent's search in the thresholds,
+        # the steps run as numpy scalar arithmetic: numpy scalars have no
+        # in-place reverse division, and np.exp loses its scalar fast path
+        # when given any out=.
+        x = np.divide(k, self.K, out=out)
+        x -= self.c2
+        x /= self.c3
+        x = np.exp(x) if out is None else np.exp(x, out=out)
+        x += 1.0
+        x = 1.0 / x if out is None else np.divide(1.0, x, out=out)
+        x -= self.c4
+        x *= self.amplitude
+        return np.maximum(x, 0.0, out=out) if self.clamp_nonnegative else x
 
     def _eta_prime(self, k):
         x = (k / self.K - self.c2) / self.c3

@@ -227,6 +227,34 @@ def test_audit_block_with_only_posinf(where, tiny_blocks):
     assert rep.negative_speed_count == 0
 
 
+_ODD = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 9), width=st.integers(1, 5), dn=st.sampled_from([1.0, 0.3, 7.0 / 3.0]),
+       data=st.data())
+def test_audit_matches_a_whole_grid_recount_on_nonfinite_values(rows, width, dn, data):
+    # Blocks of 5 values, spacings that straddle the collision limit at a dn
+    # other than 1, negative speeds, and up to four infinities or NaNs in the
+    # positions and speeds: a block skips its division and its isfinite count
+    # only when that leaves the report unchanged.
+    x = -(7.0 * dn) * np.arange(width) + np.arange(rows)[:, None]
+    v = np.ones((rows, width))
+    for a in (x, v):
+        for _ in range(data.draw(st.integers(0, 3))):
+            a[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, width - 1))] += data.draw(st.floats(-1.5, 1.5))
+    for _ in range(data.draw(st.integers(0, 4))):
+        a = data.draw(st.sampled_from([x, v]))
+        a[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, width - 1))] = data.draw(_ODD)
+    sc = replace(load_spec(template_text("greenshields-shock-a")).scenario, dn=dn, dt=1.0)
+    traj = Trajectory(times=np.arange(rows, dtype=float), positions=x, speeds=v, scenario=sc)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        mp.setattr(lagwave.analysis, "_AUDIT_BLOCK", 5)
+        rep = diagnose(traj)
+        want = _reference_diagnose(traj)
+    _assert_same_report(rep, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)),
        j0=st.integers(0, 10**6), col=st.integers(0, 1))

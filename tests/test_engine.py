@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lagwave.engine import (
     Corrected1,
@@ -17,11 +17,14 @@ from lagwave.engine import (
     Scenario,
     Scheme,
     Trajectory,
+    _Correction,
+    _relaxation_time,
     _step_kernel,
     acceleration,
     simulate,
 )
-from lagwave.fundamental import GreenshieldsFD, TriangularFD
+from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
+from test_fundamental import reference_eta
 
 G = GreenshieldsFD()
 T = TriangularFD()
@@ -318,3 +321,104 @@ def test_simulate_rejects_bad_lead_speeds(bad):
     lead[3] = bad
     with pytest.raises(ValueError, match="lead_speeds"):
         simulate(sc, lead_speeds=lead)
+
+
+# The stepping kernel as it was before its scratch rows: every intermediate
+# allocated, the stencils concatenated, theta through the laws' formulas as
+# they were then.  The in-place kernel must give the same bits.
+_REFERENCE_STENCILS = {
+    Scheme.ANISOTROPIC_SYMPLECTIC: lambda s: s,
+    Scheme.EXPLICIT_EXPLICIT: lambda s: s,
+    Scheme.FORWARD_SPACING: lambda s: np.concatenate((s[1:], s[-1:])),
+    Scheme.ARITHMETIC_CENTRAL: lambda s: np.concatenate((0.5 * (s[:-1] + s[1:]), s[-1:])),
+    Scheme.HARMONIC_CENTRAL: lambda s: np.concatenate((2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:]), s[-1:])),
+}
+
+
+def _reference_theta(fd, s):
+    return reference_eta(fd, np.minimum(1.0 / s, fd.K))
+
+
+def _reference_step_kernel(positions, speeds, lead, fd, dn, dt, model, scheme):
+    clamp = None
+    if isinstance(model, _Correction):
+        clamp, model = type(model), model.inner
+    if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
+        raise TypeError(f"unknown model {model!r}")
+    # Interpolation form of the relaxation: exactly theta when T == dt.
+    T = _relaxation_time(model)
+    r = None if T is None else 1.0 - dt / T
+    stencil = _REFERENCE_STENCILS[scheme]
+    S = fd.S
+    for j in range(len(lead)):
+        x, u, v = positions[j], speeds[j], speeds[j + 1]
+        gaps = x[:-1] - x[1:]
+        th = _reference_theta(fd, np.maximum(stencil(gaps / dn), S))
+        new = th if r is None else th + r * (u[1:] - th)
+        if isinstance(model, JWZ):
+            far = np.abs(gaps) > 1e-12
+            antic = np.where(far, (u[:-1] - u[1:]) / np.where(far, gaps, 1.0), 0.0)
+            new = new + dt * model.c0 * antic
+        if clamp is not None:
+            ceiling = th if clamp is Corrected1 else (gaps - S * dn) / dt
+            new = np.maximum(0.0, np.minimum(new, ceiling))
+        v[0] = lead[j]
+        v[1:] = new
+        positions[j + 1] = x + dt * (u if scheme is Scheme.EXPLICIT_EXPLICIT else v)
+
+
+KERNEL_MODELS = (NonstandardLWR(), PhillipsRelax(T=2.0), JWZ(T=3.0, c0=0.7),
+                 Corrected1(JWZ(T=1.5, c0=-1.3)), Corrected2(PhillipsRelax(T=4.0)))
+# The last jam density is one where 1/(1/K) rounds above K, so that the
+# density clamp of a spacing at jam shows.
+KERNEL_DIAGRAMS = (GreenshieldsFD(), TriangularFD(), KernerFD(), KernerFD(clamp_nonnegative=False),
+                   GreenshieldsFD(K=0.1249279726343462))
+
+
+@st.composite
+def _row_zero(draw):
+    """A drawn row 0 for one diagram: gaps that are zero, below jam or
+    above it, speeds of either sign, and at most one non-finite position."""
+    fd = draw(st.sampled_from(KERNEL_DIAGRAMS))
+    width = draw(st.integers(min_value=1, max_value=40))
+    dn = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    gap = st.one_of(st.just(0.0), st.floats(0.0, fd.S * dn), st.floats(fd.S * dn, 20.0 * fd.S * dn))
+    gaps = draw(st.lists(gap, min_size=width - 1, max_size=width - 1))
+    x0 = np.concatenate(([draw(st.floats(-100.0, 100.0))], -np.asarray(gaps, dtype=float)))
+    x0 = np.cumsum(x0)
+    odd = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if odd is not None:
+        x0[draw(st.integers(0, width - 1))] = odd
+    u0 = np.asarray(draw(st.lists(st.floats(-5.0, 35.0), min_size=width, max_size=width)), dtype=float)
+    lead = np.asarray(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6)), dtype=float)
+    return fd, dn, x0, u0, lead
+
+
+def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, model, scheme):
+    positions = np.full((len(lead) + 1, len(x0)), -7.0)
+    speeds = np.full_like(positions, -7.0)
+    positions[0], speeds[0] = x0, u0
+    with np.errstate(all="ignore"):
+        kernel(positions, speeds, lead, fd, dn, dt, model, scheme)
+    return positions, speeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_zero(), st.sampled_from(Scheme), st.sampled_from(KERNEL_MODELS), st.sampled_from([1.0, 0.35, 3.0]))
+@example((TriangularFD(), 1.0, np.array([0.0]), np.array([3.0]), np.array([1.0, 2.0])),
+         Scheme.HARMONIC_CENTRAL, KERNEL_MODELS[3], 1.0).via("width 1")
+@example((GreenshieldsFD(), 1.0, np.array([0.0, -7.0]), np.array([0.0, 12.0]), np.array([0.0])),
+         Scheme.ARITHMETIC_CENTRAL, KERNEL_MODELS[4], 1.0).via("width 2, at jam")
+@example((KernerFD(), 0.5, np.array([0.0, 0.0, -np.inf]), np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0])),
+         Scheme.FORWARD_SPACING, KERNEL_MODELS[2], 0.35).via("width 3, zero gap, inf position")
+def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
+    fd, dn, x0, u0, lead = state
+    x0_before, u0_before, lead_before = x0.tobytes(), u0.tobytes(), lead.copy()
+    got = _run_kernel(_step_kernel, fd, dn, dt, x0, u0, lead, model, scheme)
+    want = _run_kernel(_reference_step_kernel, fd, dn, dt, x0, u0, lead, model, scheme)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+        # Signed zeros and NaN payloads too.
+        assert g.tobytes() == w.tobytes()
+    assert got[0][0].tobytes() == x0_before and got[1][0].tobytes() == u0_before
+    assert np.array_equal(lead, lead_before)

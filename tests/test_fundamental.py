@@ -177,7 +177,57 @@ def test_unchecked_eta_matches_eta():
         assert np.array_equal(fd._eta_prime(sub), fd.eta_prime(sub))
         assert np.array_equal(fd._eta_second(sub), fd.eta_second(sub))
         spacings = fd.S * np.linspace(1.0, 50.0, 1001)
-        assert np.array_equal(fd._theta(spacings), fd.theta(spacings))
+        assert np.array_equal(fd._eta(fd._density(spacings)), fd.theta(spacings))
+
+
+def reference_eta(fd, k):
+    """Each law's ``_eta`` as it was written before its ``out=`` form: the
+    bits the formula keeps, the triangular law's NaN and k = 0 included."""
+    if isinstance(fd, GreenshieldsFD):
+        return fd.V * (1.0 - k / fd.K)
+    if isinstance(fd, TriangularFD):
+        congested = np.where(k > 0.0, fd.W * (fd.K / np.where(k > 0.0, k, 1.0) - 1.0), np.inf)
+        return np.minimum(fd.V, congested)
+    x = (k / fd.K - fd.c2) / fd.c3
+    raw = fd.amplitude * (1.0 / (1.0 + np.exp(x)) - fd.c4)
+    return np.maximum(raw, 0.0) if fd.clamp_nonnegative else raw
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("fd", [G, T, KC, KU], ids=["greenshields", "triangular", "kerner", "kerner-unclamped"])
+def test_eta_out_contract(fd):
+    ks = np.concatenate((np.linspace(0.0, fd.K, 1001), [0.0, fd.K, np.nextafter(fd.K, 0.0), 1e-300]))
+    want = reference_eta(fd, ks)
+    k = ks.copy()
+    buf = np.full_like(k, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fd._eta(k, out=buf)
+        alloc = fd._eta(k)
+        scalars = [fd._eta(np.asarray(x)) for x in ks[[0, 1, 500, -4, -1]]]
+    assert got is buf
+    assert _bits(k) == _bits(ks)
+    assert _bits(got) == _bits(want) and _bits(alloc) == _bits(want)
+    for x, y in zip(ks[[0, 1, 500, -4, -1]], scalars):
+        assert np.ndim(y) == 0 and _bits(y) == _bits(reference_eta(fd, np.asarray(x)))
+
+
+def test_eta_out_keeps_the_triangular_nan_and_nonpositive_densities():
+    k = np.array([np.nan, 0.0, -0.0, -1.0, T.K])
+    buf = np.empty_like(k)
+    assert _bits(T._eta(k, out=buf)) == _bits(reference_eta(T, k)) == _bits([T.V, T.V, T.V, T.V, 0.0])
+
+
+@pytest.mark.parametrize("fd", [G, T, KC], ids=lambda fd: type(fd).__name__)
+def test_density_out_may_be_the_spacings(fd):
+    s = fd.S * np.concatenate(([1.0, np.inf], np.linspace(1.0, 50.0, 999)))
+    want = np.minimum(1.0 / s, fd.K)
+    buf = s.copy()
+    assert fd._density(buf, out=buf) is buf
+    assert _bits(buf) == _bits(want) == _bits(fd._density(s))
 
 
 DENSITY_METHODS = ("eta", "eta_prime", "eta_second", "phi", "phi_prime")
