@@ -162,45 +162,36 @@ def _grid_argmax(f, hi: float) -> tuple[int, float]:
     return int(idx[j]), float(vals[j])
 
 
-def _refine_max(f, hi: float) -> float:
-    """Maximum of ``f`` over the ``_GRID``-point grid on [0, hi], polished
-    between the best grid point's neighbours."""
-    i, best = _grid_argmax(f, hi)
-    a, b = _grid_points(hi, np.array([max(i - 1, 0), min(i + 1, _GRID - 1)])).tolist()
-    return max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * hi))
+def _supremum(fd: FundamentalDiagram, f, below_jam: bool) -> float:
+    """Supremum of ``f`` over [0, K], or over densities below jam with the
+    boundary value at K (``below_jam``): the diagram's ``critical_rate``
+    where it declares one, else the maximum over the ``_GRID``-point grid,
+    polished between the best grid point's neighbours."""
+    if (rate := fd.critical_rate) is not None:
+        return rate
+    K = fd.K
+    # Stop one grid cell short of K where the collision-free expression is 0/0.
+    hi = K * (1.0 - 1.0 / _GRID) if below_jam else K
+    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
+    # limit, so each search silences the warning; the audit counts any
+    # non-finite value that reaches a trajectory.
+    with np.errstate(over="ignore"):
+        i, best = _grid_argmax(f, hi)
+        a, b = _grid_points(hi, np.array([max(i - 1, 0), min(i + 1, _GRID - 1)])).tolist()
+        sup = max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * hi))
+        return max(sup, float(-fd.eta_prime(K) * K * K)) if below_jam else sup
 
 
 @lru_cache(maxsize=128)
 def collision_free_threshold(fd: FundamentalDiagram) -> float:
     """Supremum of ``phi(k) / (1 - k/K)`` over densities below jam."""
-    if (rate := fd.critical_rate) is not None:
-        return rate
-    K = fd.K
-
-    def f(k):
-        return k * fd._eta(k) / (1.0 - k / K)
-
-    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
-    # limit, so each search silences the warning; the audit counts any
-    # non-finite value that reaches a trajectory.
-    with np.errstate(over="ignore"):
-        # Stop one grid cell short of K where the expression is 0/0.
-        interior = _refine_max(f, K * (1.0 - 1.0 / _GRID))
-        boundary = -fd.eta_prime(K) * K * K
-    return max(interior, float(boundary))
+    return _supremum(fd, lambda k: k * fd._eta(k) / (1.0 - k / fd.K), below_jam=True)
 
 
 @lru_cache(maxsize=128)
 def cfl_threshold(fd: FundamentalDiagram) -> float:
     """Supremum of ``|eta_prime(k)| * k**2`` over the full density range."""
-    if (rate := fd.critical_rate) is not None:
-        return rate
-
-    def g(k):
-        return np.abs(fd._eta_prime(k)) * k * k
-
-    with np.errstate(over="ignore"):  # exp saturates to the sigmoid's limit, as in collision_free_threshold
-        return _refine_max(g, fd.K)
+    return _supremum(fd, lambda k: np.abs(fd._eta_prime(k)) * k * k, below_jam=False)
 
 
 @lru_cache(maxsize=128)
@@ -222,7 +213,7 @@ def check_concave(fd: FundamentalDiagram) -> bool:
         return bool(np.all(k * fd._eta_second(k) + 2.0 * fd._eta_prime(k) <= 1e-9))
 
     # A violation on the coarse subset already decides; its copy is contiguous, as ks is.
-    with np.errstate(over="ignore"):  # exp saturates to the sigmoid's limit, as in collision_free_threshold
+    with np.errstate(over="ignore"):  # exp saturates to the sigmoid's limit, as in _supremum
         return concave_on(ks[::_STRIDE].copy()) and concave_on(ks)
 
 

@@ -189,9 +189,8 @@ class GreenshieldsFD(FundamentalDiagram):
         return self.V * self.K
 
     def _eta(self, k, out=None):
-        # V * (1.0 - k / K); numpy scalars have no in-place reverse subtraction.
-        x = np.divide(k, self.K, out=out)
-        x = 1.0 - x if out is None else np.subtract(1.0, x, out=out)
+        # V * (1.0 - k / K)
+        x = np.subtract(1.0, np.divide(k, self.K, out=out), out=out)
         x *= self.V
         return x
 
@@ -278,25 +277,26 @@ class KernerFD(FundamentalDiagram):
     def V(self) -> float:
         return self.eta(0.0)
 
-    def _eta(self, k, out=None):
-        # amplitude * (1.0 / (1.0 + exp((k / K - c2) / c3)) - c4), floored at 0
-        # when clamped.  On a 0-d k, as in Brent's search in the thresholds,
-        # the steps run as numpy scalar arithmetic: numpy scalars have no
-        # in-place reverse division, and np.exp loses its scalar fast path
-        # when given any out=.
+    def _sigmoid(self, k, out=None):
+        # 1.0 / (1.0 + exp((k / K - c2) / c3)).  On a 0-d k, as in Brent's search in
+        # the thresholds, the steps run as numpy scalar arithmetic: numpy scalars have
+        # no in-place reverse division, and np.exp loses its scalar fast path given out=.
         x = np.divide(k, self.K, out=out)
         x -= self.c2
         x /= self.c3
         x = np.exp(x) if out is None else np.exp(x, out=out)
         x += 1.0
-        x = 1.0 / x if out is None else np.divide(1.0, x, out=out)
+        return 1.0 / x if out is None else np.divide(1.0, x, out=out)
+
+    def _eta(self, k, out=None):
+        # amplitude * (sigmoid - c4), floored at 0 when clamped.
+        x = self._sigmoid(k, out)
         x -= self.c4
         x *= self.amplitude
         return np.maximum(x, 0.0, out=out) if self.clamp_nonnegative else x
 
     def _eta_prime(self, k):
-        x = (k / self.K - self.c2) / self.c3
-        sig = 1.0 / (1.0 + np.exp(x))
+        sig = self._sigmoid(k)
         d = -self.amplitude * sig * (1.0 - sig) / (self.c3 * self.K)
         if self.clamp_nonnegative:
             # The amplitude is positive, so the raw curve is > 0 exactly where sig > c4.
