@@ -18,16 +18,21 @@ Both thresholds return it exactly, so that Newell's rate ``dn/dt = W*K``
 passes both checks, and such a law is concave by construction.
 
 Where a law has no closed form (the sigmoid), concavity is tested
-numerically (``check_concave``), and each supremum is the maximum over a
-fixed grid of ``_GRID`` (100 000) points, polished around the best grid
-point with Brent's bounded minimisation, run as a maximiser (Brent 1973,
-*Algorithms for Minimization without Derivatives*, ch. 5).  The grid
-maximum is found from a coarse pass over every ``_STRIDE``-th point and
-windows around its local maxima and both ends; on the sigmoid it equals
-the maximum over the whole grid bit for bit.  The collision-free
-supremum is singular at ``k = K``; its boundary value is taken as the
-L'Hopital limit ``-eta_prime(K) * K**2``, which is exact for diagrams
-that reach zero speed at jam density.
+numerically (``check_concave``), and both suprema come from one search,
+``_supremum``: the maximum over a fixed grid of ``_GRID`` (100 000)
+points, polished around the best grid point with Brent's bounded
+minimisation, run as a maximiser (Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 5).  The grid maximum is found
+from a coarse pass over every ``_STRIDE``-th point and windows around
+its local maxima and both ends; on the sigmoid it equals the maximum
+over the whole grid bit for bit.  The collision-free supremum is
+singular at ``k = K``, and its value there depends on the sign of
+``eta(K)``.  Where ``eta(K) > 0`` the diagram still moves at jam density,
+``phi(k) / (1 - k/K)`` grows without bound towards ``K``, and the
+threshold is ``inf``: no rate is collision-free.  Where ``eta(K) <= 0``
+the grid stops one cell short of ``K``, and the boundary value is the
+L'Hopital limit ``-eta_prime(K) * K**2``, exact for diagrams that reach
+zero speed at jam density.
 """
 from __future__ import annotations
 
@@ -164,9 +169,9 @@ def _grid_argmax(f, hi: float) -> tuple[int, float]:
 
 def _supremum(fd: FundamentalDiagram, f, below_jam: bool) -> float:
     """Supremum of ``f`` over [0, K], or over densities below jam with the
-    boundary value at K (``below_jam``): the diagram's ``critical_rate``
-    where it declares one, else the maximum over the ``_GRID``-point grid,
-    polished between the best grid point's neighbours."""
+    boundary value at K (``below_jam``; ``inf`` where ``eta(K) > 0``): the
+    diagram's ``critical_rate`` where it declares one, else the maximum over
+    the ``_GRID``-point grid, polished between the best grid point's neighbours."""
     if (rate := fd.critical_rate) is not None:
         return rate
     K = fd.K
@@ -176,6 +181,8 @@ def _supremum(fd: FundamentalDiagram, f, below_jam: bool) -> float:
     # limit, so each search silences the warning; the audit counts any
     # non-finite value that reaches a trajectory.
     with np.errstate(over="ignore"):
+        if below_jam and fd._eta(np.asarray(K)) > 0.0:
+            return inf  # k * eta(k) / (1 - k/K) grows without bound towards K
         i, best = _grid_argmax(f, hi)
         a, b = _grid_points(hi, np.array([max(i - 1, 0), min(i + 1, _GRID - 1)])).tolist()
         sup = max(best, _brent_max(lambda k: float(f(np.asarray(k))), a, b, 1e-13 * hi))

@@ -74,7 +74,11 @@ class FundamentalDiagram(ABC):
     an array of ``k``'s shape, every step writes into ``out``, which is
     returned; the stepping kernel passes its scratch rows, so that a step
     allocates nothing.  ``out`` must not share memory with ``k``.  Either
-    way ``k`` is left unchanged, and the result has the same bits.
+    way ``k`` is left unchanged, and the result has the same bits.  The
+    one scalar fast path is the sigmoid law's ``_sigmoid``: Brent's 0-d
+    search in ``conditions`` reaches that law alone (the concave laws'
+    ``critical_rate`` short-circuits it), and there numpy scalar
+    arithmetic is faster than ufunc calls given ``out=``.
     """
 
     K: float
@@ -227,12 +231,13 @@ class TriangularFD(FundamentalDiagram):
         return (self.critical_density,)
 
     def _eta(self, k, out=None):
-        # min(V, W * (K / k - 1.0)), the congested branch infinite where k is
-        # not positive (0 or NaN), so that the result there is V.
+        # min(V, W * (K / k - 1.0)), the congested branch infinite at and below
+        # kc/2 (and at NaN), where it exceeds 2V + W and the result is V anyway;
+        # K / k would overflow there for a subnormal k.
         if out is None:
             out = np.empty_like(k)
         out.fill(np.inf)
-        np.divide(self.K, k, out=out, where=k > 0.0)
+        np.divide(self.K, k, out=out, where=k > 0.5 * self.critical_density)
         out -= 1.0
         out *= self.W
         return np.minimum(self.V, out, out=out)

@@ -392,6 +392,16 @@ def test_thresholds_at_newell_rate_is_collision_free(tmp_path):
     assert "cfl_ok = true" in lines
 
 
+def test_thresholds_report_no_collision_free_rate_where_the_diagram_moves_at_jam(tmp_path):
+    # This sigmoid still moves at jam density; the threshold used to read 9.4087735584327472.
+    cfg = tmp_path / "moving.ini"
+    cfg.write_text("[run]\ntemplate = kerner-redlight\n[fd]\nc3 = 0.07\n")
+    assert main(["thresholds", str(cfg), "--out", str(tmp_path / "thr")]) == 0
+    lines = (tmp_path / "thr" / "thresholds.txt").read_text().splitlines()
+    assert "collision_free_threshold = inf" in lines
+    assert "collision_free_ok = false" in lines
+
+
 def test_thresholds_call_a_steep_triangular_diagram_concave(tmp_path):
     # k*eta'' + 2*eta' cancels exactly on the congested branch, and here
     # its rounding error exceeds a numerical test's 1e-9 slack.
@@ -619,11 +629,14 @@ def test_cli_imports_no_numpy():
 
 def test_perfbench_tracer_installs():
     # The tracer patches names on lagwave.cli with no hasattr guard, so a
-    # name that cli stops importing breaks every traced benchmark run.
+    # name that cli stops importing breaks every traced benchmark run; its
+    # metrics read cache_info() on the three threshold functions, so must they.
     src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    code = ("import collections, tracing; tracing.Tracer().install(); "
+            "tracing.layer_metrics([], collections.Counter(), 0.0, 0, 0)")
     proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.Tracer().install()"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([perfbench, src])},
         check=False,
     )

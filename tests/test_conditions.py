@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from math import inf
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import lagwave
 from lagwave import conditions
+from lagwave.analysis import diagnose
 from lagwave.conditions import (
     cfl_threshold,
     check_concave,
     collision_free_threshold,
     validate_step_sizes,
 )
+from lagwave.engine import Scenario, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import riemann_wave, shock_speed_rh
 from lagwave.templates import TEMPLATES, template_text
@@ -90,6 +93,14 @@ def test_concavity_classification():
     assert check_concave(T)
     assert not check_concave(KC)
     assert not check_concave(KernerFD(clamp_nonnegative=False))
+
+
+def test_clamped_sigmoid_floor_is_a_convex_kink():
+    # Where this curve meets its floor, at k = 0.2459 K, phi' jumps from
+    # -166.8 up to 0: a convex kink, which the centred-difference
+    # eta_second sees.  A closed-form eta_second, B a^2 s (1-s) (1-2s), is 0
+    # across the floor and would call this flow concave.
+    assert check_concave(KernerFD(c3=0.01, c4=0.6)) is False
 
 
 def test_validate_step_sizes_greenshields():
@@ -294,8 +305,11 @@ def _full_grid_max(f, lo, hi, n):
 
 def _full_grid_reference(fd):
     K, n = fd.K, conditions._GRID
-    cf = max(_full_grid_max(lambda k: k * fd._eta(k) / (1.0 - k / K), 0.0, K * (1.0 - 1.0 / n), n),
-             float(-fd.eta_prime(K) * K * K))
+    # Where the diagram still moves at jam density, phi(k) / (1 - k/K) grows
+    # without bound towards K; elsewhere the boundary value is the L'Hopital limit.
+    cf = inf if fd.eta(K) > 0.0 else max(
+        _full_grid_max(lambda k: k * fd._eta(k) / (1.0 - k / K), 0.0, K * (1.0 - 1.0 / n), n),
+        float(-fd.eta_prime(K) * K * K))
     cfl = _full_grid_max(lambda k: np.abs(fd._eta_prime(k)) * k * k, 0.0, K, n)
     ks = np.linspace(0.0, K, 10_002)[1:-1]
     concave = bool(np.all(ks * fd._eta_second(ks) + 2.0 * fd._eta_prime(ks) <= 1e-9))
@@ -388,3 +402,42 @@ class _NoSecondDerivative(TriangularFD):
 
 def test_closed_form_concavity_builds_no_grid():
     assert check_concave.__wrapped__(_NoSecondDerivative())
+
+
+# -- a diagram that still moves at jam density --------------------------
+#
+# Where eta(K) > 0, phi(k) / (1 - k/K) grows without bound towards K: no
+# rate keeps a jammed platoon off a stopped leader.  The search used to
+# return the expression one grid cell short of K instead.
+
+MOVING_AT_JAM = KernerFD(c3=0.07)
+OLD_FINITE_THRESHOLD = 9.4087735584327472
+
+
+def test_collision_free_threshold_is_infinite_where_the_diagram_moves_at_jam():
+    fd = MOVING_AT_JAM
+    assert fd.eta(fd.K) > 0.0
+    assert collision_free_threshold(fd) == inf
+    assert cfl_threshold(fd) < inf
+    for rate in (OLD_FINITE_THRESHOLD, 10.0 * OLD_FINITE_THRESHOLD, 1e300):
+        report = validate_step_sizes(fd, rate, 1.0)
+        assert report.collision_free_threshold == inf and not report.collision_free_ok
+
+
+def test_ten_times_the_old_finite_threshold_collides():
+    fd = MOVING_AT_JAM
+    scenario = Scenario(fd=fd, k1=0.999 * fd.K, lead_speed=0.0, m=20, dn=1.0, dt=1.0 / (10.0 * OLD_FINITE_THRESHOLD),
+                        duration=30.0)
+    assert diagnose(simulate(scenario)).collision_count > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(c2=st.floats(-0.5, 1.5), c3=_log_uniform(1e-4, 1.0),
+       c4=st.one_of(st.floats(-0.5, 1.5), _log_uniform(1e-10, 1e-2)), clamp=st.booleans())
+@example(c2=0.25, c3=0.07, c4=3.73e-6, clamp=True)
+@example(c2=0.25, c3=0.06, c4=3.73e-6, clamp=True)
+def test_collision_free_threshold_is_finite_iff_the_diagram_stops_at_jam(c2, c3, c4, clamp):
+    fd = KernerFD(c2=c2, c3=c3, c4=c4, clamp_nonnegative=clamp)
+    with np.errstate(over="ignore"):
+        stops = fd.eta(fd.K) <= 0.0
+    assert np.isfinite(collision_free_threshold.__wrapped__(fd)) == stops

@@ -193,6 +193,16 @@ def reference_eta(fd, k):
     return np.maximum(raw, 0.0) if fd.clamp_nonnegative else raw
 
 
+def reference_eta_prime(fd, k):
+    """``KernerFD._eta_prime`` as it was written before the law's one ``_sigmoid``."""
+    x = (k / fd.K - fd.c2) / fd.c3
+    sig = 1.0 / (1.0 + np.exp(x))
+    d = -fd.amplitude * sig * (1.0 - sig) / (fd.c3 * fd.K)
+    if fd.clamp_nonnegative:
+        d = np.where(sig - fd.c4 > 0.0, d, 0.0)
+    return d
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -215,6 +225,27 @@ def test_eta_out_contract(fd):
         assert np.ndim(y) == 0 and _bits(y) == _bits(reference_eta(fd, np.asarray(x)))
 
 
+# Steep sigmoids, whose exp overflows to inf for most densities.
+STEEP_KERNER = [KernerFD(c3=c3, clamp_nonnegative=clamp) for c3 in (1e-3, 1e-6) for clamp in (True, False)]
+
+
+@pytest.mark.parametrize("fd", [KC, KU, KernerFD(c3=0.01, c4=0.6), *STEEP_KERNER], ids=repr)
+def test_sigmoid_keeps_the_written_out_bits(fd):
+    ks = np.concatenate((np.linspace(0.0, fd.K, 1001), [fd.c2 * fd.K, np.nextafter(fd.K, 0.0), 1e-300]))
+    picks = [0, 1, 250, 500, 1000, -3, -2, -1]
+    with np.errstate(over="ignore"):
+        for got, want in ((fd._eta, reference_eta), (fd._eta_prime, reference_eta_prime)):
+            assert _bits(got(ks)) == _bits(want(fd, ks))
+            for x in ks[picks]:
+                y = got(np.asarray(x))
+                assert np.ndim(y) == 0 and _bits(y) == _bits(want(fd, np.asarray(x)))
+        k = ks.copy()
+        buf = np.full_like(k, -1.0)
+        assert fd._sigmoid(k, out=buf) is buf
+        assert _bits(buf) == _bits(1.0 / (1.0 + np.exp((ks / fd.K - fd.c2) / fd.c3)))
+    assert _bits(k) == _bits(ks)
+
+
 def test_eta_out_keeps_the_triangular_nan_and_nonpositive_densities():
     k = np.array([np.nan, 0.0, -0.0, -1.0, T.K])
     buf = np.empty_like(k)
@@ -228,6 +259,33 @@ def test_density_out_may_be_the_spacings(fd):
     buf = s.copy()
     assert fd._density(buf, out=buf) is buf
     assert _bits(buf) == _bits(want) == _bits(fd._density(s))
+
+
+def test_triangular_eta_divides_only_above_half_the_critical_density():
+    # Below kc/2 the congested branch exceeds 2V + W, so eta is V without K / k,
+    # which overflows for a subnormal k.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TriangularFD().eta(1e-310) == 20.0
+
+
+@given(V=st.floats(0.1, 300.0), W=st.floats(0.1, 300.0), K=st.floats(1e-3, 10.0),
+       fractions=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20))
+def test_triangular_eta_keeps_its_bits_around_the_critical_density(V, W, K, fractions):
+    fd = TriangularFD(V=V, W=W, K=K)
+    kc = fd.critical_density
+    edges = [x for c in (kc, 0.5 * kc) for x in (np.nextafter(c, 0.0), c, np.nextafter(c, np.inf))]
+    ks = np.array([*edges, 0.0, np.nan, K, 1e-310, 5e-324, *(min(f * kc, K) for f in fractions)])
+    with np.errstate(over="ignore"):
+        want = reference_eta(fd, ks)
+        scalars = [reference_eta(fd, np.asarray(x)) for x in ks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        buf = np.empty_like(ks)
+        assert fd._eta(ks, out=buf) is buf
+        assert _bits(buf) == _bits(want) == _bits(fd._eta(ks))
+        for x, y in zip(ks, scalars):
+            assert _bits(fd._eta(np.asarray(x))) == _bits(y)
 
 
 DENSITY_METHODS = ("eta", "eta_prime", "eta_second", "phi", "phi_prime")
