@@ -1,9 +1,11 @@
 """Post-hoc diagnostics and measurements on simulated trajectories.
 
-Everything here works on a finished Trajectory; nothing feeds back into
-the stepping.  Spacing-based quantities use normalized spacings
-(position gap divided by dn), so jam spacing is the reference value S
-for every discretization.
+Nothing here feeds back into the stepping.  The audit and the wave
+crossings are accumulators fed a record's time rows in blocks, in order:
+the public functions feed them a finished Trajectory, and a streamed run
+(``_Measures``) feeds them each block as it is stepped.  Spacing-based
+quantities use normalized spacings (position gap divided by dn), so jam
+spacing is the reference value S for every discretization.
 """
 from __future__ import annotations
 
@@ -91,6 +93,56 @@ def _events(mask: np.ndarray, j0: int, col: int) -> np.ndarray:
     return rows
 
 
+class _Audit:
+    """The running figures of ``diagnose``, fed a record's (j0, positions,
+    speeds, accelerations) row blocks in order (``engine._row_blocks`` or
+    ``engine._stream``).  A block's accelerations are overwritten: the
+    spacings are written into them once their maximum is taken.
+    """
+
+    def __init__(self, fd: FundamentalDiagram, dn: float):
+        self.limit, self.dn = fd.S - COLLISION_TOL, dn
+        # Each list starts with no event, so a clean run concatenates to a (0, 2) array.
+        self.collisions = [np.empty((0, 2), dtype=np.intp)]
+        self.negatives = [np.empty((0, 2), dtype=np.intp)]
+        # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
+        self.min_spacing, self.max_acc, self.nonfinite = math.inf, 0.0, 0
+
+    def add(self, j0: int, xb: np.ndarray, vb: np.ndarray, acc: np.ndarray) -> None:
+        self.max_acc = np.maximum(self.max_acc, np.max(np.abs(acc, out=acc)))
+        # The spacings take the accelerations' place, in the contiguous head of
+        # their buffer, so the audit holds one block-sized array.
+        rows, width = acc.shape
+        s = acc.reshape(-1)[: rows * (width - 1)].reshape(rows, width - 1)
+        np.subtract(xb[:, :-1], xb[:, 1:], out=s)
+        # Dividing by a positive dn rounds monotonically, so this is the
+        # minimum of the normalized spacings, bit for bit.
+        block_min = np.min(s, initial=math.inf) / self.dn
+        # A block whose minimum is at or above the limit holds no event; a NaN
+        # minimum fails the test, so such a block is searched.
+        if not block_min >= self.limit:
+            s /= self.dn
+            # Spacing column m is the gap in front of vehicle m + 1.
+            self.collisions.append(_events(s < self.limit, j0, 1))
+        self.min_spacing = np.minimum(self.min_spacing, block_min)
+        v_min = np.min(vb, initial=math.inf)
+        if not v_min >= -NEGATIVE_SPEED_TOL:
+            self.negatives.append(_events(vb < -NEGATIVE_SPEED_TOL, j0, 0))
+        # A block holds a NaN or an infinity only if its minimum or maximum is one.
+        for a, a_min in ((xb, np.min(xb, initial=math.inf)), (vb, v_min)):
+            if not (math.isfinite(a_min) and math.isfinite(np.max(a, initial=-math.inf))):
+                self.nonfinite += a.size - int(np.count_nonzero(np.isfinite(a)))
+
+    def report(self) -> DiagnosticsReport:
+        return DiagnosticsReport(
+            collision_events=np.concatenate(self.collisions),
+            negative_speed_events=np.concatenate(self.negatives),
+            min_spacing=float(self.min_spacing),
+            max_abs_acceleration=float(self.max_acc),
+            nonfinite_count=self.nonfinite,
+        )
+
+
 def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> DiagnosticsReport:
     """Scan a trajectory for spacing violations and negative speeds.
 
@@ -99,42 +151,11 @@ def diagnose(trajectory: Trajectory, fd: FundamentalDiagram | None = None) -> Di
     a block is searched for events only when its minimum crosses the limit.
     The report is the same as one whole-grid pass.
     """
-    fd = trajectory.scenario.fd if fd is None else fd
-    spacing_limit = fd.S - COLLISION_TOL
-
-    # Each list starts with no event, so a clean run concatenates to a (0, 2) array.
-    collisions, negatives = [np.empty((0, 2), dtype=np.intp)], [np.empty((0, 2), dtype=np.intp)]
-    # np.minimum/np.maximum carry a NaN through, as one np.min/np.max would.
-    min_spacing, max_acc, nonfinite = math.inf, 0.0, 0
-    for j0, xb, vb, acc in _row_blocks(trajectory, _AUDIT_BLOCK):
-        max_acc = np.maximum(max_acc, np.max(np.abs(acc, out=acc)))
-        del acc  # before the next block-sized array, to keep the peak at about one block
-        s = xb[:, :-1] - xb[:, 1:]
-        # Dividing by a positive dn rounds monotonically, so this is the
-        # minimum of the normalized spacings, bit for bit.
-        block_min = np.min(s, initial=math.inf) / trajectory.dn
-        # A block whose minimum is at or above the limit holds no event; a NaN
-        # minimum fails the test, so such a block is searched.
-        if not block_min >= spacing_limit:
-            s /= trajectory.dn
-            # Spacing column m is the gap in front of vehicle m + 1.
-            collisions.append(_events(s < spacing_limit, j0, 1))
-        min_spacing = np.minimum(min_spacing, block_min)
-        del s
-        v_min = np.min(vb, initial=math.inf)
-        if not v_min >= -NEGATIVE_SPEED_TOL:
-            negatives.append(_events(vb < -NEGATIVE_SPEED_TOL, j0, 0))
-        # A block holds a NaN or an infinity only if its minimum or maximum is one.
-        for a, a_min in ((xb, np.min(xb, initial=math.inf)), (vb, v_min)):
-            if not (math.isfinite(a_min) and math.isfinite(np.max(a, initial=-math.inf))):
-                nonfinite += a.size - int(np.count_nonzero(np.isfinite(a)))
-    return DiagnosticsReport(
-        collision_events=np.concatenate(collisions),
-        negative_speed_events=np.concatenate(negatives),
-        min_spacing=float(min_spacing),
-        max_abs_acceleration=float(max_acc),
-        nonfinite_count=nonfinite,
-    )
+    audit = _Audit(trajectory.scenario.fd if fd is None else fd, trajectory.dn)
+    for block in _row_blocks(trajectory, _AUDIT_BLOCK):
+        audit.add(*block)
+        del block  # before the walk builds the next block, to keep the peak at about one block
+    return audit.report()
 
 
 @dataclass(eq=False)
@@ -162,33 +183,105 @@ def _fit_line(t: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     return slope, min(max(r2, 0.0), 1.0)
 
 
-def _crossings(trajectory: Trajectory, level: float, rising: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolated (t, x) where each follower's speed first crosses ``level``.
-
-    A vehicle only contributes if it starts strictly on the far side,
-    so vehicles already past the front at t = 0 are excluded.
+class _Crossings:
+    """Where each follower's speed first crosses ``level``, fed a record's rows
+    in order as blocks of (times, positions, speeds); a finished record is
+    one block of views (``_fed``).  A follower only contributes if it starts
+    strictly on the far side, so vehicles already past the front at t = 0
+    are excluded.  The crossing is interpolated between its row and the row
+    before, which for a block's first row is the last row of the block
+    before, kept as a copy.  ``what`` names the crossings in a fit's error.
     """
-    t, x, v = trajectory.times, trajectory.positions, trajectory.speeds
-    past = v[:, 1:] >= level if rising else v[:, 1:] <= level
-    # The first row past the level, per follower.  It is 0 both for a
-    # follower that never gets there and for one that starts past it, and
-    # these are exactly the followers that do not contribute.
-    first = past.argmax(axis=0)
-    m = np.nonzero(first)[0] + 1
-    j = first[m - 1]
-    hit = v[j, m] == level
-    frac = (level - v[j - 1, m]) / (v[j, m] - v[j - 1, m])
-    ts = np.where(hit, t[j], t[j - 1] + frac * (t[j] - t[j - 1]))
-    xs = np.where(hit, x[j, m], x[j - 1, m] + frac * (x[j, m] - x[j - 1, m]))
-    return ts, xs
+
+    def __init__(self, level: float, rising: bool, what: str = "crossings"):
+        self.level, self.rising, self.what = level, rising, what
+        self.waiting = None
+
+    def add(self, t: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
+        level = self.level
+        past = v[:, 1:] >= level if self.rising else v[:, 1:] <= level
+        if self.waiting is None:
+            # The followers that may still cross, and each one's crossing.
+            self.waiting = ~past[0]
+            self.found = np.zeros_like(self.waiting)
+            self.ts, self.xs = np.empty(past.shape[1]), np.empty(past.shape[1])
+        # The first row past the level in this block, per follower; a
+        # follower without one gets row 0, which is not past the level.
+        first = past.argmax(axis=0)
+        hits = np.flatnonzero(self.waiting & past[first, np.arange(past.shape[1])])
+        if hits.size:
+            self.waiting[hits] = False
+            self.found[hits] = True
+            j, m = first[hits], hits + 1
+            # The row before; j - 1 = -1 reads the block's last row, replaced
+            # at a block's first row by the row that came before it.
+            t0, x0, v0 = t[j - 1], x[j - 1, m], v[j - 1, m]
+            edge = j == 0
+            if edge.any():
+                t0[edge], x0[edge], v0[edge] = self.prev[0], self.prev[1][m[edge]], self.prev[2][m[edge]]
+            t1, x1, v1 = t[j], x[j, m], v[j, m]
+            hit = v1 == level
+            frac = (level - v0) / (v1 - v0)
+            self.ts[hits] = np.where(hit, t1, t0 + frac * (t1 - t0))
+            self.xs[hits] = np.where(hit, x1, x0 + frac * (x1 - x0))
+        self.prev = t[-1], x[-1].copy(), v[-1].copy()
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (t, x) crossings, in follower order."""
+        return self.ts[self.found], self.xs[self.found]
+
+    def fit(self) -> WaveMeasurement:
+        """Line through three or more crossing points, else "only <count> <what>"."""
+        ts, xs = self.points()
+        if ts.size < 3:
+            raise MeasurementError(f"only {ts.size} {self.what}")
+        slope, r2 = _fit_line(ts, xs)
+        return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
 
 
-def _fit_wave(ts: np.ndarray, xs: np.ndarray, what: str) -> WaveMeasurement:
-    """Line through three or more crossing points, else "only <count> <what>"."""
-    if ts.size < 3:
-        raise MeasurementError(f"only {ts.size} {what}")
-    slope, r2 = _fit_line(ts, xs)
-    return WaveMeasurement(speed=slope, r_squared=r2, crossing_times=ts, crossing_positions=xs)
+def _fed(crossings: _Crossings, trajectory: Trajectory) -> _Crossings:
+    """``crossings`` fed a finished record as one block."""
+    crossings.add(trajectory.times, trajectory.positions, trajectory.speeds)
+    return crossings
+
+
+def _front(v1: float, v2: float) -> _Crossings:
+    """The crossings of the front between speed states v1 and v2: the midpoint
+    speed, for followers that start on the v1 side."""
+    if v1 == v2:
+        raise ValueError("v1 and v2 must differ")
+    return _Crossings(0.5 * (v1 + v2), v2 > v1, "crossings, need at least 3")
+
+
+def _startup(fd: FundamentalDiagram) -> _Crossings:
+    """The crossings of the startup wave: STARTUP_FRACTION of the free-flow
+    speed, for followers released from rest."""
+    return _Crossings(STARTUP_FRACTION * fd.V, True, "vehicles started from rest")
+
+
+def _wave(speeds: np.ndarray, fd: FundamentalDiagram) -> _Crossings | None:
+    """The crossings of the wave that a record's first row of ``speeds`` sets
+    off.  Followers at rest set off the startup wave; followers whose speed
+    differs from the leader's set off the front between the two speeds; a
+    uniform platoon sets off none (None)."""
+    v2, v1 = speeds[[0, -1]].tolist()
+    if v1 < STARTUP_FRACTION * fd.V:
+        return _startup(fd)
+    if abs(v1 - v2) > 1e-9:
+        return _front(v1, v2)
+    return None
+
+
+def _speed_and_r2(crossings: _Crossings | None) -> tuple[float, float]:
+    """The fitted wave's speed and r^2, or (nan, nan) for no wave or a fit
+    with too few crossings."""
+    if crossings is None:
+        return math.nan, math.nan
+    try:
+        meas = crossings.fit()
+    except MeasurementError:
+        return math.nan, math.nan
+    return meas.speed, meas.r_squared
 
 
 def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMeasurement:
@@ -198,10 +291,7 @@ def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMea
     follower that starts on the v1 side; a line through the crossing
     points gives the front speed.  Needs at least three crossings.
     """
-    if v1 == v2:
-        raise ValueError("v1 and v2 must differ")
-    level = 0.5 * (v1 + v2)
-    return _fit_wave(*_crossings(trajectory, level, rising=v2 > v1), "crossings, need at least 3")
+    return _fed(_front(v1, v2), trajectory).fit()
 
 
 def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
@@ -212,28 +302,40 @@ def measure_startup_wave(trajectory: Trajectory) -> WaveMeasurement:
     excluded; fewer than three starters is a measurement error, so a
     uniformly moving platoon is rejected.
     """
-    level = STARTUP_FRACTION * trajectory.scenario.fd.V
-    return _fit_wave(*_crossings(trajectory, level, rising=True), "vehicles started from rest")
+    return _fed(_startup(trajectory.scenario.fd), trajectory).fit()
 
 
 def measure_wave(trajectory: Trajectory) -> tuple[float, float]:
-    """Speed and r^2 of the wave the record's first row sets off.
+    """Speed and r^2 of the wave the record's first row sets off (``_wave``).
 
-    Followers at rest set off the startup wave; followers whose speed
-    differs from the leader's set off the front between the two speeds.
     A uniform platoon, or a fit with too few crossings, gives (nan, nan).
     """
-    v2, v1 = trajectory.speeds[0, [0, -1]].tolist()
-    try:
-        if v1 < STARTUP_FRACTION * trajectory.scenario.fd.V:
-            meas = measure_startup_wave(trajectory)
-        elif abs(v1 - v2) > 1e-9:
-            meas = measure_front_speed(trajectory, v1, v2)
-        else:
-            return math.nan, math.nan
-    except MeasurementError:
-        return math.nan, math.nan
-    return meas.speed, meas.r_squared
+    crossings = _wave(trajectory.speeds[0], trajectory.scenario.fd)
+    return _speed_and_r2(None if crossings is None else _fed(crossings, trajectory))
+
+
+class _Measures:
+    """What ``diagnose`` and ``measure_wave`` report of a run, fed its
+    (j0, positions, speeds, accelerations) row blocks in order
+    (``engine._stream``), so that the run is never held whole.  The
+    audit overwrites a block's accelerations, so it is fed last.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.audit = _Audit(scenario.fd, scenario.dn)
+        self.fd, self.dt = scenario.fd, scenario.dt
+
+    def add(self, j0: int, x: np.ndarray, v: np.ndarray, a: np.ndarray) -> None:
+        if j0 == 0:
+            self.crossings = _wave(v[0], self.fd)
+        if self.crossings is not None:
+            # The bits of the finished record's np.arange(J + 1) * dt.
+            self.crossings.add(np.arange(j0, j0 + len(x)) * self.dt, x, v)
+        self.audit.add(j0, x, v, a)
+
+    def wave(self) -> tuple[float, float]:
+        """The wave's speed and r^2, as ``measure_wave`` gives them."""
+        return _speed_and_r2(self.crossings)
 
 
 class SweepRow(NamedTuple):

@@ -23,16 +23,18 @@ from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from itertools import chain
 
-# perfbench/tracing.py patches measure_front_speed and measure_startup_wave here without a hasattr guard.
+# perfbench/tracing.py patches simulate, diagnose, measure_front_speed and
+# measure_startup_wave here without a hasattr guard, so they stay imported
+# though cli calls none of them.
 from .analysis import (
     DiagnosticsReport,
     ExperimentInvalid,
     SweepRow,
+    _Measures,
     _slot_count,
     diagnose,
     measure_front_speed,
     measure_startup_wave,
-    measure_wave,
     string_stability_experiment,
     sweep_dn,
 )
@@ -49,6 +51,7 @@ from .engine import (
     Trajectory,
     _Correction,
     _row_blocks,
+    _stream,
     simulate,
 )
 from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
@@ -383,25 +386,47 @@ def _g17(x: float) -> str:
 # stay near 100 kB.
 _CSV_BLOCK = 4096
 
+# Grid values per row block of a streamed run: the block's positions, speeds
+# and accelerations are what run holds of the grid.
+_RUN_BLOCK = 16384
 
-def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    # Each line's "t,vehicle,N," is rendered once into a block template;
-    # one % call then fills the block's x, v, a.  engine._row_blocks sizes
-    # the blocks by value count, so narrow, long runs (kerner-redlight) batch too.
-    numbers = traj.vehicle_numbers().tolist()
-    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, n) for i, n in enumerate(numbers)]
-    with open(path, "w") as fh:
-        fh.write("t,vehicle,N,x,v,a\n")
-        for j0, x, v, a in _row_blocks(traj, _CSV_BLOCK // 3):
-            prefixes = ["%.17g," % t for t in traj.times[j0 : j0 + len(x)].tolist()]
+
+def _csv_writer(fh, scenario: Scenario):
+    """Write trajectory.csv's header to ``fh``, and return the writer of a
+    record's (j0, x, v, a) row blocks, in order, as its lines.
+
+    Each line's "t,vehicle,N," is rendered once into a template of
+    _CSV_BLOCK values; one % call then fills their x, v, a.  The template
+    counts values, so narrow, long runs (kerner-redlight) batch too.  The
+    times j * dt and vehicle numbers i * dn have the bits of a Trajectory's
+    np.arange(J + 1) * dt and np.arange(M + 1) * dn.
+    """
+    dn, dt = scenario.dn, scenario.dt
+    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, i * dn) for i in range(scenario.m + 1)]
+    rows = max(1, _CSV_BLOCK // 3 // len(tails))
+    fh.write("t,vehicle,N,x,v,a\n")
+
+    def write(j0: int, x, v, a) -> None:
+        for i in range(0, len(x), rows):
+            k = slice(i, i + rows)
+            prefixes = ["%.17g," % (j * dt) for j in range(j0 + i, j0 + min(i + rows, len(x)))]
             lines = "".join(prefix + prefix.join(tails) for prefix in prefixes)
-            values = zip(x.ravel().tolist(), v.ravel().tolist(), a.ravel().tolist())
+            values = zip(x[k].ravel().tolist(), v[k].ravel().tolist(), a[k].ravel().tolist())
             fh.write(lines % tuple(chain.from_iterable(values)))
 
+    return write
 
-def _summary_lines(traj: Trajectory, report: DiagnosticsReport) -> list[str]:
-    speed, r2 = measure_wave(traj)
-    fd = traj.scenario.fd
+
+def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
+    """Write a finished record as trajectory.csv, in engine._row_blocks."""
+    with open(path, "w") as fh:
+        write = _csv_writer(fh, traj.scenario)
+        for block in _row_blocks(traj, _RUN_BLOCK):
+            write(*block)
+            del block  # before the walk builds the next block
+
+def _summary_lines(fd, wave: tuple[float, float], report: DiagnosticsReport) -> list[str]:
+    speed, r2 = wave
     return [
         f"measured_shock_speed = {_g17(speed)}",
         f"r_squared = {_g17(r2)}",
@@ -427,14 +452,26 @@ def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
 
 
 def run(spec: RunSpec, expect_clean: bool = False) -> int:
-    """Execute one run; write trajectory.csv and summary.txt."""
-    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
-    os.makedirs(spec.output_dir, exist_ok=True)
+    """Execute one run; write trajectory.csv and summary.txt.
 
+    The run is stepped, written, audited and measured one row block at a
+    time (``engine._stream``, ``analysis._Measures``): the grid is never
+    held whole.
+    """
+    sc = spec.scenario
+    # A grid that simulate refuses is refused here, before any file exists.
+    blocks = _stream(sc, spec.model, spec.scheme, _RUN_BLOCK)
+    measures = _Measures(sc)
+    os.makedirs(spec.output_dir, exist_ok=True)
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
-    _write_trajectory_csv(csv_path, traj)
-    report = diagnose(traj)
-    summary_path = _write_lines(spec, "summary.txt", _summary_lines(traj, report))
+    with open(csv_path, "w") as fh:
+        write = _csv_writer(fh, sc)
+        for block in blocks:
+            write(*block)
+            measures.add(*block)  # after the writer: the audit overwrites the accelerations
+            del block  # before the stream builds the next block
+    report = measures.audit.report()
+    summary_path = _write_lines(spec, "summary.txt", _summary_lines(sc.fd, measures.wave(), report))
     print(f"[run] wrote {csv_path} and {summary_path}")
 
     if expect_clean and not report.clean:

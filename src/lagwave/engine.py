@@ -16,6 +16,11 @@ the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
 row, with the bits of the allocating expressions it replaces.
+
+A step reads only the row before it, so a run can be stepped in blocks
+of time rows: ``simulate`` steps and returns the whole (J+1, M+1) grid,
+and ``_stream`` hands out the row blocks of that grid, bit for bit,
+without ever holding it.
 """
 from __future__ import annotations
 
@@ -330,6 +335,102 @@ def _count(n: int) -> str:
     return str(n) if n <= limit else f">{limit}"
 
 
+def _grids(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised positions and speeds grids of ``shape``, (J+1, M+1); a shape
+    that numpy cannot allocate is refused with numpy's reason."""
+    try:
+        return np.empty(shape), np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"numpy cannot allocate the ({_count(shape[0])}, {_count(shape[1])}) grid "
+                         f"of duration / dt steps and m slots: {exc}") from None
+
+
+def _refuse_unallocatable(shape: tuple[int, int]) -> None:
+    """Refuse the ``shape`` whose two grids ``simulate`` could not allocate, without
+    allocating them.  Both are mapped untouched, which neither the resident set
+    nor tracemalloc sees, and unmapped; only where a map fails is numpy asked
+    for the grids, so that the refusal is numpy's own."""
+    import mmap  # only a streamed run needs it, so importing lagwave does not load it
+
+    maps = []
+    try:
+        for _ in range(2):
+            maps.append(mmap.mmap(-1, math.prod(shape) * 8, flags=mmap.MAP_PRIVATE))
+    except (OverflowError, OSError, ValueError):
+        _grids(shape)
+    finally:
+        for m in maps:
+            m.close()
+
+
+def _checked_model(model: Model | None, scheme: Scheme) -> Model:
+    """The model a run steps, the equilibrium model by default; stencil and
+    explicit-explicit schemes support only that one."""
+    if model is None:
+        model = NonstandardLWR()
+    if scheme is not Scheme.ANISOTROPIC_SYMPLECTIC and not isinstance(model, NonstandardLWR):
+        raise ValueError(f"scheme {scheme.value!r} supports only the equilibrium model")
+    return model
+
+
+def _start(scenario: Scenario, x: np.ndarray, v: np.ndarray) -> None:
+    """Write the initial platoon into the rows ``x`` and ``v``: uniform spacing
+    dn/k1 with the leader at the origin, the followers at eta(k1) or the
+    scenario's initial speed, the leader at its own speed."""
+    x[:] = -np.arange(scenario.m + 1) * (scenario.dn / scenario.k1)
+    v0 = scenario.initial_speed
+    v[:] = scenario.fd.eta(scenario.k1) if v0 is None else v0
+    v[0] = scenario.lead_speed
+
+
+def _step(positions: np.ndarray, speeds: np.ndarray, lead: np.ndarray, scenario: Scenario,
+          model: Model, scheme: Scheme) -> None:
+    """``_step_kernel`` on the scenario's diagram and step sizes."""
+    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
+    # limit, so the warning is silenced; the audit counts any non-finite value.
+    with np.errstate(over="ignore"):
+        _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, scenario.dt, model, scheme)
+
+
+def _stream(
+    scenario: Scenario,
+    model: Model | None,
+    scheme: Scheme,
+    values: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The blocks of ``_row_blocks(simulate(scenario, model, scheme), values)``,
+    bit for bit, stepped as they are walked: the full grid is never held.
+
+    The kernel steps a (rows + 1, M+1) buffer from its row 0; a block is the
+    buffer's first ``rows`` rows, and its last row, which the accelerations
+    read, is copied to row 0 for the next block.  A block's positions and
+    speeds are views of the buffer, overwritten by the next block.  The
+    model, the scheme and the grid's shape are checked, and refused as
+    ``simulate`` refuses them, before this returns.
+    """
+    model = _checked_model(model, scheme)
+    J, width = scenario.steps, scenario.m + 1
+    _refuse_unallocatable((J + 1, width))
+    rows = max(1, values // width)
+    steps = min(rows, J)  # per block, at most
+    x, v = np.empty((steps + 1, width)), np.empty((steps + 1, width))
+    _start(scenario, x[0], v[0])
+    lead = np.full(steps, scenario.lead_speed)
+
+    def blocks():
+        dt = scenario.dt
+        for j0 in range(0, J + 1, rows):
+            n = min(rows, J - j0)  # the steps to the block's last row, or to the grid's
+            _step(x[: n + 1], v[: n + 1], lead[:n], scenario, model, scheme)
+            if n < rows:
+                yield j0, x[: n + 1], v[: n + 1], np.concatenate((acceleration(v[: n + 1], dt), np.zeros((1, width))))
+                return
+            yield j0, x[:n], v[:n], acceleration(v, dt)
+            x[0], v[0] = x[n], v[n]
+
+    return blocks()
+
+
 def simulate(
     scenario: Scenario,
     model: Model | None = None,
@@ -343,18 +444,9 @@ def simulate(
     leader holds ``scenario.lead_speed``.  Stencil and explicit-explicit
     schemes support only the equilibrium model.
     """
-    if model is None:
-        model = NonstandardLWR()
-    if scheme is not Scheme.ANISOTROPIC_SYMPLECTIC and not isinstance(model, NonstandardLWR):
-        raise ValueError(f"scheme {scheme.value!r} supports only the equilibrium model")
-
+    model = _checked_model(model, scheme)
     J = scenario.steps
-    shape = (J + 1, scenario.m + 1)
-    try:
-        positions, speeds = np.empty(shape), np.empty(shape)
-    except (MemoryError, ValueError) as exc:
-        raise ValueError(f"numpy cannot allocate the ({_count(J + 1)}, {_count(scenario.m + 1)}) grid "
-                         f"of duration / dt steps and m slots: {exc}") from None
+    positions, speeds = _grids((J + 1, scenario.m + 1))
     if lead_speeds is None:
         lead = np.full(J, scenario.lead_speed)
     else:
@@ -364,15 +456,6 @@ def simulate(
         if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
             raise ValueError("lead_speeds must be finite and nonnegative")
 
-    # Initial platoon: uniform spacing dn/k1, leader at the origin.
-    dt = scenario.dt
-    positions[0] = -np.arange(scenario.m + 1) * (scenario.dn / scenario.k1)
-    v0 = scenario.initial_speed
-    speeds[0] = scenario.fd.eta(scenario.k1) if v0 is None else v0
-    speeds[0, 0] = scenario.lead_speed
-    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
-    # limit, so the warning is silenced; the audit counts any non-finite value.
-    with np.errstate(over="ignore"):
-        _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, dt, model, scheme)
-
-    return Trajectory(times=np.arange(J + 1) * dt, positions=positions, speeds=speeds, scenario=scenario)
+    _start(scenario, positions[0], speeds[0])
+    _step(positions, speeds, lead, scenario, model, scheme)
+    return Trajectory(times=np.arange(J + 1) * scenario.dt, positions=positions, speeds=speeds, scenario=scenario)

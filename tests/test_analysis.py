@@ -15,7 +15,7 @@ from lagwave.analysis import (
     NEGATIVE_SPEED_TOL,
     ExperimentInvalid,
     MeasurementError,
-    _crossings,
+    _Crossings,
     _displayed_slots,
     diagnose,
     diffusion_coefficient,
@@ -142,7 +142,8 @@ def _reference_events(trajectory, fd):
 
 
 def _reference_crossings(trajectory, level, rising):
-    """The per-vehicle loop that ``_crossings`` replaced, kept as its reference."""
+    """The per-vehicle loop that the whole-grid crossings replaced, kept as
+    the crossing accumulator's reference."""
     times = trajectory.times
     ts, xs = [], []
     for m in range(1, trajectory.speeds.shape[1]):
@@ -220,7 +221,9 @@ def test_audit_and_crossings_match_reference_loops(case):
     levels += list(v[[len(v) // 3, 2 * len(v) // 3], -1])
     for level in levels:
         for rising in (True, False):
-            got = _crossings(traj, level, rising)
+            crossings = _Crossings(level, rising)
+            crossings.add(traj.times, traj.positions, traj.speeds)
+            got = crossings.points()
             want = _reference_crossings(traj, level, rising)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

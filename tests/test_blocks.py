@@ -1,8 +1,15 @@
-"""The row-block passes over a run's grid, the CSV writer and the audit,
-against the whole-grid code they replaced.  The equivalence tests shrink
-both block sizes so that every grid crosses many block edges; the memory
-tests keep the defaults and bound what one pass holds."""
+"""The row-block passes over a run's grid, the CSV writer, the audit and the
+wave crossings, and the streamed run that steps them, against the
+whole-grid code they replaced.  The equivalence tests shrink the block
+sizes so that every grid crosses many block edges; the memory tests keep
+the defaults and bound what one pass holds."""
+import contextlib
+import functools
+import hashlib
+import io
+import math
 import os
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -14,9 +21,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import lagwave.analysis
 import lagwave.cli
-from lagwave.analysis import COLLISION_TOL, NEGATIVE_SPEED_TOL, _events, diagnose
-from lagwave.cli import _write_trajectory_csv, load_spec
-from lagwave.engine import Scheme, Trajectory, _row_blocks, simulate
+from lagwave.analysis import (
+    COLLISION_TOL, NEGATIVE_SPEED_TOL, STARTUP_FRACTION, MeasurementError, _Crossings, _events, _fit_line, diagnose,
+)
+from lagwave.cli import _write_trajectory_csv, load_spec, run
+from lagwave.conditions import cfl_threshold, collision_free_threshold
+from lagwave.engine import Scenario, Scheme, Trajectory, _row_blocks, _stream, simulate
+from lagwave.fundamental import GreenshieldsFD
 from lagwave.templates import TEMPLATES, template_text
 
 
@@ -50,6 +61,50 @@ def _reference_diagnose(trajectory, fd=None):
     return collisions, negatives, min_spacing, max_acc, nonfinite
 
 
+def _reference_crossings(trajectory, level, rising):
+    """The crossings before the block accumulator, one mask over the whole
+    grid: interpolated (t, x) where each follower's speed first crosses
+    ``level``, for followers that start strictly on the far side."""
+    t, x, v = trajectory.times, trajectory.positions, trajectory.speeds
+    past = v[:, 1:] >= level if rising else v[:, 1:] <= level
+    # The first row past the level, per follower.  It is 0 both for a
+    # follower that never gets there and for one that starts past it, and
+    # these are exactly the followers that do not contribute.
+    first = past.argmax(axis=0)
+    m = np.nonzero(first)[0] + 1
+    j = first[m - 1]
+    hit = v[j, m] == level
+    frac = (level - v[j - 1, m]) / (v[j, m] - v[j - 1, m])
+    ts = np.where(hit, t[j], t[j - 1] + frac * (t[j] - t[j - 1]))
+    xs = np.where(hit, x[j, m], x[j - 1, m] + frac * (x[j, m] - x[j - 1, m]))
+    return ts, xs
+
+
+def _reference_summary(traj):
+    """summary.txt from the whole-grid audit and crossings, with the wave
+    chosen from the record's first row as measure_wave chooses it."""
+    fd = traj.scenario.fd
+    collisions, negatives, min_spacing, max_acc, _ = _reference_diagnose(traj)
+    v2, v1 = traj.speeds[0, [0, -1]].tolist()
+    speed = r2 = math.nan
+    wave = None
+    if v1 < STARTUP_FRACTION * fd.V:
+        wave = STARTUP_FRACTION * fd.V, True
+    elif abs(v1 - v2) > 1e-9:
+        wave = 0.5 * (v1 + v2), v2 > v1
+    if wave is not None:
+        ts, xs = _reference_crossings(traj, *wave)
+        with contextlib.suppress(MeasurementError):
+            if ts.size >= 3:
+                speed, r2 = _fit_line(ts, xs)
+    values = [("measured_shock_speed", speed), ("r_squared", r2), ("min_spacing", min_spacing),
+              ("collision_count", len(collisions)), ("negative_speed_count", len(negatives)),
+              ("max_abs_accel", max_acc), ("collision_free_threshold", collision_free_threshold(fd)),
+              ("cfl_threshold", cfl_threshold(fd))]
+    return "".join(f"{key} = {value}\n" if isinstance(value, int) else f"{key} = {value:.17g}\n"
+                   for key, value in values)
+
+
 def _assert_same_report(rep, want):
     collisions, negatives, min_spacing, max_acc, nonfinite = want
     for got, ref in ((rep.collision_events, collisions), (rep.negative_speed_events, negatives)):
@@ -64,6 +119,7 @@ def _assert_same_report(rep, want):
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     monkeypatch.setattr(lagwave.cli, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(lagwave.cli, "_RUN_BLOCK", 11)
     monkeypatch.setattr(lagwave.analysis, "_AUDIT_BLOCK", 5)
 
 
@@ -80,16 +136,25 @@ def _cases():
     return cases + ["greenshields-shock-a:m=0", "greenshields-shock-a:duration=0", "greenshields-shock-b:special"]
 
 
-def _case_trajectory(case):
+def _case_spec(case):
+    """The RunSpec of a case; the special case's values are edited into its record."""
     name, variant = case.split(":")
     spec = load_spec(template_text(name))
     sc = spec.scenario
     if variant == "m=0":
-        return simulate(replace(sc, m=0), model=spec.model, scheme=spec.scheme)
+        return replace(spec, scenario=replace(sc, m=0))
     if variant == "duration=0":
-        return simulate(replace(sc, duration=0.0), model=spec.model, scheme=spec.scheme)
+        return replace(spec, scenario=replace(sc, duration=0.0))
     if variant == "special":
-        traj = simulate(replace(sc, m=6, duration=3 * sc.dt), model=spec.model, scheme=spec.scheme)
+        return replace(spec, scenario=replace(sc, m=6, duration=3 * sc.dt))
+    # the shock templates use the equilibrium model, which every scheme supports
+    return replace(spec, scheme=Scheme(variant))
+
+
+def _case_trajectory(case):
+    spec = _case_spec(case)
+    traj = simulate(spec.scenario, model=spec.model, scheme=spec.scheme)
+    if case.endswith(":special"):
         x, v = traj.positions.copy(), traj.speeds.copy()
         v[0, 3] = -0.0
         v[1, 2] = np.nan
@@ -98,18 +163,105 @@ def _case_trajectory(case):
         v[-1, -1] = -0.0
         x[1, 6] = np.nan
         return Trajectory(times=traj.times, positions=x, speeds=v, scenario=traj.scenario)
-    # the shock templates use the equilibrium model, which every scheme supports
-    return simulate(sc, model=spec.model, scheme=Scheme(variant))
+    return traj
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_csv_sha256(case):
+    """sha256 of the whole-grid writer's trajectory.csv for ``case``, made once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "want.csv")
+        _reference_write_trajectory_csv(path, _case_trajectory(case))
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", _cases())
 def test_blocked_passes_match_whole_grid(case, tiny_blocks, tmp_path):
     traj = _case_trajectory(case)
     _assert_same_report(diagnose(traj), _reference_diagnose(traj))
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_trajectory_csv(str(got), traj)
-    _reference_write_trajectory_csv(str(want), traj)
-    assert got.read_bytes() == want.read_bytes()
+    _write_trajectory_csv(str(tmp_path / "got.csv"), traj)
+    assert _sha256(tmp_path / "got.csv") == _reference_csv_sha256(case)
+
+
+def _block_bytes(blocks):
+    """Each block's j0 and its arrays' bytes, taken as it is walked: a
+    streamed block's views are overwritten by the next."""
+    return [(j0, x.tobytes(), v.tobytes(), a.tobytes()) for j0, x, v, a in blocks]
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_stream_reproduces_simulate(case):
+    # tobytes compares NaN, infinities and signed zeros exactly.  Blocks are
+    # sized by values: one value and one row plus three (a row each), three
+    # rows, and the grid's J and J + 1 rows, where the last block holds one
+    # row and where one block holds the grid.
+    spec = _case_spec(case)
+    sc = spec.scenario
+    traj = simulate(sc, model=spec.model, scheme=spec.scheme)
+    count, width = traj.positions.shape
+    # One size per row count: the blocks depend on nothing else.
+    sizes = {max(1, values // width): values for values in (1, width + 3, 3 * width + 1, count * width - 1, count * width)}
+    for values in sizes.values():
+        got = _block_bytes(_stream(sc, spec.model, spec.scheme, values))
+        assert got == _block_bytes(_row_blocks(traj, values)), values
+
+
+@pytest.mark.parametrize("m, dt", [(3, 1e-15), (3, 1e-300), (10**30, 0.1)],
+                         ids=["unable to allocate", "steps past the dimension limit", "slots past it"])
+def test_stream_refuses_what_simulate_refuses(m, dt):
+    # Refused with simulate's message when called, before a block is asked
+    # for: a stream of these shapes would step for hours.
+    sc = Scenario(fd=GreenshieldsFD(), k1=0.05, lead_speed=0.0, m=m, dn=1.0, dt=dt, duration=1.0)
+    with pytest.raises(ValueError) as want:
+        simulate(sc)
+    with pytest.raises(ValueError) as got:
+        _stream(sc, None, Scheme.ANISOTROPIC_SYMPLECTIC, 65536)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("case", _cases())
+def test_streamed_run_writes_the_whole_grid_bytes(case, tiny_blocks, tmp_path, monkeypatch):
+    # Two rows per block: a crossing on an even row falls on a block's first
+    # row and is interpolated from the row carried over from the block before.
+    traj = _case_trajectory(case)
+    monkeypatch.setattr(lagwave.cli, "_RUN_BLOCK", 2 * traj.positions.shape[1])
+    if case.endswith(":special"):
+        # No scenario steps to the edited values: the run walks the edited record.
+        monkeypatch.setattr(lagwave.cli, "_stream", lambda sc, model, scheme, values: _row_blocks(traj, values))
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(replace(_case_spec(case), output_dir=str(tmp_path)))
+    assert _sha256(tmp_path / "trajectory.csv") == _reference_csv_sha256(case)
+    assert (tmp_path / "summary.txt").read_text() == _reference_summary(traj)
+
+
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("rows", [1, 2, 3, 6])
+def test_crossings_carry_the_row_before_a_block(rows, rising):
+    # Follower 1 crosses between rows 1 and 2, follower 2 meets the level
+    # exactly at row 3, at a position of -0.0, and follower 3 starts past it.
+    # Each block is a copy scribbled over once fed, as a stream's buffer is.
+    x, v = _platoon(rows=6, width=4)
+    v[:, 1] = [0.0, 0.25, 2.0, 2.0, 2.0, 2.0]
+    v[:, 2] = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
+    v[:, 3] = 2.0
+    x[3, 2] = -0.0
+    if not rising:
+        v = 2.0 - v
+    traj = _trajectory(x, v, dt=0.3)
+    crossings = _Crossings(1.0, rising)
+    for j0 in range(0, 6, rows):
+        block = [a[j0 : j0 + rows].copy() for a in (traj.times, x, v)]
+        crossings.add(*block)
+        for a in block:
+            a.fill(np.nan)
+    got, want = crossings.points(), _reference_crossings(traj, 1.0, rising)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].size == 2 and np.signbit(got[1][1])
 
 
 def test_special_case_has_what_it_names():
@@ -331,6 +483,18 @@ def test_writer_memory_is_a_block(wide_run):
 def test_audit_memory_is_a_block(wide_run):
     # The whole-grid audit held spacings and accelerations, about 2x.
     peak, grid = _traced_peak(diagnose, wide_run), wide_run.positions.nbytes
+    assert peak < grid / 4
+
+
+def test_run_memory_is_a_block(tmp_path):
+    # The run held both (J+1, M+1) grids, about 2x: it now holds the stream's
+    # block and the writer's lists.
+    spec = load_spec(template_text("triangular-discharge"))
+    sc = replace(spec.scenario, duration=0.5 * spec.scenario.duration)
+    grid = (sc.steps + 1) * (sc.m + 1) * 8
+    assert grid >= 5_000_000
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak = _traced_peak(run, replace(spec, scenario=sc, output_dir=str(tmp_path)))
     assert peak < grid / 4
 
 
