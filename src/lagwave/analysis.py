@@ -2,10 +2,10 @@
 
 Nothing here feeds back into the stepping.  The audit and the wave
 crossings are accumulators fed a record's time rows in blocks, in order:
-the public functions feed them a finished Trajectory, and a streamed run
-(``_Measures``) feeds them each block as it is stepped.  Spacing-based
-quantities use normalized spacings (position gap divided by dn), so jam
-spacing is the reference value S for every discretization.
+the public functions feed them a finished Trajectory, and a run's record
+(``_Measures``), filled by ``sweep_dn`` and the CLI, feeds them each block.
+Spacing-based quantities use normalized spacings (position gap divided by
+dn), so jam spacing is the reference value S for every discretization.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .engine import Model, Scenario, Scheme, Trajectory, _count, _relaxation_time, _row_blocks, acceleration, simulate
+from .engine import Model, Scenario, Scheme, Trajectory, _count, _relaxation_time, _row_blocks, simulate
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -314,30 +314,6 @@ def measure_wave(trajectory: Trajectory) -> tuple[float, float]:
     return _speed_and_r2(None if crossings is None else _fed(crossings, trajectory))
 
 
-class _Measures:
-    """What ``diagnose`` and ``measure_wave`` report of a run, fed its
-    (j0, positions, speeds, accelerations) row blocks in order
-    (``engine._stream``), so that the run is never held whole.  The
-    audit overwrites a block's accelerations, so it is fed last.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.audit = _Audit(scenario.fd, scenario.dn)
-        self.fd, self.dt = scenario.fd, scenario.dt
-
-    def add(self, j0: int, x: np.ndarray, v: np.ndarray, a: np.ndarray) -> None:
-        if j0 == 0:
-            self.crossings = _wave(v[0], self.fd)
-        if self.crossings is not None:
-            # The bits of the finished record's np.arange(J + 1) * dt.
-            self.crossings.add(np.arange(j0, j0 + len(x)) * self.dt, x, v)
-        self.audit.add(j0, x, v, a)
-
-    def wave(self) -> tuple[float, float]:
-        """The wave's speed and r^2, as ``measure_wave`` gives them."""
-        return _speed_and_r2(self.crossings)
-
-
 class SweepRow(NamedTuple):
     """One dn of a convergence sweep; the fields are sweep.csv's columns."""
 
@@ -357,6 +333,58 @@ def _displayed_slots(dn: float, m: int, count: int) -> dict[int, int]:
     return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
 
 
+class _Measures:
+    """The record of a run: what ``diagnose`` and ``measure_wave`` report,
+    and the peak |acceleration| and positions of the displayed vehicles
+    (``_displayed_slots``), fed the run's (j0, positions, speeds,
+    accelerations) row blocks in order (``engine._stream`` or
+    ``_row_blocks``).  The audit overwrites the accelerations, so it is last.
+    """
+
+    def __init__(self, scenario: Scenario, display_vehicles: int = 5):
+        self.scenario = scenario
+        self.audit = _Audit(scenario.fd, scenario.dn)
+        self.slots = _displayed_slots(scenario.dn, scenario.m, display_vehicles)
+        self.cols = list(self.slots.values())
+        # A record of no steps has no acceleration, only the block rule's zero row: its peak stays nan.
+        self.peak = -math.inf if scenario.steps and self.cols else math.nan
+        self.positions = []  # the displayed vehicles' positions, per block
+
+    def add(self, j0: int, x: np.ndarray, v: np.ndarray, a: np.ndarray) -> None:
+        sc = self.scenario
+        if j0 == 0:
+            self.crossings = _wave(v[0], sc.fd)
+        if self.crossings is not None:
+            # The bits of the finished record's np.arange(J + 1) * dt.
+            self.crossings.add(np.arange(j0, j0 + len(x)) * sc.dt, x, v)
+        self.peak = np.maximum(self.peak, np.max(np.abs(a[:, self.cols]), initial=-math.inf))
+        self.positions.append(x[:, self.cols])  # a copy, as a stream overwrites x
+        self.audit.add(j0, x, v, a)
+
+    def wave(self) -> tuple[float, float]:
+        """The wave's speed and r^2, as ``measure_wave`` gives them."""
+        return _speed_and_r2(self.crossings)
+
+    def _curves(self) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The record's times, and each displayed vehicle's positions by vehicle number."""
+        sc = self.scenario
+        return np.arange(sc.steps + 1) * sc.dt, dict(zip(self.slots, np.concatenate(self.positions).T))
+
+    def row(self, prev: _Measures | None) -> SweepRow:
+        """The run's ``sweep_dn`` row, its difference taken against ``prev``, the run at the dn before."""
+        diff = math.nan
+        if prev is not None:
+            (times, curves), (t_prev, curves_prev) = self._curves(), prev._curves()
+            grid = t_prev[t_prev <= min(float(t_prev[-1]), float(times[-1]))]
+            diff = 0.0
+            for n, x_prev in curves_prev.items():
+                if n in curves:
+                    # grid is a prefix of t_prev, so the previous curve is read on its own knots.
+                    b = np.interp(grid, times, curves[n])
+                    diff = max(diff, float(np.max(np.abs(x_prev[: len(grid)] - b))))
+        return SweepRow(self.scenario.dn, self.wave()[0], float(self.peak), self.audit.report().min_spacing, diff)
+
+
 def _slot_count(vehicles: int, dn: float) -> int:
     """The slot count m of a run of ``vehicles`` whole vehicles: vehicles / dn, rounded."""
     if not (math.isfinite(dn) and dn > 0.0):
@@ -367,6 +395,11 @@ def _slot_count(vehicles: int, dn: float) -> int:
         return round(vehicles / dn)
     except OverflowError:
         raise ValueError("the slot count vehicles / dn is too large for a float") from None
+
+
+def _at_dn(scenario: Scenario, dn: float, vehicles: int, dt_ratio: float) -> Scenario:
+    """``scenario`` at ``dn``, with m = vehicles / dn rounded and dt = dt_ratio * dn."""
+    return replace(scenario, dn=dn, dt=dt_ratio * dn, m=_slot_count(vehicles, dn))
 
 
 def sweep_dn(
@@ -387,34 +420,18 @@ def sweep_dn(
     the plots show; min spacing is over every simulated slot.  The
     difference is the largest gap between a displayed vehicle's
     positions at this dn and at the previous one, on the previous time
-    grid up to the shorter duration; it is nan for the first dn.
+    grid up to the shorter duration; it is nan for the first dn.  The
+    row is read from the record ``lagwave sweep`` streams (``_Measures``).
     """
     prev = None
     for dn in dn_values:
-        m = _slot_count(vehicles, dn)
-        traj = simulate(replace(scenario, dn=dn, dt=dt_ratio * dn, m=m), model=model, scheme=scheme)
-        report = diagnose(traj)
-        speed, _ = measure_wave(traj)
-
-        slots = _displayed_slots(dn, m, display_vehicles)
-        cols = list(slots.values())
-        # The displayed columns only: the whole (J, M+1) grid is ~10 MB on triangular-discharge.
-        acc = acceleration(traj.speeds[:, cols], traj.scenario.dt)
-        max_acc = float(np.max(np.abs(acc))) if acc.size else math.nan
-        # Copies: a view would keep the whole earlier positions grid alive.
-        curves = {n: traj.positions[:, slot].copy() for n, slot in slots.items()}
-        diff = math.nan
-        if prev is not None:
-            t_prev, curves_prev = prev
-            grid = t_prev[t_prev <= min(float(t_prev[-1]), float(traj.times[-1]))]
-            diff = 0.0
-            for n, x_prev in curves_prev.items():
-                if n in curves:
-                    # grid is a prefix of t_prev, so the previous curve is read on its own knots.
-                    b = np.interp(grid, traj.times, curves[n])
-                    diff = max(diff, float(np.max(np.abs(x_prev[: len(grid)] - b))))
-        prev = (traj.times, curves)
-        yield traj, SweepRow(dn, speed, max_acc, report.min_spacing, diff)
+        traj = simulate(_at_dn(scenario, dn, vehicles, dt_ratio), model=model, scheme=scheme)
+        measures = _Measures(traj.scenario, display_vehicles)
+        for block in _row_blocks(traj, _AUDIT_BLOCK):
+            measures.add(*block)
+            del block  # before the walk builds the next block
+        yield traj, measures.row(prev)
+        prev = measures
 
 
 @dataclass(eq=False)

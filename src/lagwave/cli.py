@@ -30,13 +30,13 @@ from .analysis import (
     DiagnosticsReport,
     ExperimentInvalid,
     SweepRow,
+    _at_dn,
     _Measures,
     _slot_count,
     diagnose,
     measure_front_speed,
     measure_startup_wave,
     string_stability_experiment,
-    sweep_dn,
 )
 from .conditions import cfl_threshold, collision_free_threshold, validate_step_sizes
 from .engine import (
@@ -48,9 +48,7 @@ from .engine import (
     PhillipsRelax,
     Scenario,
     Scheme,
-    Trajectory,
     _Correction,
-    _row_blocks,
     _stream,
     simulate,
 )
@@ -255,7 +253,10 @@ def load_spec(text: str) -> RunSpec:
     vehicles = dt_ratio = None
     if "vehicles" in sc_sec:
         vehicles = _to_int("scenario", "vehicles", sc_sec["vehicles"])
-        given["m"] = _slots(vehicles, dn, "keys scenario.vehicles and scenario.dn")
+        try:
+            given["m"] = _slot_count(vehicles, dn)
+        except ValueError as exc:
+            raise ConfigError(f"keys scenario.vehicles and scenario.dn: {exc}") from None
     elif "m" not in sc_sec:
         given["m"] = 50
     if "dt_ratio" in sc_sec:
@@ -298,14 +299,6 @@ def load_spec(text: str) -> RunSpec:
         vehicles=vehicles,
         dt_ratio=dt_ratio,
     )
-
-
-def _slots(vehicles: int, dn: float, keys: str) -> int:
-    """The slot count m of ``vehicles`` at ``dn``; a refusal names ``keys``."""
-    try:
-        return _slot_count(vehicles, dn)
-    except ValueError as exc:
-        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _dn_values(raw: str) -> tuple[float, ...]:
@@ -391,9 +384,9 @@ _CSV_BLOCK = 4096
 _RUN_BLOCK = 16384
 
 
-def _csv_writer(fh, scenario: Scenario):
-    """Write trajectory.csv's header to ``fh``, and return the writer of a
-    record's (j0, x, v, a) row blocks, in order, as its lines.
+def _write_run(path: str, blocks, measures: _Measures) -> None:
+    """Write a run's (j0, x, v, a) row blocks, in order, to ``path`` as trajectory.csv,
+    and feed each, once written, to the run's record (whose audit overwrites a).
 
     Each line's "t,vehicle,N," is rendered once into a template of
     _CSV_BLOCK values; one % call then fills their x, v, a.  The template
@@ -401,29 +394,21 @@ def _csv_writer(fh, scenario: Scenario):
     times j * dt and vehicle numbers i * dn have the bits of a Trajectory's
     np.arange(J + 1) * dt and np.arange(M + 1) * dn.
     """
-    dn, dt = scenario.dn, scenario.dt
-    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, i * dn) for i in range(scenario.m + 1)]
+    sc = measures.scenario
+    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, i * sc.dn) for i in range(sc.m + 1)]
     rows = max(1, _CSV_BLOCK // 3 // len(tails))
-    fh.write("t,vehicle,N,x,v,a\n")
-
-    def write(j0: int, x, v, a) -> None:
-        for i in range(0, len(x), rows):
-            k = slice(i, i + rows)
-            prefixes = ["%.17g," % (j * dt) for j in range(j0 + i, j0 + min(i + rows, len(x)))]
-            lines = "".join(prefix + prefix.join(tails) for prefix in prefixes)
-            values = zip(x[k].ravel().tolist(), v[k].ravel().tolist(), a[k].ravel().tolist())
-            fh.write(lines % tuple(chain.from_iterable(values)))
-
-    return write
-
-
-def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """Write a finished record as trajectory.csv, in engine._row_blocks."""
     with open(path, "w") as fh:
-        write = _csv_writer(fh, traj.scenario)
-        for block in _row_blocks(traj, _RUN_BLOCK):
-            write(*block)
-            del block  # before the walk builds the next block
+        fh.write("t,vehicle,N,x,v,a\n")
+        for j0, x, v, a in blocks:
+            for i in range(0, len(x), rows):
+                k = slice(i, i + rows)
+                prefixes = ["%.17g," % (j * sc.dt) for j in range(j0 + i, j0 + min(i + rows, len(x)))]
+                lines = "".join(prefix + prefix.join(tails) for prefix in prefixes)
+                values = zip(x[k].ravel().tolist(), v[k].ravel().tolist(), a[k].ravel().tolist())
+                fh.write(lines % tuple(chain.from_iterable(values)))
+            measures.add(j0, x, v, a)
+            del x, v, a  # before the walk builds the next block
+
 
 def _summary_lines(fd, wave: tuple[float, float], report: DiagnosticsReport) -> list[str]:
     speed, r2 = wave
@@ -455,21 +440,15 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
     """Execute one run; write trajectory.csv and summary.txt.
 
     The run is stepped, written, audited and measured one row block at a
-    time (``engine._stream``, ``analysis._Measures``): the grid is never
-    held whole.
+    time (``engine._stream``, ``_write_run``): the grid is never held whole.
     """
     sc = spec.scenario
     # A grid that simulate refuses is refused here, before any file exists.
     blocks = _stream(sc, spec.model, spec.scheme, _RUN_BLOCK)
-    measures = _Measures(sc)
     os.makedirs(spec.output_dir, exist_ok=True)
     csv_path = os.path.join(spec.output_dir, "trajectory.csv")
-    with open(csv_path, "w") as fh:
-        write = _csv_writer(fh, sc)
-        for block in blocks:
-            write(*block)
-            measures.add(*block)  # after the writer: the audit overwrites the accelerations
-            del block  # before the stream builds the next block
+    measures = _Measures(sc, spec.display_vehicles)
+    _write_run(csv_path, blocks, measures)
     report = measures.audit.report()
     summary_path = _write_lines(spec, "summary.txt", _summary_lines(sc.fd, measures.wave(), report))
     print(f"[run] wrote {csv_path} and {summary_path}")
@@ -486,21 +465,25 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
 
 
 def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
-    """Re-run the scenario across dn values (``sweep_dn``); write each trajectory and sweep.csv."""
+    """Re-run the scenario across dn values as ``analysis.sweep_dn`` does, streaming each as ``run``
+    does once every dn is checked; write each trajectory and sweep.csv."""
     if spec.dt_ratio is None:
         raise ConfigError("sweep requires scenario.dt_ratio (fixed dt/dn ratio)")
     if spec.vehicles is None:
         raise ConfigError("sweep requires scenario.vehicles (whole-vehicle count)")
+    runs = []
     for dn in dn_list:
-        _slots(spec.vehicles, dn, f"key run.sweep value {dn!r}")
+        try:
+            sc = _at_dn(spec.scenario, dn, spec.vehicles, spec.dt_ratio)
+        except ValueError as exc:
+            raise ConfigError(f"key run.sweep value {dn!r}: {exc}") from None
+        runs.append((_Measures(sc, spec.display_vehicles), _stream(sc, spec.model, spec.scheme, _RUN_BLOCK)))
 
-    rows = []
-    runs = sweep_dn(
-        spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model, spec.scheme, spec.display_vehicles
-    )
-    for traj, row in runs:
-        os.makedirs(spec.output_dir, exist_ok=True)
-        _write_trajectory_csv(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(row.dn)), traj)
+    os.makedirs(spec.output_dir, exist_ok=True)
+    rows, prev = [], None
+    for measures, blocks in runs:
+        _write_run(os.path.join(spec.output_dir, _TRAJECTORY_FILE.format(measures.scenario.dn)), blocks, measures)
+        row, prev = measures.row(prev), measures
         rows.append(row)
         print(
             f"[sweep] dn={row.dn:g} speed={row.measured_speed:.6g} max_accel={row.max_abs_accel:.6g} "

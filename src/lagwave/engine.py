@@ -20,7 +20,7 @@ row, with the bits of the allocating expressions it replaces.
 A step reads only the row before it, so a run can be stepped in blocks
 of time rows: ``simulate`` steps and returns the whole (J+1, M+1) grid,
 and ``_stream`` hands out the row blocks of that grid, bit for bit,
-without ever holding it.
+without ever holding it; the CLI's ``run`` and ``sweep`` step through it.
 """
 from __future__ import annotations
 
@@ -401,23 +401,23 @@ def _stream(
     """The blocks of ``_row_blocks(simulate(scenario, model, scheme), values)``,
     bit for bit, stepped as they are walked: the full grid is never held.
 
-    The kernel steps a (rows + 1, M+1) buffer from its row 0; a block is the
-    buffer's first ``rows`` rows, and its last row, which the accelerations
-    read, is copied to row 0 for the next block.  A block's positions and
-    speeds are views of the buffer, overwritten by the next block.  The
-    model, the scheme and the grid's shape are checked, and refused as
-    ``simulate`` refuses them, before this returns.
+    The kernel steps a (rows + 1, M+1) buffer, made when the first block is
+    asked for, from its row 0; a block is the buffer's first ``rows`` rows,
+    and its last row, which the accelerations read, is copied to row 0 for
+    the next block.  A block's positions and speeds are views of the buffer,
+    overwritten by the next block.  The model, the scheme and the grid's
+    shape are checked, and refused as ``simulate`` refuses them, on the call.
     """
     model = _checked_model(model, scheme)
     J, width = scenario.steps, scenario.m + 1
     _refuse_unallocatable((J + 1, width))
     rows = max(1, values // width)
-    steps = min(rows, J)  # per block, at most
-    x, v = np.empty((steps + 1, width)), np.empty((steps + 1, width))
-    _start(scenario, x[0], v[0])
-    lead = np.full(steps, scenario.lead_speed)
 
     def blocks():
+        steps = min(rows, J)  # per block, at most
+        x, v = np.empty((steps + 1, width)), np.empty((steps + 1, width))
+        _start(scenario, x[0], v[0])
+        lead = np.full(steps, scenario.lead_speed)
         dt = scenario.dt
         for j0 in range(0, J + 1, rows):
             n = min(rows, J - j0)  # the steps to the block's last row, or to the grid's

@@ -1,5 +1,5 @@
 """The row-block passes over a run's grid, the CSV writer, the audit and the
-wave crossings, and the streamed run that steps them, against the
+wave crossings, and the streamed run and sweep that step them, against the
 whole-grid code they replaced.  The equivalence tests shrink the block
 sizes so that every grid crosses many block edges; the memory tests keep
 the defaults and bound what one pass holds."""
@@ -22,9 +22,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import lagwave.analysis
 import lagwave.cli
 from lagwave.analysis import (
-    COLLISION_TOL, NEGATIVE_SPEED_TOL, STARTUP_FRACTION, MeasurementError, _Crossings, _events, _fit_line, diagnose,
+    COLLISION_TOL, NEGATIVE_SPEED_TOL, STARTUP_FRACTION, MeasurementError, _Crossings, _events, _fit_line, _Measures,
+    diagnose, sweep_dn,
 )
-from lagwave.cli import _write_trajectory_csv, load_spec, run
+from lagwave.cli import _write_run, load_spec, run, sweep
 from lagwave.conditions import cfl_threshold, collision_free_threshold
 from lagwave.engine import Scenario, Scheme, Trajectory, _row_blocks, _stream, simulate
 from lagwave.fundamental import GreenshieldsFD
@@ -80,11 +81,10 @@ def _reference_crossings(trajectory, level, rising):
     return ts, xs
 
 
-def _reference_summary(traj):
-    """summary.txt from the whole-grid audit and crossings, with the wave
-    chosen from the record's first row as measure_wave chooses it."""
+def _reference_wave(traj):
+    """The speed and r^2 of the wave, chosen from the record's first row as
+    measure_wave chooses it, from the whole-grid crossings."""
     fd = traj.scenario.fd
-    collisions, negatives, min_spacing, max_acc, _ = _reference_diagnose(traj)
     v2, v1 = traj.speeds[0, [0, -1]].tolist()
     speed = r2 = math.nan
     wave = None
@@ -97,6 +97,14 @@ def _reference_summary(traj):
         with contextlib.suppress(MeasurementError):
             if ts.size >= 3:
                 speed, r2 = _fit_line(ts, xs)
+    return speed, r2
+
+
+def _reference_summary(traj):
+    """summary.txt from the whole-grid audit and crossings."""
+    fd = traj.scenario.fd
+    collisions, negatives, min_spacing, max_acc, _ = _reference_diagnose(traj)
+    speed, r2 = _reference_wave(traj)
     values = [("measured_shock_speed", speed), ("r_squared", r2), ("min_spacing", min_spacing),
               ("collision_count", len(collisions)), ("negative_speed_count", len(negatives)),
               ("max_abs_accel", max_acc), ("collision_free_threshold", collision_free_threshold(fd)),
@@ -184,7 +192,7 @@ def _sha256(path):
 def test_blocked_passes_match_whole_grid(case, tiny_blocks, tmp_path):
     traj = _case_trajectory(case)
     _assert_same_report(diagnose(traj), _reference_diagnose(traj))
-    _write_trajectory_csv(str(tmp_path / "got.csv"), traj)
+    _write_run(str(tmp_path / "got.csv"), _row_blocks(traj, lagwave.cli._RUN_BLOCK), _Measures(traj.scenario))
     assert _sha256(tmp_path / "got.csv") == _reference_csv_sha256(case)
 
 
@@ -237,6 +245,70 @@ def test_streamed_run_writes_the_whole_grid_bytes(case, tiny_blocks, tmp_path, m
         run(replace(_case_spec(case), output_dir=str(tmp_path)))
     assert _sha256(tmp_path / "trajectory.csv") == _reference_csv_sha256(case)
     assert (tmp_path / "summary.txt").read_text() == _reference_summary(traj)
+
+
+def _reference_sweep(spec, dn_list, out):
+    """The sweep before streaming, in whole-grid passes: each dn's grid is
+    simulated, written by the whole-grid writer, audited and measured, and
+    its displayed vehicles compared with the dn before.  Writes sweep.csv
+    and every trajectory_dn*.csv to ``out``; returns the rows and stdout."""
+    rows, printed, prev = [], [], None
+    for dn in dn_list:
+        m = round(spec.vehicles / dn)
+        traj = simulate(replace(spec.scenario, dn=dn, dt=spec.dt_ratio * dn, m=m), model=spec.model, scheme=spec.scheme)
+        _reference_write_trajectory_csv(os.path.join(out, f"trajectory_dn{dn:g}.csv"), traj)
+        slots = {n: round(n / dn) for n in range(1, spec.display_vehicles + 1)}
+        slots = {n: slot for n, slot in slots.items() if 1 <= slot <= m}
+        acc = np.diff(traj.speeds[:, list(slots.values())], axis=0) / traj.scenario.dt
+        max_acc = float(np.max(np.abs(acc))) if acc.size else math.nan
+        curves = {n: traj.positions[:, slot].copy() for n, slot in slots.items()}
+        diff = math.nan
+        if prev is not None:
+            t_prev, curves_prev = prev
+            grid = t_prev[t_prev <= min(float(t_prev[-1]), float(traj.times[-1]))]
+            diff = 0.0
+            for n, x_prev in curves_prev.items():
+                if n in curves:
+                    b = np.interp(grid, traj.times, curves[n])
+                    diff = max(diff, float(np.max(np.abs(x_prev[: len(grid)] - b))))
+        prev = traj.times, curves
+        row = (dn, _reference_wave(traj)[0], max_acc, _reference_diagnose(traj)[2], diff)
+        rows.append(row)
+        printed.append("[sweep] dn=%g speed=%.6g max_accel=%.6g min_spacing=%.6g diff_prev=%.6g\n" % row)
+    table = os.path.join(out, "sweep.csv")
+    with open(table, "w") as fh:
+        fh.write("dn,measured_speed,max_abs_accel,min_spacing,traj_diff_prev\n")
+        fh.writelines(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    return rows, "".join(printed) + f"[sweep] wrote {table}\n"
+
+
+_SWEEPABLE = sorted(name for name in TEMPLATES if "vehicles" in TEMPLATES[name]["scenario"])
+
+
+@pytest.mark.parametrize("dn_list", [(1, 0.5, 0.25, 0.125, 0.0625), (1, 2.5), (0.5, 1, 0.3)],
+                         ids=["halving", "coarser", "unordered"])
+@pytest.mark.parametrize("case", _SWEEPABLE + ["greenshields-discharge:duration=0"])
+def test_streamed_sweep_writes_the_whole_grid_files(case, dn_list, tiny_blocks, tmp_path):
+    # One row per block at 961 slots; at dn = 2.5 vehicle 1 rounds to the leader.
+    name, _, variant = case.partition(":")
+    spec = load_spec(template_text(name))
+    if variant:
+        spec = replace(spec, scenario=replace(spec.scenario, duration=0.0))
+    want, got = tmp_path / "want", tmp_path / "got"
+    want.mkdir()
+    want_rows, want_stdout = _reference_sweep(spec, dn_list, str(want))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        sweep(replace(spec, output_dir=str(got)), dn_list)
+    assert stdout.getvalue() == want_stdout.replace(str(want), str(got))
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want)) == sorted(
+        ["sweep.csv"] + [f"trajectory_dn{dn:g}.csv" for dn in dn_list])
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+    # sweep_dn fills the same record from each finished grid; repr compares nan.
+    rows = [row for _, row in sweep_dn(spec.scenario, dn_list, spec.vehicles, spec.dt_ratio, spec.model,
+                                       spec.scheme, spec.display_vehicles)]
+    assert [repr(tuple(row)) for row in rows] == [repr(row) for row in want_rows]
+    assert all(math.isnan(row.max_abs_accel) for row in rows) == (variant == "duration=0")
 
 
 @pytest.mark.parametrize("rising", [True, False])
@@ -476,7 +548,8 @@ def _traced_peak(fn, *args):
 
 def test_writer_memory_is_a_block(wide_run):
     # The whole-grid writer held a (J, M+1) acceleration grid, about 1x.
-    peak, grid = _traced_peak(_write_trajectory_csv, os.devnull, wide_run), wide_run.positions.nbytes
+    blocks, measures = _row_blocks(wide_run, lagwave.cli._RUN_BLOCK), _Measures(wide_run.scenario)
+    peak, grid = _traced_peak(_write_run, os.devnull, blocks, measures), wide_run.positions.nbytes
     assert peak < grid / 4
 
 
@@ -495,6 +568,22 @@ def test_run_memory_is_a_block(tmp_path):
     assert grid >= 5_000_000
     with contextlib.redirect_stdout(io.StringIO()):
         peak = _traced_peak(run, replace(spec, scenario=sc, output_dir=str(tmp_path)))
+    assert peak < grid / 4
+
+
+def test_sweep_memory_is_a_block(tmp_path):
+    # The sweep held the finest dn's two (J+1, M+1) grids, about 2x: it now
+    # holds a stream's block, the writer's lists and the displayed vehicles'
+    # positions of two dn values.
+    spec = load_spec(template_text("triangular-discharge"))
+    spec = replace(spec, scenario=replace(spec.scenario, duration=0.5 * spec.scenario.duration),
+                   output_dir=str(tmp_path))
+    dn_list = (1.0, 0.0625)
+    sc = replace(spec.scenario, dn=dn_list[-1], dt=spec.dt_ratio * dn_list[-1], m=round(spec.vehicles / dn_list[-1]))
+    grid = (sc.steps + 1) * (sc.m + 1) * 8
+    assert grid >= 5_000_000
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak = _traced_peak(sweep, spec, dn_list)
     assert peak < grid / 4
 
 

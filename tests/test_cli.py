@@ -561,20 +561,22 @@ def test_main_sweep_file_name_collision_exits_2(override, dn, tmp_path, capsys):
     ("run", "greenshields-shock-a", "dt_ratio = 1e-12", []),
     ("run", "kerner-redlight", "m = 1" + "0" * 30, []),
     ("sweep", "greenshields-shock-a", "dt_ratio = 1e-12", ["--dn", "1"]),
+    ("sweep", "greenshields-discharge", "", ["--dn", "1,1e-12"]),
     ("stability", "phillips-stability", "dt_ratio = 1e-12", []),
     ("stability", "phillips-stability", "m = 1" + "0" * 30, []),
     ("stability", "phillips-stability", "duration = 1e300", []),
-], ids=["run-steps-overflow", "run-unable-to-allocate", "run-dimension-limit", "sweep", "stability-lead",
-        "stability-grid", "stability-lead-dimension-limit"])
+], ids=["run-steps-overflow", "run-unable-to-allocate", "run-dimension-limit", "sweep", "sweep-later-dn",
+        "stability-lead", "stability-grid", "stability-lead-dimension-limit"])
 def test_main_grid_that_cannot_be_stepped_exits_2(verb, template, override, dn, tmp_path, capsys):
     # Each ended in a traceback: OverflowError from Scenario.steps, or numpy's
     # MemoryError or ValueError.  numpy refuses every one of these shapes
-    # before touching memory.
+    # before touching memory.  A sweep refused at a later dn wrote and printed
+    # the dn values before it.
     cfg = tmp_path / "huge.ini"
     cfg.write_text(f"[run]\ntemplate = {template}\n[scenario]\n{override}\n")
     assert main([verb, str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
     assert ("duration / dt is not finite" if override.endswith("e-320") else "numpy cannot allocate") in err
     assert not (tmp_path / "x").exists()
 
