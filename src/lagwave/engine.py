@@ -17,10 +17,12 @@ both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
 row, with the bits of the allocating expressions it replaces.
 
-A step reads only the row before it, so a run can be stepped in blocks
-of time rows: ``simulate`` steps and returns the whole (J+1, M+1) grid,
-and ``_stream`` hands out the row blocks of that grid, bit for bit,
-without ever holding it; the CLI's ``run`` and ``sweep`` step through it.
+A step reads only the row before it, so one loop, ``_steps``, steps a run
+in blocks of time rows, and one rule, ``_block``, cuts a block with the
+row its accelerations read.  ``simulate`` is the one block that is the
+whole (J+1, M+1) grid; ``_stream`` hands out the row blocks of that grid,
+bit for bit, without ever holding it; the CLI's ``run`` and ``sweep`` step
+through it.
 """
 from __future__ import annotations
 
@@ -233,7 +235,7 @@ def _step_kernel(
     """Fill rows 1..J of the (J+1, M+1) ``positions`` and ``speeds`` from row 0.
 
     ``lead[j]`` is the leader speed over step j -> j+1.  The inputs are
-    trusted; ``simulate`` validates them once per run.
+    trusted: they are checked once per run, before the first step.
 
     The model, correction and scheme are dispatched once per run, and the
     (M,) scratch rows that they need are allocated once.  Each step writes
@@ -313,19 +315,22 @@ def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
     return a
 
 
+def _block(j0: int, x: np.ndarray, v: np.ndarray, dt: float, rows: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The row block (j0, positions, speeds, accelerations) of the rows ``x`` and ``v``
+    from row j0: a block's ``rows`` rows and the row after them, which its accelerations
+    read, or the grid's last rows alone, whose last row gets zero accelerations."""
+    if len(v) > rows:
+        return j0, x[:rows], v[:rows], acceleration(v, dt)
+    return j0, x, v, np.concatenate((acceleration(v, dt), np.zeros((1, v.shape[1]))))
+
+
 def _row_blocks(traj: Trajectory, values: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(j0, positions, speeds, accelerations) per block of max(1, values // width) time
-    rows.  The accelerations read one row of the next block, and the last row gets zeros;
+    """``_block`` per block of max(1, values // width) time rows of a finished grid;
     each block is built in the yield, so the walk keeps no reference to it."""
     x, v, dt = traj.positions, traj.speeds, traj.scenario.dt
-    count, width = x.shape
-    rows = max(1, values // width)
-    for j0 in range(0, count, rows):
-        j1 = j0 + rows
-        yield j0, x[j0:j1], v[j0:j1], (
-            acceleration(v[j0 : j1 + 1], dt) if j1 < count
-            else np.concatenate((acceleration(v[j0:], dt), np.zeros((1, width))))
-        )
+    rows = max(1, values // x.shape[1])
+    for j0 in range(0, len(x), rows):
+        yield _block(j0, x[j0 : j0 + rows + 1], v[j0 : j0 + rows + 1], dt, rows)
 
 
 def _count(n: int) -> str:
@@ -383,52 +388,55 @@ def _start(scenario: Scenario, x: np.ndarray, v: np.ndarray) -> None:
     v[0] = scenario.lead_speed
 
 
-def _step(positions: np.ndarray, speeds: np.ndarray, lead: np.ndarray, scenario: Scenario,
-          model: Model, scheme: Scheme) -> None:
-    """``_step_kernel`` on the scenario's diagram and step sizes."""
-    # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
-    # limit, so the warning is silenced; the audit counts any non-finite value.
-    with np.errstate(over="ignore"):
-        _step_kernel(positions, speeds, lead, scenario.fd, scenario.dn, scenario.dt, model, scheme)
+def _steps(scenario: Scenario, model: Model, scheme: Scheme, rows: int,
+           lead: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Step the run ``rows`` time rows at a time, the one caller of ``_step_kernel``.
+
+    On the first block a (min(rows, J) + 1, M+1) buffer is made and its row 0
+    started; each block is stepped from row 0 and handed out as (j0, x, v),
+    views of its rows plus the row after them, which is then copied to row 0.
+    The block that holds the grid's last row ends the walk, so with rows > J
+    the one block is the whole grid.  ``lead[j]`` is the leader speed over
+    step j -> j+1, checked here once the buffer is made; by default the
+    scenario's, broadcast, not allocated.
+    """
+    J = scenario.steps
+    x, v = _grids((min(rows, J) + 1, scenario.m + 1))
+    if lead is None:
+        lead = np.broadcast_to(scenario.lead_speed, (J,))
+    else:
+        lead = np.asarray(lead, dtype=float)
+        if lead.shape != (J,):
+            raise ValueError(f"lead_speeds must have shape ({J},)")
+        if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
+            raise ValueError("lead_speeds must be finite and nonnegative")
+    _start(scenario, x[0], v[0])
+    for j0 in range(0, J + 1, rows):
+        n = min(rows, J - j0)  # the steps to the block's last row, or to the grid's
+        # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
+        # limit, so the warning is silenced; the audit counts any non-finite value.
+        with np.errstate(over="ignore"):
+            _step_kernel(x[: n + 1], v[: n + 1], lead[j0 : j0 + n], scenario.fd, scenario.dn, scenario.dt,
+                         model, scheme)
+        yield j0, x[: n + 1], v[: n + 1]
+        if n < rows:
+            return
+        x[0], v[0] = x[n], v[n]
 
 
-def _stream(
-    scenario: Scenario,
-    model: Model | None,
-    scheme: Scheme,
-    values: int,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _stream(scenario: Scenario, model: Model | None, scheme: Scheme,
+            values: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The blocks of ``_row_blocks(simulate(scenario, model, scheme), values)``,
-    bit for bit, stepped as they are walked: the full grid is never held.
-
-    The kernel steps a (rows + 1, M+1) buffer, made when the first block is
-    asked for, from its row 0; a block is the buffer's first ``rows`` rows,
-    and its last row, which the accelerations read, is copied to row 0 for
-    the next block.  A block's positions and speeds are views of the buffer,
-    overwritten by the next block.  The model, the scheme and the grid's
-    shape are checked, and refused as ``simulate`` refuses them, on the call.
+    bit for bit, stepped as they are walked (``_block`` over ``_steps``): the
+    full grid is never held, and a block's positions and speeds are views of
+    the stepping buffer, overwritten by the next block.  The model, the scheme
+    and the grid's shape are checked, and refused as ``simulate`` refuses
+    them, on the call; the buffer is made when the first block is asked for.
     """
     model = _checked_model(model, scheme)
-    J, width = scenario.steps, scenario.m + 1
-    _refuse_unallocatable((J + 1, width))
-    rows = max(1, values // width)
-
-    def blocks():
-        steps = min(rows, J)  # per block, at most
-        x, v = np.empty((steps + 1, width)), np.empty((steps + 1, width))
-        _start(scenario, x[0], v[0])
-        lead = np.full(steps, scenario.lead_speed)
-        dt = scenario.dt
-        for j0 in range(0, J + 1, rows):
-            n = min(rows, J - j0)  # the steps to the block's last row, or to the grid's
-            _step(x[: n + 1], v[: n + 1], lead[:n], scenario, model, scheme)
-            if n < rows:
-                yield j0, x[: n + 1], v[: n + 1], np.concatenate((acceleration(v[: n + 1], dt), np.zeros((1, width))))
-                return
-            yield j0, x[:n], v[:n], acceleration(v, dt)
-            x[0], v[0] = x[n], v[n]
-
-    return blocks()
+    _refuse_unallocatable((scenario.steps + 1, scenario.m + 1))
+    rows = max(1, values // (scenario.m + 1))
+    return (_block(j0, x, v, scenario.dt, rows) for j0, x, v in _steps(scenario, model, scheme, rows))
 
 
 def simulate(
@@ -446,16 +454,5 @@ def simulate(
     """
     model = _checked_model(model, scheme)
     J = scenario.steps
-    positions, speeds = _grids((J + 1, scenario.m + 1))
-    if lead_speeds is None:
-        lead = np.full(J, scenario.lead_speed)
-    else:
-        lead = np.asarray(lead_speeds, dtype=float)
-        if lead.shape != (J,):
-            raise ValueError(f"lead_speeds must have shape ({J},)")
-        if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
-            raise ValueError("lead_speeds must be finite and nonnegative")
-
-    _start(scenario, positions[0], speeds[0])
-    _step(positions, speeds, lead, scenario, model, scheme)
+    _, positions, speeds = next(_steps(scenario, model, scheme, J + 1, lead_speeds))
     return Trajectory(times=np.arange(J + 1) * scenario.dt, positions=positions, speeds=speeds, scenario=scenario)

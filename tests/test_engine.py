@@ -3,6 +3,7 @@ shape and validation contracts, and the two-step collision construction
 that separates the robust update from its four rivals."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,32 @@ def test_simulate_rejects_bad_lead_speeds(bad):
     lead[3] = bad
     with pytest.raises(ValueError, match="lead_speeds"):
         simulate(sc, lead_speeds=lead)
+
+
+def test_simulate_refuses_the_model_then_the_grid_then_lead_speeds():
+    # Each refusal names the first of the three that fails, although the grid
+    # is made by the stepping loop and lead_speeds are checked there.
+    sc = Scenario(fd=G, k1=0.05, lead_speed=0.0, m=10**30, dn=1.0, dt=0.1, duration=1.0)
+    lead = np.full(sc.steps, -1.0)
+    with pytest.raises(ValueError, match="supports only the equilibrium model"):
+        simulate(sc, model=PhillipsRelax(), scheme=Scheme.FORWARD_SPACING, lead_speeds=lead)
+    with pytest.raises(ValueError, match=r"^numpy cannot allocate the \(11, >"):
+        simulate(sc, lead_speeds=lead)
+
+
+def test_simulate_default_leader_allocates_no_row():
+    # An m = 0 grid is one value per row, so a J-long leader row would weigh
+    # one grid.  The traced peak is the two grids and the times with the
+    # integer steps they are made from, plus numpy's 64 kB casting buffer.
+    sc = Scenario(fd=G, k1=0.05, lead_speed=5.0, m=0, dn=1.0, dt=0.1, duration=4000.0)
+    tracemalloc.start()
+    try:
+        traj = simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.steps == 40000 and np.all(traj.speeds[:, 0] == 5.0)
+    assert peak < 4.5 * traj.positions.nbytes
 
 
 # The stepping kernel as it was before its scratch rows: every intermediate
