@@ -114,7 +114,9 @@ class _Audit:
         # their buffer, so the audit holds one block-sized array.
         rows, width = acc.shape
         s = acc.reshape(-1)[: rows * (width - 1)].reshape(rows, width - 1)
-        np.subtract(xb[:, :-1], xb[:, 1:], out=s)
+        # Two adjacent infinite positions give a NaN spacing, counted with them below.
+        with np.errstate(invalid="ignore"):
+            np.subtract(xb[:, :-1], xb[:, 1:], out=s)
         # Dividing by a positive dn rounds monotonically, so this is the
         # minimum of the normalized spacings, bit for bit.
         block_min = np.min(s, initial=math.inf) / self.dn
@@ -466,6 +468,9 @@ def string_stability_experiment(
     relaxation time (dt for the equilibrium model); it is inf where
     theta'(s0) = 0 and the exponent's numerator is not.
     """
+    for name, value in (("amplitude", amplitude), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if m < 2:
         raise ValueError("need at least two followers to form a ratio")
     if amplitude < 0.0:
@@ -475,6 +480,10 @@ def string_stability_experiment(
         fd=fd, k1=1.0 / s0, lead_speed=veq, m=m, dn=dn, dt=dt, duration=duration
     )
     J = scenario.steps
+    # The last phase, in the sine's operation order; the others are smaller.
+    if not math.isfinite(omega * J * dt):
+        raise ValueError(f"omega is too large: the phase omega * J * dt overflows at omega={omega!r}, "
+                         f"J={J} steps of dt={dt!r}")
     try:
         lead = veq + amplitude * np.sin(omega * (np.arange(J) + 1) * dt)
     except (MemoryError, ValueError) as exc:  # as simulate refuses a grid that numpy cannot allocate

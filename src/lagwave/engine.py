@@ -10,12 +10,13 @@ The reference update is symplectic: speeds are advanced first from the
 current spacings, positions then move with the *new* speeds.  Rival
 spacing stencils and a fully explicit stepper are provided for the
 failure-mode experiments; second-order behaviour (speed relaxation,
-anticipation) enters through a model object.  One kernel steps them all:
-a scheme is a spacing stencil plus the choice of new or old speeds for
-the position update, a model is the speed update.  The kernel dispatches
+anticipation) enters through a model object.  One numpy kernel steps them
+all: a scheme is a spacing stencil plus the choice of new or old speeds
+for the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
-row, with the bits of the allocating expressions it replaces.
+row, with the bits of the allocating expressions it replaces.  Its float
+twin steps narrow anisotropic platoons, with the same bits.
 
 A step reads only the row before it, so one loop, ``_steps``, steps a run
 in blocks of time rows, and one rule, ``_block``, cuts a block with the
@@ -222,6 +223,20 @@ _STENCILS = {
 }
 
 
+def _model_terms(model: Model, dt: float) -> tuple[type | None, float | None, float | None]:
+    """The speed update's terms, dispatched once per run: the correction
+    class or None, the relaxation factor r = 1 - dt / T or None, and the
+    anticipation rate dt * c0 or None."""
+    clamp = None
+    if isinstance(model, _Correction):
+        clamp, model = type(model), model.inner
+    if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
+        raise TypeError(f"unknown model {model!r}")
+    # Interpolation form of the relaxation: exactly theta when T == dt.
+    T = _relaxation_time(model)
+    return clamp, None if T is None else 1.0 - dt / T, dt * model.c0 if isinstance(model, JWZ) else None
+
+
 def _step_kernel(
     positions: np.ndarray,
     speeds: np.ndarray,
@@ -235,7 +250,9 @@ def _step_kernel(
     """Fill rows 1..J of the (J+1, M+1) ``positions`` and ``speeds`` from row 0.
 
     ``lead[j]`` is the leader speed over step j -> j+1.  The inputs are
-    trusted: they are checked once per run, before the first step.
+    trusted: they are checked once per run, before the first step.  It
+    steps the rival schemes, and the anisotropic scheme on platoons wider
+    than _FLOAT_SLOTS; ``_float_kernel`` steps the narrower ones.
 
     The model, correction and scheme are dispatched once per run, and the
     (M,) scratch rows that they need are allocated once.  Each step writes
@@ -246,15 +263,7 @@ def _step_kernel(
     starts from: stepping B runs of one shape together (ROADMAP's batch
     axis) widens each to (B, M).
     """
-    clamp = None
-    if isinstance(model, _Correction):
-        clamp, model = type(model), model.inner
-    if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
-        raise TypeError(f"unknown model {model!r}")
-    # Interpolation form of the relaxation: exactly theta when T == dt.
-    T = _relaxation_time(model)
-    r = None if T is None else 1.0 - dt / T
-    antic_rate = dt * model.c0 if isinstance(model, JWZ) else None
+    clamp, r, antic_rate = _model_terms(model, dt)
     stencil = _STENCILS[scheme]
     old_speeds = scheme is Scheme.EXPLICIT_EXPLICIT
     S, jam_gap = fd.S, fd.S * dn
@@ -305,6 +314,68 @@ def _step_kernel(
         np.add(x, x_next, out=x_next)
 
 
+# Anisotropic runs of at most this many slots step on Python floats, where
+# numpy's per-call overhead outweighs its per-element speed.
+_FLOAT_SLOTS = 16
+# The rows the float kernel holds as lists before writing them into the grid.
+_FLOAT_CHUNK = 64
+
+
+def _float_kernel(
+    positions: np.ndarray,
+    speeds: np.ndarray,
+    lead: np.ndarray,
+    fd: FundamentalDiagram,
+    dn: float,
+    dt: float,
+    model: Model,
+) -> None:
+    """``_step_kernel`` for the anisotropic scheme, on Python floats: one
+    fused loop per vehicle, theta through the law's row formula ``_eta_row``.
+
+    Each value is the expression ``_step_kernel`` quotes, in its operand
+    order, so it has the same bits.  numpy's maximum and minimum are
+    mirrored as ``a if (a > b or a != a) else b`` (and ``<``): they return
+    the second operand on a tie of +-0 and pass a NaN from either side,
+    where Python's max and min do not.  Python raises where numpy divides
+    by zero, but no divisor here is zero: dn and dt are positive, s is at
+    least S or NaN, K is positive, the triangular law divides only above
+    kc/2, the sigmoid by c3 > 0 and exp(.) + 1 >= 1, and the JWZ term only
+    where |gap| > 1e-12.  Rows go into the grid
+    _FLOAT_CHUNK at a time, and the leader is read a chunk at a time.
+    """
+    clamp, r, antic_rate = _model_terms(model, dt)
+    eta_row, S, K, jam_gap = fd._eta_row, fd.S, fd.K, fd.S * dn
+    x, u = positions[0].tolist(), speeds[0].tolist()
+    for c in range(0, len(lead), _FLOAT_CHUNK):
+        xs, us = [], []
+        for lead_j in lead[c : c + _FLOAT_CHUNK].tolist():
+            gaps = [a - b for a, b in zip(x, x[1:])]
+            ks = []
+            for g in gaps:
+                s = g / dn
+                s = s if s > S or s != s else S
+                k = 1.0 / s
+                ks.append(k if k < K or k != k else K)
+            v = [lead_j]
+            for m, th in enumerate(eta_row(ks)):
+                new = th if r is None else th + r * (u[m + 1] - th)
+                if antic_rate is not None:
+                    g = gaps[m]
+                    new = new + antic_rate * ((u[m] - u[m + 1]) / g if abs(g) > 1e-12 else 0.0)
+                if clamp is not None:
+                    ceiling = th if clamp is Corrected1 else (gaps[m] - jam_gap) / dt
+                    new = new if new < ceiling or new != new else ceiling
+                    new = 0.0 if 0.0 > new else new
+                v.append(new)
+            x = [a + dt * b for a, b in zip(x, v)]
+            u = v
+            xs.append(x)
+            us.append(v)
+        positions[c + 1 : c + 1 + len(xs)] = xs
+        speeds[c + 1 : c + 1 + len(us)] = us
+
+
 def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
     """Per-step accelerations (U^{j+1} - U^j) / dt for a speed record."""
     speeds = np.asarray(speeds, dtype=float)
@@ -318,10 +389,14 @@ def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:
 def _block(j0: int, x: np.ndarray, v: np.ndarray, dt: float, rows: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The row block (j0, positions, speeds, accelerations) of the rows ``x`` and ``v``
     from row j0: a block's ``rows`` rows and the row after them, which its accelerations
-    read, or the grid's last rows alone, whose last row gets zero accelerations."""
+    read, or the grid's last rows alone, whose last row gets zero accelerations.
+    An infinite speed held over a step gives a NaN acceleration, without a
+    warning: the audit counts the infinite speeds themselves."""
+    with np.errstate(invalid="ignore"):
+        a = acceleration(v, dt)
     if len(v) > rows:
-        return j0, x[:rows], v[:rows], acceleration(v, dt)
-    return j0, x, v, np.concatenate((acceleration(v, dt), np.zeros((1, v.shape[1]))))
+        return j0, x[:rows], v[:rows], a
+    return j0, x, v, np.concatenate((a, np.zeros((1, v.shape[1]))))
 
 
 def _row_blocks(traj: Trajectory, values: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -390,7 +465,9 @@ def _start(scenario: Scenario, x: np.ndarray, v: np.ndarray) -> None:
 
 def _steps(scenario: Scenario, model: Model, scheme: Scheme, rows: int,
            lead: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Step the run ``rows`` time rows at a time, the one caller of ``_step_kernel``.
+    """Step the run ``rows`` time rows at a time, the one caller of the kernels:
+    ``_float_kernel`` for an anisotropic run of at most _FLOAT_SLOTS slots,
+    ``_step_kernel`` for the others, picked once per run.
 
     On the first block a (min(rows, J) + 1, M+1) buffer is made and its row 0
     started; each block is stepped from row 0 and handed out as (j0, x, v),
@@ -411,13 +488,16 @@ def _steps(scenario: Scenario, model: Model, scheme: Scheme, rows: int,
         if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
             raise ValueError("lead_speeds must be finite and nonnegative")
     _start(scenario, x[0], v[0])
+    if scheme is Scheme.ANISOTROPIC_SYMPLECTIC and scenario.m + 1 <= _FLOAT_SLOTS:
+        kernel = _float_kernel
+    else:
+        kernel = lambda *args: _step_kernel(*args, scheme)  # noqa: E731
     for j0 in range(0, J + 1, rows):
         n = min(rows, J - j0)  # the steps to the block's last row, or to the grid's
         # A steep sigmoid's exp overflows to inf, which gives the sigmoid's exact
         # limit, so the warning is silenced; the audit counts any non-finite value.
         with np.errstate(over="ignore"):
-            _step_kernel(x[: n + 1], v[: n + 1], lead[j0 : j0 + n], scenario.fd, scenario.dn, scenario.dt,
-                         model, scheme)
+            kernel(x[: n + 1], v[: n + 1], lead[j0 : j0 + n], scenario.fd, scenario.dn, scenario.dt, model)
         yield j0, x[: n + 1], v[: n + 1]
         if n < rows:
             return

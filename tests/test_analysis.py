@@ -2,6 +2,7 @@
 linearized growth-rate analyzers."""
 import gc
 import math
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -115,6 +116,25 @@ def test_diagnose_nonfinite_trajectory_is_not_clean(positions, speeds, count):
     assert rep.negative_speed_count == 0
     assert rep.nonfinite_count == count
     assert not rep.clean
+
+
+@pytest.mark.parametrize("positions, speeds, nan_field", [
+    ([[0.0, -8.0, -16.0], [np.inf, np.inf, -16.0]], [[0.0, 2.0, 2.0], [0.0, 2.0, 2.0]], "min_spacing"),
+    ([[0.0, -8.0], [0.0, -8.0], [0.0, -8.0]], [[0.0, 2.0], [0.0, np.inf], [0.0, np.inf]], "max_abs_acceleration"),
+], ids=["two adjacent infinite positions", "an infinite speed held over a step"])
+def test_diagnose_counts_infinities_without_a_warning(positions, speeds, nan_field):
+    # inf - inf is a NaN spacing or acceleration, which numpy warns of; the
+    # audit counts the infinities themselves, and its NaN search still runs.
+    positions, speeds = np.array(positions), np.array(speeds)
+    j, width = positions.shape
+    sc = Scenario(fd=G, k1=G.K / 2.0, lead_speed=0.0, m=width - 1, dn=1.0, dt=1.0, duration=j - 1.0)
+    traj = Trajectory(times=np.arange(float(j)), positions=positions, speeds=speeds, scenario=sc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = diagnose(traj)
+    assert rep.nonfinite_count == 2 and not rep.clean
+    assert rep.collision_count == 0 and rep.negative_speed_count == 0
+    assert math.isnan(getattr(rep, nan_field))
 
 
 def test_trajectory_requires_its_scenario():
@@ -416,6 +436,26 @@ def test_string_stability_validation():
     with pytest.raises(ValueError, match="amplitude must be nonnegative"):
         string_stability_experiment(G, NonstandardLWR(), s0=14.0,
                                     amplitude=-0.02, omega=0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", math.nan), ("amplitude", math.inf), ("omega", math.nan), ("omega", math.inf), ("omega", -math.inf),
+])
+def test_string_stability_refuses_a_nonfinite_forcing(field, value):
+    # amplitude = nan was refused as a bad lead speed, amplitude = inf as a
+    # negative one, and omega = inf warned in the sine.
+    kwargs = {"amplitude": 0.02, "omega": 0.1, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}"):
+        string_stability_experiment(G, NonstandardLWR(), s0=14.0, **kwargs)
+
+
+@pytest.mark.parametrize("omega", [1e308, -1e308, 1e306])
+def test_string_stability_refuses_a_phase_that_overflows(omega):
+    # omega * J * dt overflowed in numpy's multiply, and the sine of inf
+    # warned; 3429 steps of 0.35 s carry even 1e306 past the float range.
+    text = f"omega is too large: the phase omega * J * dt overflows at omega={omega!r}, J=3429 steps of dt=0.35"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        string_stability_experiment(G, NonstandardLWR(), s0=14.0, amplitude=0.02, omega=omega)
 
 
 def test_string_stability_needs_every_follower_to_oscillate():

@@ -802,6 +802,7 @@ def test_main_returns_0_or_2_and_raises_nothing(case, overrides):
      "error: invalid stability: amplitude must be nonnegative"),
     ("stability", "[stability]\namplitude = nan\n", "error: invalid stability: amplitude must be finite"),
     ("stability", "[stability]\nomega = nan\n", "error: invalid stability: omega must be finite"),
+    ("stability", "[stability]\nomega = 1e308\n", "error: omega is too large: the phase omega * J * dt overflows"),
     ("stability", "[scenario]\nm = 1\n", "error: need at least two followers"),
     ("stability", "[stability]\namplitude = 3.0\nomega = 0.3\n", "error: platoon collided"),
 ])

@@ -2,13 +2,17 @@
 shape and validation contracts, and the two-step collision construction
 that separates the robust update from its four rivals."""
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lagwave
 from lagwave.engine import (
     Corrected1,
     Corrected2,
@@ -18,7 +22,9 @@ from lagwave.engine import (
     Scenario,
     Scheme,
     Trajectory,
+    _FLOAT_SLOTS,
     _Correction,
+    _float_kernel,
     _relaxation_time,
     _step_kernel,
     acceleration,
@@ -228,8 +234,9 @@ def test_simulate_scheme_model_conflict():
         simulate(sc, model=PhillipsRelax(), scheme=Scheme.FORWARD_SPACING)
 
 
-def test_simulate_rejects_unknown_model():
-    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=2, dn=1.0, dt=0.35,
+@pytest.mark.parametrize("m", [2, 20], ids=["float kernel", "numpy kernel"])
+def test_simulate_rejects_unknown_model(m):
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=m, dn=1.0, dt=0.35,
                   duration=3.5)
     with pytest.raises(TypeError, match="unknown model"):
         simulate(sc, model=object())
@@ -350,6 +357,40 @@ def test_simulate_default_leader_allocates_no_row():
     assert peak < 4.5 * traj.positions.nbytes
 
 
+def test_float_kernel_holds_no_run_of_rows_as_lists():
+    # A 4-slot row held as a Python list weighs about six times its grid row,
+    # so the run's rows kept as lists would be several grids.  The traced peak
+    # is the two grids and the times, plus one chunk of rows.
+    sc = Scenario(fd=T, k1=1.0 / 14.0, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=4000.0)
+    tracemalloc.start()
+    try:
+        traj = simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.steps == 40000 and sc.m + 1 <= _FLOAT_SLOTS
+    assert peak < 3.0 * traj.positions.nbytes
+
+
+@pytest.mark.parametrize("m, scheme, kernel", [
+    (_FLOAT_SLOTS - 1, Scheme.ANISOTROPIC_SYMPLECTIC, "_float_kernel"),
+    (_FLOAT_SLOTS, Scheme.ANISOTROPIC_SYMPLECTIC, "_step_kernel"),
+    (0, Scheme.FORWARD_SPACING, "_step_kernel"),
+    (3, Scheme.EXPLICIT_EXPLICIT, "_step_kernel"),
+])
+def test_simulate_steps_narrow_anisotropic_runs_on_floats(monkeypatch, m, scheme, kernel):
+    import lagwave.engine as engine
+
+    called = []
+    for name in ("_float_kernel", "_step_kernel"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, real=real, name=name: called.append(name) or real(*args))
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=m, dn=1.0, dt=0.35, duration=3.5)
+    simulate(sc, scheme=scheme)
+    # One call per run: the one block of simulate.
+    assert called == [kernel]
+
+
 # The stepping kernel as it was before its scratch rows: every intermediate
 # allocated, the stencils concatenated, theta through the laws' formulas as
 # they were then.  The in-place kernel must give the same bits.
@@ -421,12 +462,12 @@ def _row_zero(draw):
     return fd, dn, x0, u0, lead
 
 
-def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, model, scheme):
+def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, *model_and_scheme):
     positions = np.full((len(lead) + 1, len(x0)), -7.0)
     speeds = np.full_like(positions, -7.0)
     positions[0], speeds[0] = x0, u0
     with np.errstate(all="ignore"):
-        kernel(positions, speeds, lead, fd, dn, dt, model, scheme)
+        kernel(positions, speeds, lead, fd, dn, dt, *model_and_scheme)
     return positions, speeds
 
 
@@ -438,14 +479,50 @@ def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, model, scheme):
          Scheme.ARITHMETIC_CENTRAL, KERNEL_MODELS[4], 1.0).via("width 2, at jam")
 @example((KernerFD(), 0.5, np.array([0.0, 0.0, -np.inf]), np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0])),
          Scheme.FORWARD_SPACING, KERNEL_MODELS[2], 0.35).via("width 3, zero gap, inf position")
+@example((KernerFD(), 1.0, -np.cumsum(np.tile([0.0, 3.0, 5.6, 40.0], 4)), np.linspace(-2.0, 30.0, 16),
+          np.array([3.0, 0.0, 8.0])), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[3], 0.35).via("width 16")
+@example((TriangularFD(), 0.5, -np.cumsum(np.tile([0.0, 3.5, 3.6, 20.0], 5)[:17]), np.linspace(30.0, -2.0, 17),
+          np.array([0.0, 5.0])), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("width 17")
+@example((TriangularFD(), 1.0, np.array([0.0, np.nan, -20.0]), np.array([5.0, 5.0, 5.0]), np.array([5.0])),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("a NaN ceiling, numpy's minimum passes it")
 def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
+    # The numpy kernel steps the drawn scheme, and the float kernel the
+    # anisotropic one, on every row, whatever its width.
     fd, dn, x0, u0, lead = state
     x0_before, u0_before, lead_before = x0.tobytes(), u0.tobytes(), lead.copy()
-    got = _run_kernel(_step_kernel, fd, dn, dt, x0, u0, lead, model, scheme)
-    want = _run_kernel(_reference_step_kernel, fd, dn, dt, x0, u0, lead, model, scheme)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w, equal_nan=True)
-        # Signed zeros and NaN payloads too.
-        assert g.tobytes() == w.tobytes()
-    assert got[0][0].tobytes() == x0_before and got[1][0].tobytes() == u0_before
-    assert np.array_equal(lead, lead_before)
+    for kernel, args in ((_step_kernel, (model, scheme)), (_float_kernel, (model,))):
+        got = _run_kernel(kernel, fd, dn, dt, x0, u0, lead, *args)
+        want = _run_kernel(_reference_step_kernel, fd, dn, dt, x0, u0, lead, model,
+                           scheme if kernel is _step_kernel else Scheme.ANISOTROPIC_SYMPLECTIC)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+            # Signed zeros and NaN payloads too.
+            assert g.tobytes() == w.tobytes()
+        assert got[0][0].tobytes() == x0_before and got[1][0].tobytes() == u0_before
+        assert np.array_equal(lead, lead_before)
+
+
+def test_float_kernel_bits_hold_off_avx512():
+    # numpy picks its SIMD loops per host, and the float kernel hard-codes the
+    # tie and NaN rule of numpy's maximum and minimum; this child runs the
+    # byte comparison above on the loops of a host without AVX-512.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    code = (
+        "import sys, pytest\n"
+        "try:\n"
+        "    from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+        "except ImportError:  # numpy 1.x\n"
+        "    from numpy.core._multiarray_umath import __cpu_features__ as cpu\n"
+        "assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'matches_the_allocating_reference']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, __file__], capture_output=True, text=True, env=env)
+    output = proc.stdout + proc.stderr
+    if "part of the baseline" in output:
+        pytest.skip("this numpy build has AVX-512 in its baseline")
+    assert proc.returncode == 0, output  # 0 also means tests were collected and ran

@@ -5,6 +5,7 @@ The sigmoid-diagram constants below were evaluated independently with
 40-digit arithmetic; everything else is exact fraction arithmetic done
 by hand.
 """
+import math
 import warnings
 
 import numpy as np
@@ -227,6 +228,17 @@ def test_eta_out_contract(fd):
 
 # Steep sigmoids, whose exp overflows to inf for most densities.
 STEEP_KERNER = [KernerFD(c3=c3, clamp_nonnegative=clamp) for c3 in (1e-3, 1e-6) for clamp in (True, False)]
+
+
+@pytest.mark.parametrize("fd", [G, T, KC, KU, *STEEP_KERNER], ids=repr)
+def test_eta_row_keeps_the_array_bits(fd):
+    # The row formula of the float kernel, on the densities it hands it: [0, K] and NaN.
+    ks = np.linspace(0.0, fd.K, 1001).tolist() + [fd.K, np.nextafter(fd.K, 0.0), 1e-300, math.nan]
+    if isinstance(fd, TriangularFD):
+        half = 0.5 * fd.critical_density
+        ks += [half, np.nextafter(half, 0.0), np.nextafter(half, 1.0)]
+    with np.errstate(over="ignore"):
+        assert _bits(fd._eta_row(ks)) == _bits(fd._eta(np.array(ks)))
 
 
 @pytest.mark.parametrize("fd", [KC, KU, KernerFD(c3=0.01, c4=0.6), *STEEP_KERNER], ids=repr)
