@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import lagwave
-from lagwave.cli import load_spec, run, serialize, stability
+from lagwave.cli import load_spec, run, serialize, stability, sweep, thresholds
 from lagwave.templates import TEMPLATES, template_text
 
 MANIFEST = json.loads((Path(__file__).with_name("golden_manifest.json")).read_text())
@@ -41,6 +41,27 @@ def test_template_outputs_match_manifest(name, tmp_path):
     expected = {f"{name}/{f}": MANIFEST[f"{name}/{f}"] for f in files}
     got = {f"{name}/{f}": hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
     assert got == expected
+
+
+SWEEP_DN = (1.0, 0.5, 0.25)
+SWEEP_FILES = ("sweep.csv", "trajectory_dn1.csv", "trajectory_dn0.5.csv", "trajectory_dn0.25.csv")
+SWEEPABLE = ["greenshields-discharge", "greenshields-shock-a", "greenshields-shock-b",
+             "triangular-discharge", "triangular-shock-a", "triangular-shock-b"]
+
+
+@pytest.mark.parametrize("name", SWEEPABLE)
+def test_sweep_outputs_match_manifest(name, tmp_path):
+    assert sweep(replace(load_spec(template_text(name)), output_dir=str(tmp_path)), SWEEP_DN) == 0
+    expected = {f"{name}/{f}": MANIFEST[f"{name}/{f}"] for f in SWEEP_FILES}
+    got = {f"{name}/{f}": hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in SWEEP_FILES}
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_thresholds_match_manifest(name, tmp_path):
+    assert thresholds(replace(load_spec(template_text(name)), output_dir=str(tmp_path))) == 0
+    got = hashlib.sha256((tmp_path / "thresholds.txt").read_bytes()).hexdigest()
+    assert got == MANIFEST[f"{name}/thresholds.txt"]
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
@@ -72,7 +93,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__ as cpu
 assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu
-from lagwave.cli import load_spec, run, serialize, stability
+from lagwave.cli import load_spec, run, serialize, stability, sweep, thresholds
 from lagwave.templates import TEMPLATES, template_text
 pins = {}
 for name in sorted(TEMPLATES):
@@ -82,6 +103,11 @@ for name in sorted(TEMPLATES):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         verb, files = (run, ("trajectory.csv", "summary.txt")) if spec.stability is None else (stability, ("stability.txt",))
         verb(replace(spec, output_dir=out))
+        thresholds(replace(spec, output_dir=out))
+        files += ("thresholds.txt",)
+        if spec.vehicles is not None:
+            sweep(replace(spec, output_dir=out), (1.0, 0.5, 0.25))
+            files += ("sweep.csv", "trajectory_dn1.csv", "trajectory_dn0.5.csv", "trajectory_dn0.25.csv")
         for f in files:
             with open(out + "/" + f, "rb") as fh:
                 pins[name + "/" + f] = fh.read()
