@@ -31,6 +31,7 @@ from lagwave.engine import Scenario, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import riemann_wave, shock_speed_rh
 from lagwave.templates import TEMPLATES, template_text
+from golden import off_avx512
 
 G = GreenshieldsFD()
 T = TriangularFD()
@@ -352,28 +353,12 @@ def test_searched_diagrams_keep_the_full_grid_bits(fd):
 
 def test_full_grid_bits_hold_off_avx512():
     # numpy picks its SIMD loops per host; this child runs the two tests
-    # above on the loops of a host without AVX-512.  The golden pins are
-    # not run there: three of them hold on AVX-512 hosts alone.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
-    env = {
-        **os.environ,
-        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    code = (
-        "import sys, pytest\n"
-        "try:\n"
-        "    from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
-        "except ImportError:  # numpy 1.x\n"
-        "    from numpy.core._multiarray_umath import __cpu_features__ as cpu\n"
-        "assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu\n"
-        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'keep_the_full_grid_bits']))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code, __file__], capture_output=True, text=True, env=env)
-    output = proc.stdout + proc.stderr
-    if "part of the baseline" in output:
-        pytest.skip("this numpy build has AVX-512 in its baseline")
-    assert proc.returncode == 0, output  # 0 also means tests were collected and ran
+    # above on the loops of a host without AVX-512, and its exit 0 also means
+    # they were collected and ran.  The golden pins are not run there: three
+    # of them hold on AVX-512 hosts alone.
+    off_avx512("import sys, pytest\n"
+               "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'keep_the_full_grid_bits']))",
+               __file__)
 
 
 # -- concavity of the closed-form laws ---------------------------------

@@ -2,17 +2,13 @@
 shape and validation contracts, and the two-step collision construction
 that separates the robust update from its four rivals."""
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import lagwave
 from lagwave.engine import (
     Corrected1,
     Corrected2,
@@ -31,6 +27,7 @@ from lagwave.engine import (
     simulate,
 )
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
+from golden import off_avx512
 from test_fundamental import reference_eta
 
 G = GreenshieldsFD()
@@ -505,24 +502,8 @@ def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
 def test_float_kernel_bits_hold_off_avx512():
     # numpy picks its SIMD loops per host, and the float kernel hard-codes the
     # tie and NaN rule of numpy's maximum and minimum; this child runs the
-    # byte comparison above on the loops of a host without AVX-512.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
-    env = {
-        **os.environ,
-        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    code = (
-        "import sys, pytest\n"
-        "try:\n"
-        "    from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
-        "except ImportError:  # numpy 1.x\n"
-        "    from numpy.core._multiarray_umath import __cpu_features__ as cpu\n"
-        "assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu\n"
-        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'matches_the_allocating_reference']))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code, __file__], capture_output=True, text=True, env=env)
-    output = proc.stdout + proc.stderr
-    if "part of the baseline" in output:
-        pytest.skip("this numpy build has AVX-512 in its baseline")
-    assert proc.returncode == 0, output  # 0 also means tests were collected and ran
+    # byte comparison above on the loops of a host without AVX-512; its exit
+    # 0 also means tests were collected and ran.
+    off_avx512("import sys, pytest\n"
+               "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1], '-k', 'matches_the_allocating_reference']))",
+               __file__)

@@ -1,79 +1,62 @@
 """Golden manifest: every bundled template's output files keep their bytes.
 
-``golden_manifest.json`` maps ``<template>/<file>`` to the sha256 of the
-file that template writes: ``trajectory.csv`` and ``summary.txt`` for run
-templates, ``stability.txt`` for templates with a [stability] section.
-``config.ini`` is the template's canonical config text, ``serialize`` of
-its loaded spec, and ``template.ini`` the text ``template_text`` renders.
-A refactor of the stepping, the audit, the config parsing or the presets
-must leave every hash unchanged.
+``golden_manifest.json`` maps ``<template>/<file>`` to the sha256 of each file
+that ``golden.golden_files`` writes, by verb: ``serialize`` pins ``config.ini``
+and ``template_text`` ``template.ini``; ``run`` pins ``trajectory.csv`` and
+``summary.txt``, or ``stability`` ``stability.txt`` where the template has a
+[stability] section; ``thresholds`` pins ``thresholds.txt``; ``sweep`` at
+dn = 1, 0.5, 0.25 pins ``sweep.csv`` and each ``trajectory_dn*.csv`` where the
+template has ``vehicles`` and ``dt_ratio``.
+
+A refactor must leave every hash unchanged.  A change that means to move a
+file's bytes re-pins it in its own commit, quotes each changed line, and names
+the pin in CHANGES.md.
 """
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-import lagwave
-from lagwave.cli import load_spec, run, serialize, stability, sweep, thresholds
-from lagwave.templates import TEMPLATES, template_text
+from lagwave.templates import TEMPLATES
+from golden import golden_files, off_avx512, pinned_files
 
 MANIFEST = json.loads((Path(__file__).with_name("golden_manifest.json")).read_text())
 
 
+def _assert_pins(name, *verbs):
+    got = {key: hashlib.sha256(data).hexdigest() for key, data in golden_files(name, verbs).items()}
+    assert got == {key: MANIFEST.get(key) for key in got}
+
+
 def test_manifest_covers_every_template():
-    assert {key.split("/")[0] for key in MANIFEST} == set(TEMPLATES)
+    # Each template's keys, verb by verb.
+    assert MANIFEST.keys() == {f"{n}/{f}" for n in TEMPLATES for files in pinned_files(n).values() for f in files}
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
-def test_template_outputs_match_manifest(name, tmp_path):
-    spec = replace(load_spec(template_text(name)), output_dir=str(tmp_path))
-    if spec.stability is None:
-        assert run(spec) == 0
-        files = ("trajectory.csv", "summary.txt")
-    else:
-        assert stability(spec) == 0
-        files = ("stability.txt",)
-    expected = {f"{name}/{f}": MANIFEST[f"{name}/{f}"] for f in files}
-    got = {f"{name}/{f}": hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
-    assert got == expected
+def test_template_outputs_match_manifest(name):
+    _assert_pins(name, "run", "stability")
 
 
-SWEEP_DN = (1.0, 0.5, 0.25)
-SWEEP_FILES = ("sweep.csv", "trajectory_dn1.csv", "trajectory_dn0.5.csv", "trajectory_dn0.25.csv")
-SWEEPABLE = ["greenshields-discharge", "greenshields-shock-a", "greenshields-shock-b",
-             "triangular-discharge", "triangular-shock-a", "triangular-shock-b"]
-
-
-@pytest.mark.parametrize("name", SWEEPABLE)
-def test_sweep_outputs_match_manifest(name, tmp_path):
-    assert sweep(replace(load_spec(template_text(name)), output_dir=str(tmp_path)), SWEEP_DN) == 0
-    expected = {f"{name}/{f}": MANIFEST[f"{name}/{f}"] for f in SWEEP_FILES}
-    got = {f"{name}/{f}": hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in SWEEP_FILES}
-    assert got == expected
+@pytest.mark.parametrize("name", [name for name in sorted(TEMPLATES) if "sweep" in pinned_files(name)])
+def test_sweep_outputs_match_manifest(name):
+    _assert_pins(name, "sweep")
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
-def test_thresholds_match_manifest(name, tmp_path):
-    assert thresholds(replace(load_spec(template_text(name)), output_dir=str(tmp_path))) == 0
-    got = hashlib.sha256((tmp_path / "thresholds.txt").read_bytes()).hexdigest()
-    assert got == MANIFEST[f"{name}/thresholds.txt"]
+def test_thresholds_match_manifest(name):
+    _assert_pins(name, "thresholds")
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
 def test_canonical_config_matches_manifest(name):
-    text = serialize(load_spec(template_text(name)))
-    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST[f"{name}/config.ini"]
+    _assert_pins(name, "serialize")
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
 def test_template_text_matches_manifest(name):
-    text = template_text(name)
-    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST[f"{name}/template.ini"]
+    _assert_pins(name, "template_text")
 
 
 # The pins that hold only where numpy dispatches its AVX-512 exp and log
@@ -85,33 +68,11 @@ AVX512_PINS = {
     "phillips-stability/stability.txt",
 }
 
-_OFF_AVX512 = """
-import contextlib, hashlib, io, json, sys, tempfile
-from dataclasses import replace
-try:
-    from numpy._core._multiarray_umath import __cpu_features__ as cpu
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__ as cpu
-assert not any(cpu.get(f) for f in ('AVX512_SPR', 'AVX512_ICL', 'X86_V4')), cpu
-from lagwave.cli import load_spec, run, serialize, stability, sweep, thresholds
-from lagwave.templates import TEMPLATES, template_text
-pins = {}
-for name in sorted(TEMPLATES):
-    spec = load_spec(template_text(name))
-    pins[name + "/config.ini"] = serialize(spec).encode()
-    pins[name + "/template.ini"] = template_text(name).encode()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        verb, files = (run, ("trajectory.csv", "summary.txt")) if spec.stability is None else (stability, ("stability.txt",))
-        verb(replace(spec, output_dir=out))
-        thresholds(replace(spec, output_dir=out))
-        files += ("thresholds.txt",)
-        if spec.vehicles is not None:
-            sweep(replace(spec, output_dir=out), (1.0, 0.5, 0.25))
-            files += ("sweep.csv", "trajectory_dn1.csv", "trajectory_dn0.5.csv", "trajectory_dn0.25.csv")
-        for f in files:
-            with open(out + "/" + f, "rb") as fh:
-                pins[name + "/" + f] = fh.read()
-print(json.dumps({key: hashlib.sha256(data).hexdigest() for key, data in pins.items()}))
+_ALL_PINS = """
+import hashlib, json
+from golden import golden_files
+from lagwave.templates import TEMPLATES
+print(json.dumps({key: hashlib.sha256(data).hexdigest() for name in TEMPLATES for key, data in golden_files(name).items()}))
 """
 
 
@@ -119,16 +80,6 @@ def test_only_the_known_pins_move_off_avx512():
     # numpy picks its SIMD loops per host.  A child on the loops of a host
     # without AVX-512 writes every golden file: exactly the known pins move,
     # and every other pin, the streamed run's among them, holds there too.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
-    env = {
-        **os.environ,
-        "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
-    proc = subprocess.run([sys.executable, "-c", _OFF_AVX512], capture_output=True, text=True, env=env)
-    if "part of the baseline" in proc.stderr:
-        pytest.skip("this numpy build has AVX-512 in its baseline")
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    got = json.loads(off_avx512(_ALL_PINS).stdout)
     assert got.keys() == MANIFEST.keys()
     assert {key for key in MANIFEST if got[key] != MANIFEST[key]} == AVX512_PINS
