@@ -16,7 +16,9 @@ for the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
 row, with the bits of the allocating expressions it replaces.  Its float
-twin steps narrow anisotropic platoons, with the same bits.
+twin steps narrow anisotropic platoons, with the same bits, and fills
+the rows of one at rest: a row that a step maps to itself bit for bit,
+under a leader that keeps its bits, is every later row.
 
 A step reads only the row before it, so one loop, ``_steps``, steps a run
 in blocks of time rows, and one rule, ``_block``, cuts a block with the
@@ -343,13 +345,27 @@ def _float_kernel(
     kc/2, the sigmoid by c3 > 0 and exp(.) + 1 >= 1, and the JWZ term only
     where |gap| > 1e-12.  Rows go into the grid
     _FLOAT_CHUNK at a time, and the leader is read a chunk at a time.
+
+    A platoon at rest is not stepped on.  A step reads only the row (x, u)
+    and the leader's speed, so once step j maps row j to itself bit for
+    bit, and every later leader speed has the bits of ``lead[j]``, every
+    later row is that row, by induction.  Rows are compared by value
+    first, which fails at the first moving vehicle, then by bytes, since
+    -0.0 == 0.0 (a row holding a NaN is never value-equal, so it is
+    stepped on); leader speeds by bits.  The kernel then writes the
+    pending chunk, fills every remaining row with that row in one
+    broadcast and returns.
     """
     clamp, r, antic_rate = _model_terms(model, dt)
     eta_row, S, K, jam_gap = fd._eta_row, fd.S, fd.K, fd.S * dn
+    # The first step from which every leader speed has the bits of the last.
+    bits = lead.view(np.uint64)
+    moves = np.flatnonzero(bits != bits[-1:])
+    held = int(moves[-1]) + 1 if len(moves) else 0
     x, u = positions[0].tolist(), speeds[0].tolist()
     for c in range(0, len(lead), _FLOAT_CHUNK):
         xs, us = [], []
-        for lead_j in lead[c : c + _FLOAT_CHUNK].tolist():
+        for j, lead_j in enumerate(lead[c : c + _FLOAT_CHUNK].tolist(), c):
             gaps = [a - b for a, b in zip(x, x[1:])]
             ks = []
             for g in gaps:
@@ -368,12 +384,21 @@ def _float_kernel(
                     new = new if new < ceiling or new != new else ceiling
                     new = 0.0 if 0.0 > new else new
                 v.append(new)
-            x = [a + dt * b for a, b in zip(x, v)]
-            u = v
+            x_next = [a + dt * b for a, b in zip(x, v)]
+            rest = (j >= held and x_next == x and v == u
+                    and np.array((x_next, v)).tobytes() == np.array((x, u)).tobytes())
+            x, u = x_next, v
             xs.append(x)
             us.append(v)
-        positions[c + 1 : c + 1 + len(xs)] = xs
-        speeds[c + 1 : c + 1 + len(us)] = us
+            if rest:
+                break
+        end = c + 1 + len(xs)
+        positions[c + 1 : end] = xs
+        speeds[c + 1 : end] = us
+        if rest:
+            positions[end:] = positions[end - 1]
+            speeds[end:] = speeds[end - 1]
+            return
 
 
 def acceleration(speeds: np.ndarray, dt: float) -> np.ndarray:

@@ -354,11 +354,14 @@ def test_simulate_default_leader_allocates_no_row():
     assert peak < 4.5 * traj.positions.nbytes
 
 
-def test_float_kernel_holds_no_run_of_rows_as_lists():
+@pytest.mark.parametrize("lead_speed", [5.0, 0.0], ids=["moving", "at rest from row 538"])
+def test_float_kernel_holds_no_run_of_rows_as_lists(lead_speed):
     # A 4-slot row held as a Python list weighs about six times its grid row,
     # so the run's rows kept as lists would be several grids.  The traced peak
-    # is the two grids and the times, plus one chunk of rows.
-    sc = Scenario(fd=T, k1=1.0 / 14.0, lead_speed=0.0, m=3, dn=1.0, dt=0.1, duration=4000.0)
+    # is the two grids and the times, plus one chunk of rows.  Behind a moving
+    # leader every row passes through the chunks; behind a stopped one the
+    # platoon comes to rest and the rows after it are filled, with no lists.
+    sc = Scenario(fd=T, k1=1.0 / 14.0, lead_speed=lead_speed, m=3, dn=1.0, dt=0.1, duration=4000.0)
     tracemalloc.start()
     try:
         traj = simulate(sc)
@@ -367,6 +370,18 @@ def test_float_kernel_holds_no_run_of_rows_as_lists():
         tracemalloc.stop()
     assert sc.steps == 40000 and sc.m + 1 <= _FLOAT_SLOTS
     assert peak < 3.0 * traj.positions.nbytes
+
+
+def test_float_kernel_stops_stepping_a_platoon_at_rest(monkeypatch):
+    # The long run of demos/rival_schemes.py is at rest, bit for bit, from row
+    # 36 of 10 000: the kernel must stop stepping there, not step it through.
+    calls = []
+    row = TriangularFD._eta_row
+    monkeypatch.setattr(TriangularFD, "_eta_row", lambda fd, ks: calls.append(1) or row(fd, ks))
+    sc = Scenario(fd=TriangularFD(V=20.0, W=5.0, K=1.0 / 7.0), k1=1.0 / 14.0, lead_speed=0.0,
+                  m=3, dn=1.0, dt=1.0, duration=10_000.0)
+    simulate(sc)
+    assert sc.steps == 10_000 and 0 < len(calls) <= 40
 
 
 @pytest.mark.parametrize("m, scheme, kernel", [
@@ -482,6 +497,15 @@ def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, *model_and_scheme):
           np.array([0.0, 5.0])), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("width 17")
 @example((TriangularFD(), 1.0, np.array([0.0, np.nan, -20.0]), np.array([5.0, 5.0, 5.0]), np.array([5.0])),
          Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("a NaN ceiling, numpy's minimum passes it")
+# Runs that come to rest, after which the float kernel fills its rows.
+@example((TriangularFD(), 1.0, -np.arange(5) * TriangularFD().S, np.zeros(5), np.zeros(80)),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[2], 1.0).via("at jam behind a stopped leader")
+@example((GreenshieldsFD(), 1.0, -np.arange(5) * GreenshieldsFD().S, np.zeros(5),
+          np.concatenate((np.zeros(30), np.full(10, 4.0), np.zeros(150)))),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[0], 1.0).via("a leader that stops, restarts and stops")
+@example((KernerFD(), 1.0, -np.arange(5) * KernerFD().S, np.zeros(5),
+          np.concatenate((np.tile([0.0, -0.0], 15), np.full(30, -0.0)))),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[2], 1.0).via("a leader alternating 0.0 and -0.0, then at -0.0")
 def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
     # The numpy kernel steps the drawn scheme, and the float kernel the
     # anisotropic one, on every row, whatever its width.
@@ -497,6 +521,22 @@ def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
             assert g.tobytes() == w.tobytes()
         assert got[0][0].tobytes() == x0_before and got[1][0].tobytes() == u0_before
         assert np.array_equal(lead, lead_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_DIAGRAMS), st.sampled_from(KERNEL_MODELS), st.integers(0, _FLOAT_SLOTS - 1),
+       st.floats(0.05, 1.0), st.floats(0.0, 30.0), st.integers(1, 100), st.sampled_from([1.0, 0.5]),
+       st.sampled_from([1.0, 0.35]))
+def test_a_platoon_braking_to_rest_matches_the_allocating_reference(fd, model, m, k1_share, v0, brake, dn, dt):
+    # The leader brakes to 0 within its first 100 steps, and the platoon has
+    # 300 more to come to rest, as about half of the draws do: the rows
+    # filled after rest have the bits of stepping them.
+    sc = Scenario(fd=fd, k1=k1_share * fd.K, lead_speed=v0, m=m, dn=dn, dt=dt, duration=400.0 * dt)
+    lead = np.concatenate((np.linspace(v0, 0.0, brake), np.zeros(sc.steps - brake)))
+    traj = simulate(sc, model, lead_speeds=lead)
+    want = _run_kernel(_reference_step_kernel, fd, dn, dt, traj.positions[0], traj.speeds[0], lead, model,
+                       Scheme.ANISOTROPIC_SYMPLECTIC)
+    assert traj.positions.tobytes() == want[0].tobytes() and traj.speeds.tobytes() == want[1].tobytes()
 
 
 def test_float_kernel_bits_hold_off_avx512():
