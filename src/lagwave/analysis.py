@@ -291,8 +291,12 @@ def measure_front_speed(trajectory: Trajectory, v1: float, v2: float) -> WaveMea
 
     The crossing of the midpoint speed (v1+v2)/2 is located for every
     follower that starts on the v1 side; a line through the crossing
-    points gives the front speed.  Needs at least three crossings.
+    points gives the front speed.  Needs at least three crossings, and
+    finite v1 and v2.
     """
+    for name, value in (("v1", v1), ("v2", v2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     return _fed(_front(v1, v2), trajectory).fit()
 
 
@@ -378,12 +382,12 @@ class _Measures:
         if prev is not None:
             (times, curves), (t_prev, curves_prev) = self._curves(), prev._curves()
             grid = t_prev[t_prev <= min(float(t_prev[-1]), float(times[-1]))]
-            diff = 0.0
-            for n, x_prev in curves_prev.items():
-                if n in curves:
-                    # grid is a prefix of t_prev, so the previous curve is read on its own knots.
-                    b = np.interp(grid, times, curves[n])
-                    diff = max(diff, float(np.max(np.abs(x_prev[: len(grid)] - b))))
+            shared = [n for n in curves_prev if n in curves]
+            diff = 0.0 if shared else math.nan
+            for n in shared:
+                # grid is a prefix of t_prev, so the previous curve is read on its own knots.
+                b = np.interp(grid, times, curves[n])
+                diff = max(diff, float(np.max(np.abs(curves_prev[n][: len(grid)] - b))))
         return SweepRow(self.scenario.dn, self.wave()[0], float(self.peak), self.audit.report().min_spacing, diff)
 
 
@@ -422,8 +426,9 @@ def sweep_dn(
     the plots show; min spacing is over every simulated slot.  The
     difference is the largest gap between a displayed vehicle's
     positions at this dn and at the previous one, on the previous time
-    grid up to the shorter duration; it is nan for the first dn.  The
-    row is read from the record ``lagwave sweep`` streams (``_Measures``).
+    grid up to the shorter duration; it is nan for the first dn and
+    where the two runs display no vehicle in common.  The row is read
+    from the record ``lagwave sweep`` streams (``_Measures``).
     """
     prev = None
     for dn in dn_values:

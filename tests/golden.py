@@ -14,22 +14,18 @@ import pytest
 import lagwave
 from lagwave.cli import _TRAJECTORY_FILE, load_spec, run, serialize, stability, sweep, thresholds
 from lagwave.templates import template_text
+from reference import template_verbs
 
 SWEEP_DN = (1.0, 0.5, 0.25)
 _CALLS = {"run": run, "stability": stability, "sweep": lambda spec: sweep(spec, SWEEP_DN), "thresholds": thresholds}
+_FILES = {"serialize": ("config.ini",), "template_text": ("template.ini",), "thresholds": ("thresholds.txt",),
+          "run": ("trajectory.csv", "summary.txt"), "stability": ("stability.txt",),
+          "sweep": ("sweep.csv", *(_TRAJECTORY_FILE.format(dn) for dn in SWEEP_DN))}
 
 
 def pinned_files(name: str) -> dict[str, tuple[str, ...]]:
     """The files that each verb of template ``name`` pins, by verb."""
-    spec = load_spec(template_text(name))
-    files = {"serialize": ("config.ini",), "template_text": ("template.ini",), "thresholds": ("thresholds.txt",)}
-    if spec.stability is None:
-        files["run"] = ("trajectory.csv", "summary.txt")
-    else:
-        files["stability"] = ("stability.txt",)
-    if spec.vehicles is not None and spec.dt_ratio is not None:
-        files["sweep"] = ("sweep.csv", *(_TRAJECTORY_FILE.format(dn) for dn in SWEEP_DN))
-    return files
+    return {verb: _FILES[verb] for verb in ("serialize", "template_text", "thresholds", *template_verbs(name))}
 
 
 def golden_files(name: str, verbs=None) -> dict[str, bytes]:

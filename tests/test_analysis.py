@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import lagwave.analysis
+import reference
 from lagwave.analysis import (
-    COLLISION_TOL,
-    NEGATIVE_SPEED_TOL,
     ExperimentInvalid,
     MeasurementError,
     _Crossings,
@@ -35,40 +34,22 @@ from lagwave.engine import (
     NonstandardLWR,
     PhillipsRelax,
     Scenario,
-    Scheme,
     Trajectory,
     _relaxation_time,
     simulate,
 )
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
-from lagwave.riemann import synthetic_shock_trajectory
-from lagwave.templates import TEMPLATES, template_text
+from lagwave.templates import template_text
+from reference import CASES, assert_same_report, case_trajectory
 
 G = GreenshieldsFD()
 T = TriangularFD()
 
 
-class FakeTrajectory:
-    """Minimal stand-in so diagnostics can be checked on hand arrays."""
-
-    def __init__(self, positions, speeds, dt, fd):
-        self.positions = np.asarray(positions, dtype=float)
-        self.speeds = np.asarray(speeds, dtype=float)
-        j = self.positions.shape[0]
-        self.times = dt * np.arange(j)
-        self.accelerations = np.diff(self.speeds, axis=0) / dt
-        self.dn = 1.0
-        self.scenario = Scenario(fd=fd, k1=fd.K / 2.0, lead_speed=0.0, m=1,
-                                 dn=1.0, dt=dt, duration=dt * (j - 1))
-
-    def spacings(self):
-        return self.positions[:, :-1] - self.positions[:, 1:]
-
-
 def test_diagnose_hand_trajectory():
     positions = [[0.0, -8.0], [0.0, -6.0], [0.0, -7.5]]
     speeds = [[0.0, 2.0], [0.0, -1.5], [0.0, 0.5]]
-    traj = FakeTrajectory(positions, speeds, dt=1.0, fd=G)
+    traj = reference.trajectory(positions, speeds)
     rep = diagnose(traj)
     # gap dips to 6 at step 1, vehicle index 1
     assert np.array_equal(rep.collision_events, [[1, 1]])
@@ -91,11 +72,11 @@ def test_diagnose_clean_run():
 
 @pytest.mark.parametrize("block", [2, 4])
 def test_diagnose_hand_trajectory_in_row_blocks(block, monkeypatch):
-    # one and two rows per block: the hand stand-in serves the blocked audit too
+    # one and two rows per block of a hand-made record
     monkeypatch.setattr(lagwave.analysis, "_AUDIT_BLOCK", block)
     positions = [[0.0, -8.0], [0.0, -6.0], [0.0, -7.5]]
     speeds = [[0.0, 2.0], [0.0, -1.5], [0.0, np.nan]]
-    rep = diagnose(FakeTrajectory(positions, speeds, dt=1.0, fd=G))
+    rep = diagnose(reference.trajectory(positions, speeds))
     assert np.array_equal(rep.collision_events, [[1, 1]])
     assert np.array_equal(rep.negative_speed_events, [[1, 1]])
     assert rep.min_spacing == 6.0
@@ -111,7 +92,7 @@ def test_diagnose_hand_trajectory_in_row_blocks(block, monkeypatch):
 def test_diagnose_nonfinite_trajectory_is_not_clean(positions, speeds, count):
     # no comparison sees a NaN or an infinity as an event, so the audit
     # must count the non-finite values itself
-    rep = diagnose(FakeTrajectory(positions, speeds, dt=1.0, fd=G))
+    rep = diagnose(reference.trajectory(positions, speeds))
     assert rep.collision_count == 0
     assert rep.negative_speed_count == 0
     assert rep.nonfinite_count == count
@@ -125,10 +106,7 @@ def test_diagnose_nonfinite_trajectory_is_not_clean(positions, speeds, count):
 def test_diagnose_counts_infinities_without_a_warning(positions, speeds, nan_field):
     # inf - inf is a NaN spacing or acceleration, which numpy warns of; the
     # audit counts the infinities themselves, and its NaN search still runs.
-    positions, speeds = np.array(positions), np.array(speeds)
-    j, width = positions.shape
-    sc = Scenario(fd=G, k1=G.K / 2.0, lead_speed=0.0, m=width - 1, dn=1.0, dt=1.0, duration=j - 1.0)
-    traj = Trajectory(times=np.arange(float(j)), positions=positions, speeds=speeds, scenario=sc)
+    traj = reference.trajectory(positions, speeds)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = diagnose(traj)
@@ -148,88 +126,12 @@ def test_trajectory_requires_its_scenario():
     assert rep.max_abs_acceleration == 3.5
 
 
-def _reference_events(trajectory, fd):
-    """The audit's events as (j, m) tuples, built one by one: the loop
-    that ``diagnose`` replaced, kept as its reference."""
-    s = trajectory.spacings()
-    collisions = [
-        (int(j), int(m) + 1) for j, m in zip(*np.nonzero(s < fd.S - COLLISION_TOL))
-    ]
-    negatives = [
-        (int(j), int(m)) for j, m in zip(*np.nonzero(trajectory.speeds < -NEGATIVE_SPEED_TOL))
-    ]
-    return collisions, negatives
-
-
-def _reference_crossings(trajectory, level, rising):
-    """The per-vehicle loop that the whole-grid crossings replaced, kept as
-    the crossing accumulator's reference."""
-    times = trajectory.times
-    ts, xs = [], []
-    for m in range(1, trajectory.speeds.shape[1]):
-        v = trajectory.speeds[:, m]
-        past = v >= level if rising else v <= level
-        if past[0]:
-            continue
-        hits = np.nonzero(past)[0]
-        if hits.size == 0:
-            continue
-        j = int(hits[0])
-        if v[j] == level:
-            ts.append(float(times[j]))
-            xs.append(float(trajectory.positions[j, m]))
-        else:
-            frac = (level - v[j - 1]) / (v[j] - v[j - 1])
-            ts.append(float(times[j - 1] + frac * (times[j] - times[j - 1])))
-            xs.append(float(
-                trajectory.positions[j - 1, m]
-                + frac * (trajectory.positions[j, m] - trajectory.positions[j - 1, m])
-            ))
-    return np.asarray(ts), np.asarray(xs)
-
-
-_SYNTHETIC_SHOCKS = {
-    "greenshields": (G, G.K / 4.0, 0.625 * G.K, 20, 0.5, 40.0, 0.2),
-    "triangular-congested": (T, 0.4 * T.K, 0.8 * T.K, 15, 1.0, 60.0, 0.25),
-    "greenshields-short": (G, G.K / 4.0, 0.625 * G.K, 5, 1.0, 1.0, 0.1),
-    "greenshields-fine": (G, G.K / 8.0, 0.5 * G.K, 40, 0.25, 40.0, 0.05),
-}
-
-
-def _reference_cases():
-    """Every run template, every scheme on the shock templates, a
-    leader-only platoon and the synthetic shocks."""
-    cases = []
-    for name in sorted(TEMPLATES):
-        spec = load_spec(template_text(name))
-        if spec.stability is None:
-            schemes = list(Scheme) if "shock" in name else [spec.scheme]
-            cases += [f"{name}:{scheme.value}" for scheme in schemes]
-    return cases + ["greenshields-shock-a:m=0"] + [f"synthetic:{k}" for k in _SYNTHETIC_SHOCKS]
-
-
-def _reference_trajectory(case):
-    source, variant = case.split(":")
-    if source == "synthetic":
-        fd, k1, k2, m, dn, duration, dt = _SYNTHETIC_SHOCKS[variant]
-        return synthetic_shock_trajectory(fd, k1, k2, m=m, dn=dn, duration=duration, dt=dt)
-    spec = load_spec(template_text(source))
-    if variant == "m=0":
-        return simulate(replace(spec.scenario, m=0), model=spec.model, scheme=spec.scheme)
-    # the shock templates use the equilibrium model, which every scheme supports
-    return simulate(spec.scenario, model=spec.model, scheme=Scheme(variant))
-
-
-@pytest.mark.parametrize("case", _reference_cases())
+@pytest.mark.parametrize("case", CASES)
 def test_audit_and_crossings_match_reference_loops(case):
-    traj = _reference_trajectory(case)
+    traj = case_trajectory(case)
     sc = traj.scenario
     rep = diagnose(traj)
-    collisions, negatives = _reference_events(traj, sc.fd)
-    assert rep.collision_events.shape == (len(collisions), 2)
-    assert rep.negative_speed_events.shape == (len(negatives), 2)
-    assert list(map(tuple, rep.collision_events.tolist())) == collisions
-    assert list(map(tuple, rep.negative_speed_events.tolist())) == negatives
+    assert_same_report(rep, reference.diagnose(traj))
     # perfbench hashes the counts' repr, which an np.int64 would change
     assert type(rep.collision_count) is int and type(rep.negative_speed_count) is int
 
@@ -244,37 +146,19 @@ def test_audit_and_crossings_match_reference_loops(case):
             crossings = _Crossings(level, rising)
             crossings.add(traj.times, traj.positions, traj.speeds)
             got = crossings.points()
-            want = _reference_crossings(traj, level, rising)
+            want = reference.crossings(traj, level, rising)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _reference_measurement(trajectory):
-    """The wave choice the command line made before ``measure_wave``,
-    kept as its reference."""
-    sc = trajectory.scenario
-    v1 = sc.initial_speed if sc.initial_speed is not None else sc.fd.eta(sc.k1)
-    v2 = sc.lead_speed
-    try:
-        if v1 < 1e-3 * sc.fd.V:
-            meas = measure_startup_wave(trajectory)
-        elif abs(v1 - v2) > 1e-9:
-            meas = measure_front_speed(trajectory, v1, v2)
-        else:
-            return math.nan, math.nan
-        return meas.speed, meas.r_squared
-    except MeasurementError:
-        return math.nan, math.nan
-
-
-@pytest.mark.parametrize("case", _reference_cases() + ["uniform"])
+@pytest.mark.parametrize("case", CASES + ["uniform"])
 def test_measure_wave_matches_reference(case):
     if case == "uniform":
         traj = simulate(Scenario(fd=G, k1=G.K / 4.0, lead_speed=G.eta(G.K / 4.0), m=5, dn=1.0, dt=0.35,
                                  duration=7.0))
     else:
-        traj = _reference_trajectory(case)
-    got, want = measure_wave(traj), _reference_measurement(traj)
+        traj = case_trajectory(case)
+    got, want = measure_wave(traj), reference.wave(traj)
     for a, b in zip(got, want):
         assert a == b or (math.isnan(a) and math.isnan(b))
     if case == "uniform":
@@ -300,22 +184,16 @@ def test_displayed_slots(dn, m, slots):
     assert _displayed_slots(dn, m, 5) == slots
 
 
-def _unbounded_displayed_slots(dn, m, count):
-    """_displayed_slots before its range was bounded by the slots that exist."""
-    slots = {n: round(n / dn) for n in range(1, count + 1)}
-    return {n: slot for n, slot in slots.items() if 1 <= slot <= m}
-
-
 @pytest.mark.parametrize("dn", [0.1, 1.0 / 3.0, 0.0625, 0.5, 0.7, 1.0, 1.5, 2.5, 3.0])
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 160])
 def test_displayed_slots_bound_changes_nothing(dn, m):
     for count in (1, 2, 5, 10, 40, 400):
-        assert _displayed_slots(dn, m, count) == _unbounded_displayed_slots(dn, m, count)
+        assert _displayed_slots(dn, m, count) == reference.displayed_slots(dn, m, count)
 
 
 def test_displayed_slots_of_a_huge_count_stop_at_the_slots():
     # The dict over range(1, count + 1) grew at ~2.7 million entries a second.
-    assert _displayed_slots(0.5, 20, 10**12) == _unbounded_displayed_slots(0.5, 20, 50)
+    assert _displayed_slots(0.5, 20, 10**12) == reference.displayed_slots(0.5, 20, 50)
 
 
 def test_sweep_dn_keeps_no_earlier_trajectory():
@@ -351,6 +229,24 @@ def test_sweep_dn_of_no_steps_has_no_peak_acceleration():
     sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=0.0)
     rows = [row for _, row in sweep_dn(sc, (1.0, 0.5), vehicles=4, dt_ratio=0.35)]
     assert [math.isnan(row.max_abs_accel) for row in rows] == [True, True]
+
+
+@pytest.mark.parametrize("dns", [(1.0, 10.0), (10.0, 1.0)], ids=["1,10", "10,1"])
+def test_sweep_dn_difference_without_a_shared_vehicle_is_nan(dns):
+    # At dn = 10 the run has m = 0 and displays no vehicle; its difference read 0.0.
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=4, dn=1.0, dt=0.35, duration=5.0)
+    rows = [row for _, row in sweep_dn(sc, dns, vehicles=4, dt_ratio=0.35)]
+    assert [math.isnan(row.traj_diff_prev) for row in rows] == [True, True]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["v1", "v2"])
+def test_measure_front_speed_refuses_a_nonfinite_level(name, value):
+    # These raised MeasurementError("only 0 crossings, need at least 3").
+    traj = simulate(Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175, duration=7.0))
+    levels = {"v1": 15.0, "v2": 7.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        measure_front_speed(traj, **levels)
 
 
 def test_measure_front_speed_rejects_equal_levels():

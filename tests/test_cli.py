@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lagwave
+import reference
 from lagwave.cli import (
     ConfigError,
     StabilitySpec,
@@ -308,14 +309,9 @@ def test_sweep_difference_never_compares_the_leader(tmp_path):
                  model=spec.model, scheme=spec.scheme)
         for dn in (1.0, 2.5)
     )
-    grid = a.times[a.times <= min(a.times[-1], b.times[-1])]
-    worst = max(
-        float(np.max(np.abs(np.interp(grid, a.times, a.positions[:, n])
-                            - np.interp(grid, b.times, b.positions[:, slot]))))
-        for n, slot in {2: 1, 3: 1, 4: 2, 5: 2}.items()
-    )
+    assert reference.displayed_slots(2.5, b.scenario.m, 5) == {2: 1, 3: 1, 4: 2, 5: 2}
     assert row[0] == "2.5"
-    assert float(row[4]) == worst
+    assert float(row[4]) == reference.traj_diff(a, b)
 
 
 def test_sweep_requires_relative_spec():
@@ -484,6 +480,16 @@ def test_main_sweep_dn_flag(tmp_path):
     assert len(lines) == 3
     # second row's trajectory difference against the first is finite
     assert not math.isnan(float(lines[2].split(",")[4]))
+
+
+@pytest.mark.parametrize("dn", ["1,10", "10,1"])
+def test_main_sweep_difference_without_a_shared_vehicle_is_nan(dn, tmp_path):
+    # At dn = 10 no whole vehicle has a follower's slot; its difference read 0.
+    cfg = tmp_path / "sw.ini"
+    cfg.write_text(SWEEPABLE)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "sw"), "--dn", dn]) == 0
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[4] for row in rows] == ["traj_diff_prev", "nan", "nan"]
 
 
 def test_main_sweep_needs_dn_somewhere(tmp_path, capsys):
@@ -742,11 +748,11 @@ def test_main_steep_sigmoid_prints_no_warning(verb, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-_STABILITY_TEMPLATES = ("nonstandard-stability", "phillips-stability")
 _CASES = [
     (name, verb)
     for name in sorted(TEMPLATES)
-    for verb in (("stability", "run", "thresholds") if name in _STABILITY_TEMPLATES else ("run", "thresholds", "sweep"))
+    for verb in (("stability", "run", "thresholds") if "stability" in reference.template_verbs(name)
+                 else ("run", "thresholds", "sweep"))
 ]
 _NUMBERS = ["0", "-1", "nan", "inf", "1e-300", "1e-200", "1e300", "1e-12", "0.02", "0.5", "3", "100"]
 # The step sizes leave out small positive values such as 1e-3: numpy

@@ -19,16 +19,14 @@ from lagwave.engine import (
     Scheme,
     Trajectory,
     _FLOAT_SLOTS,
-    _Correction,
     _float_kernel,
-    _relaxation_time,
     _step_kernel,
     acceleration,
     simulate,
 )
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from golden import off_avx512
-from test_fundamental import reference_eta
+from reference import newell_positions, run_kernel, step_kernel
 
 G = GreenshieldsFD()
 T = TriangularFD()
@@ -403,50 +401,6 @@ def test_simulate_steps_narrow_anisotropic_runs_on_floats(monkeypatch, m, scheme
     assert called == [kernel]
 
 
-# The stepping kernel as it was before its scratch rows: every intermediate
-# allocated, the stencils concatenated, theta through the laws' formulas as
-# they were then.  The in-place kernel must give the same bits.
-_REFERENCE_STENCILS = {
-    Scheme.ANISOTROPIC_SYMPLECTIC: lambda s: s,
-    Scheme.EXPLICIT_EXPLICIT: lambda s: s,
-    Scheme.FORWARD_SPACING: lambda s: np.concatenate((s[1:], s[-1:])),
-    Scheme.ARITHMETIC_CENTRAL: lambda s: np.concatenate((0.5 * (s[:-1] + s[1:]), s[-1:])),
-    Scheme.HARMONIC_CENTRAL: lambda s: np.concatenate((2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:]), s[-1:])),
-}
-
-
-def _reference_theta(fd, s):
-    return reference_eta(fd, np.minimum(1.0 / s, fd.K))
-
-
-def _reference_step_kernel(positions, speeds, lead, fd, dn, dt, model, scheme):
-    clamp = None
-    if isinstance(model, _Correction):
-        clamp, model = type(model), model.inner
-    if not isinstance(model, (NonstandardLWR, PhillipsRelax, JWZ)):
-        raise TypeError(f"unknown model {model!r}")
-    # Interpolation form of the relaxation: exactly theta when T == dt.
-    T = _relaxation_time(model)
-    r = None if T is None else 1.0 - dt / T
-    stencil = _REFERENCE_STENCILS[scheme]
-    S = fd.S
-    for j in range(len(lead)):
-        x, u, v = positions[j], speeds[j], speeds[j + 1]
-        gaps = x[:-1] - x[1:]
-        th = _reference_theta(fd, np.maximum(stencil(gaps / dn), S))
-        new = th if r is None else th + r * (u[1:] - th)
-        if isinstance(model, JWZ):
-            far = np.abs(gaps) > 1e-12
-            antic = np.where(far, (u[:-1] - u[1:]) / np.where(far, gaps, 1.0), 0.0)
-            new = new + dt * model.c0 * antic
-        if clamp is not None:
-            ceiling = th if clamp is Corrected1 else (gaps - S * dn) / dt
-            new = np.maximum(0.0, np.minimum(new, ceiling))
-        v[0] = lead[j]
-        v[1:] = new
-        positions[j + 1] = x + dt * (u if scheme is Scheme.EXPLICIT_EXPLICIT else v)
-
-
 KERNEL_MODELS = (NonstandardLWR(), PhillipsRelax(T=2.0), JWZ(T=3.0, c0=0.7),
                  Corrected1(JWZ(T=1.5, c0=-1.3)), Corrected2(PhillipsRelax(T=4.0)))
 # The last jam density is one where 1/(1/K) rounds above K, so that the
@@ -472,15 +426,6 @@ def _row_zero(draw):
     u0 = np.asarray(draw(st.lists(st.floats(-5.0, 35.0), min_size=width, max_size=width)), dtype=float)
     lead = np.asarray(draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6)), dtype=float)
     return fd, dn, x0, u0, lead
-
-
-def _run_kernel(kernel, fd, dn, dt, x0, u0, lead, *model_and_scheme):
-    positions = np.full((len(lead) + 1, len(x0)), -7.0)
-    speeds = np.full_like(positions, -7.0)
-    positions[0], speeds[0] = x0, u0
-    with np.errstate(all="ignore"):
-        kernel(positions, speeds, lead, fd, dn, dt, *model_and_scheme)
-    return positions, speeds
 
 
 @settings(max_examples=300, deadline=None)
@@ -512,9 +457,9 @@ def test_kernel_matches_the_allocating_reference(state, scheme, model, dt):
     fd, dn, x0, u0, lead = state
     x0_before, u0_before, lead_before = x0.tobytes(), u0.tobytes(), lead.copy()
     for kernel, args in ((_step_kernel, (model, scheme)), (_float_kernel, (model,))):
-        got = _run_kernel(kernel, fd, dn, dt, x0, u0, lead, *args)
-        want = _run_kernel(_reference_step_kernel, fd, dn, dt, x0, u0, lead, model,
-                           scheme if kernel is _step_kernel else Scheme.ANISOTROPIC_SYMPLECTIC)
+        got = run_kernel(kernel, fd, dn, dt, x0, u0, lead, *args)
+        want = run_kernel(step_kernel, fd, dn, dt, x0, u0, lead, model,
+                          scheme if kernel is _step_kernel else Scheme.ANISOTROPIC_SYMPLECTIC)
         for g, w in zip(got, want):
             assert np.array_equal(g, w, equal_nan=True)
             # Signed zeros and NaN payloads too.
@@ -534,9 +479,30 @@ def test_a_platoon_braking_to_rest_matches_the_allocating_reference(fd, model, m
     sc = Scenario(fd=fd, k1=k1_share * fd.K, lead_speed=v0, m=m, dn=dn, dt=dt, duration=400.0 * dt)
     lead = np.concatenate((np.linspace(v0, 0.0, brake), np.zeros(sc.steps - brake)))
     traj = simulate(sc, model, lead_speeds=lead)
-    want = _run_kernel(_reference_step_kernel, fd, dn, dt, traj.positions[0], traj.speeds[0], lead, model,
-                       Scheme.ANISOTROPIC_SYMPLECTIC)
+    want = run_kernel(step_kernel, fd, dn, dt, traj.positions[0], traj.speeds[0], lead, model,
+                      Scheme.ANISOTROPIC_SYMPLECTIC)
     assert traj.positions.tobytes() == want[0].tobytes() and traj.speeds.tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(V=st.floats(15.0, 35.0), W=st.floats(3.0, 8.0), K=st.floats(0.1, 0.2), k1_share=st.floats(0.1, 1.0),
+       m=st.integers(3, 40), dn=st.sampled_from([1.0, 0.5, 0.25]), steps=st.integers(1, 60),
+       lead_shares=st.lists(st.floats(0.0, 1.0), min_size=60, max_size=60))
+def test_a_triangular_run_at_the_newell_rate_is_newells_model(V, W, K, k1_share, m, dn, steps, lead_shares):
+    # At dn / dt = W K the anisotropic scheme on a triangular diagram is
+    # Newell's model (Newell 2002; Daganzo 2006), up to rounding: it takes
+    # theta and then the step, Newell's model the min of two sums.  The
+    # diagrams span thresholds-grid's ranges, and widths on both sides of
+    # _FLOAT_SLOTS step both kernels.
+    fd = TriangularFD(V=V, W=W, K=K)
+    dt = dn / (W * K)
+    lead = V * np.asarray(lead_shares[:steps])
+    sc = Scenario(fd=fd, k1=k1_share * K, lead_speed=lead[0], m=m, dn=dn, dt=dt, duration=steps * dt)
+    assert sc.steps == len(lead)
+    x = simulate(sc, lead_speeds=lead).positions
+    want = newell_positions(fd, dn, dt, x[0], lead)
+    # Within 1e-14 of the largest |position|; the worst of these draws reads 3.5e-16.
+    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_float_kernel_bits_hold_off_avx512():

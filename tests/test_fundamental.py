@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from lagwave.conditions import check_concave, cfl_threshold, collision_free_threshold
 from lagwave.engine import Scenario, simulate
 from lagwave.fundamental import (
@@ -181,19 +182,6 @@ def test_unchecked_eta_matches_eta():
         assert np.array_equal(fd._eta(fd._density(spacings)), fd.theta(spacings))
 
 
-def reference_eta(fd, k):
-    """Each law's ``_eta`` as it was written before its ``out=`` form: the
-    bits the formula keeps, the triangular law's NaN and k = 0 included."""
-    if isinstance(fd, GreenshieldsFD):
-        return fd.V * (1.0 - k / fd.K)
-    if isinstance(fd, TriangularFD):
-        congested = np.where(k > 0.0, fd.W * (fd.K / np.where(k > 0.0, k, 1.0) - 1.0), np.inf)
-        return np.minimum(fd.V, congested)
-    x = (k / fd.K - fd.c2) / fd.c3
-    raw = fd.amplitude * (1.0 / (1.0 + np.exp(x)) - fd.c4)
-    return np.maximum(raw, 0.0) if fd.clamp_nonnegative else raw
-
-
 def reference_eta_prime(fd, k):
     """``KernerFD._eta_prime`` as it was written before the law's one ``_sigmoid``."""
     x = (k / fd.K - fd.c2) / fd.c3
@@ -211,7 +199,7 @@ def _bits(x):
 @pytest.mark.parametrize("fd", [G, T, KC, KU], ids=["greenshields", "triangular", "kerner", "kerner-unclamped"])
 def test_eta_out_contract(fd):
     ks = np.concatenate((np.linspace(0.0, fd.K, 1001), [0.0, fd.K, np.nextafter(fd.K, 0.0), 1e-300]))
-    want = reference_eta(fd, ks)
+    want = reference.eta(fd, ks)
     k = ks.copy()
     buf = np.full_like(k, -1.0)
     with warnings.catch_warnings():
@@ -223,7 +211,7 @@ def test_eta_out_contract(fd):
     assert _bits(k) == _bits(ks)
     assert _bits(got) == _bits(want) and _bits(alloc) == _bits(want)
     for x, y in zip(ks[[0, 1, 500, -4, -1]], scalars):
-        assert np.ndim(y) == 0 and _bits(y) == _bits(reference_eta(fd, np.asarray(x)))
+        assert np.ndim(y) == 0 and _bits(y) == _bits(reference.eta(fd, np.asarray(x)))
 
 
 # Steep sigmoids, whose exp overflows to inf for most densities.
@@ -246,7 +234,7 @@ def test_sigmoid_keeps_the_written_out_bits(fd):
     ks = np.concatenate((np.linspace(0.0, fd.K, 1001), [fd.c2 * fd.K, np.nextafter(fd.K, 0.0), 1e-300]))
     picks = [0, 1, 250, 500, 1000, -3, -2, -1]
     with np.errstate(over="ignore"):
-        for got, want in ((fd._eta, reference_eta), (fd._eta_prime, reference_eta_prime)):
+        for got, want in ((fd._eta, reference.eta), (fd._eta_prime, reference_eta_prime)):
             assert _bits(got(ks)) == _bits(want(fd, ks))
             for x in ks[picks]:
                 y = got(np.asarray(x))
@@ -261,7 +249,7 @@ def test_sigmoid_keeps_the_written_out_bits(fd):
 def test_eta_out_keeps_the_triangular_nan_and_nonpositive_densities():
     k = np.array([np.nan, 0.0, -0.0, -1.0, T.K])
     buf = np.empty_like(k)
-    assert _bits(T._eta(k, out=buf)) == _bits(reference_eta(T, k)) == _bits([T.V, T.V, T.V, T.V, 0.0])
+    assert _bits(T._eta(k, out=buf)) == _bits(reference.eta(T, k)) == _bits([T.V, T.V, T.V, T.V, 0.0])
 
 
 @pytest.mark.parametrize("fd", [G, T, KC], ids=lambda fd: type(fd).__name__)
@@ -289,8 +277,8 @@ def test_triangular_eta_keeps_its_bits_around_the_critical_density(V, W, K, frac
     edges = [x for c in (kc, 0.5 * kc) for x in (np.nextafter(c, 0.0), c, np.nextafter(c, np.inf))]
     ks = np.array([*edges, 0.0, np.nan, K, 1e-310, 5e-324, *(min(f * kc, K) for f in fractions)])
     with np.errstate(over="ignore"):
-        want = reference_eta(fd, ks)
-        scalars = [reference_eta(fd, np.asarray(x)) for x in ks]
+        want = reference.eta(fd, ks)
+        scalars = [reference.eta(fd, np.asarray(x)) for x in ks]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         buf = np.empty_like(ks)

@@ -12,6 +12,7 @@ A refactor must leave every hash unchanged.  A change that means to move a
 file's bytes re-pins it in its own commit, quotes each changed line, and names
 the pin in CHANGES.md.
 """
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -83,3 +84,15 @@ def test_only_the_known_pins_move_off_avx512():
     got = json.loads(off_avx512(_ALL_PINS).stdout)
     assert got.keys() == MANIFEST.keys()
     assert {key for key in MANIFEST if got[key] != MANIFEST[key]} == AVX512_PINS
+
+
+def test_no_test_module_imports_another():
+    # Shared rules and references live in reference.py, the pins' generator in
+    # golden.py: a test module that imported another would run alone only with it.
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    modules = {path.stem for path in tests}
+    found = [(path.name, name) for path in tests for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""])
+             if name.split(".")[0] in modules]
+    assert found == []
