@@ -387,7 +387,8 @@ class _Measures:
             for n in shared:
                 # grid is a prefix of t_prev, so the previous curve is read on its own knots.
                 b = np.interp(grid, times, curves[n])
-                diff = max(diff, float(np.max(np.abs(curves_prev[n][: len(grid)] - b))))
+                # np.maximum, not max: a NaN gap makes the difference NaN.
+                diff = float(np.maximum(diff, np.max(np.abs(curves_prev[n][: len(grid)] - b))))
         return SweepRow(self.scenario.dn, self.wave()[0], float(self.peak), self.audit.report().min_spacing, diff)
 
 

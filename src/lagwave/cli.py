@@ -5,11 +5,15 @@ optional [stability] section).  A config may name a bundled template
 via ``template`` in [run]; its own keys then override the template's.
 The keys of [fd], [scenario], of the model in [run] and of [stability]
 are the fields of the diagram, ``Scenario``, model and ``StabilitySpec``
-dataclasses in lower case; [scenario] also takes the aliases
-``vehicles`` (for m) and ``dt_ratio`` (for dt).  All files written are
-deterministic: same spec, same bytes.  ``main`` is the one place that
-turns a refusal (a ``ValueError``, ``ExperimentInvalid`` or ``OSError``)
-into an ``error:`` line and exit status 2.
+dataclasses in lower case, each value read by its field's type
+(``_parse``); [scenario] also takes the aliases ``vehicles`` (for m) and
+``dt_ratio`` (for dt).  Each ``key = value`` result file renders one
+record (``_write_lines``): thresholds.txt the ``StepSizeReport``,
+summary.txt the run's ``analysis._Measures``, stability.txt the
+``StringStabilityResult``.  All files written are deterministic: same
+spec, same bytes.  ``main`` is the one place that turns a refusal (a
+``ValueError``, ``ExperimentInvalid`` or ``OSError``) into an ``error:``
+line and exit status 2.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from itertools import chain
 # measure_startup_wave here without a hasattr guard, so they stay imported
 # though cli calls none of them.
 from .analysis import (
-    DiagnosticsReport,
     ExperimentInvalid,
     SweepRow,
     _at_dn,
@@ -110,43 +113,30 @@ _REQUIRED = (
     "scenario.duration", "scenario.dt or scenario.dt_ratio",
 )
 
+# The words a boolean value takes.
+_BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True), **dict.fromkeys(("false", "no", "0", "off"), False)}
 
-def _to_float(section: str, key: str, raw: str) -> float:
+# Converter and the noun its refusal names, per field type.  The modules
+# postpone annotations, so ``f.type`` is the annotation's text.  A field of
+# any other type (the scenario's diagram) has no key: the caller supplies it.
+_NUMBER = (float, "a number")
+_KINDS = {"float": _NUMBER, "float | None": _NUMBER, "int": (int, "an integer"),
+          "bool": (lambda raw: _BOOLS[raw.strip().lower()], "a boolean")}
+
+
+def _parse(section: str, key: str, raw: str, kind: str = "float"):
+    """The value of ``section.key`` read as the field type ``kind``."""
+    convert, noun = _KINDS[kind]
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {section}.{key} is not a number: {raw!r}") from None
+        return convert(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {section}.{key} is not {noun}: {raw!r}") from None
 
-
-def _to_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key {section}.{key} is not an integer: {raw!r}") from None
-
-
-def _to_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {section}.{key} is not a boolean: {raw!r}")
-
-
-# Parser per field type.  The modules postpone annotations, so ``f.type``
-# is the annotation's text.  A field of any other type (the scenario's
-# diagram) has no key: the caller supplies it.
-_PARSERS = {"float": _to_float, "float | None": _to_float, "int": _to_int, "bool": _to_bool}
 
 # Per dataclass: config key (the field name in lower case) -> (field name,
-# parser, whether the field has no default).
+# field type, whether the field has no default).
 _FIELDS = {
-    cls: {
-        f.name.lower(): (f.name, _PARSERS[f.type], f.default is MISSING)
-        for f in fields(cls)
-        if f.type in _PARSERS
-    }
+    cls: {f.name.lower(): (f.name, f.type, f.default is MISSING) for f in fields(cls) if f.type in _KINDS}
     for cls in (*_DIAGRAMS.values(), *_MODELS.values(), StabilitySpec, Scenario)
 }
 
@@ -191,11 +181,11 @@ def _build(cls, section: str, sec: dict[str, str], what: str, extra=(), context:
     for key in sec:
         if key not in keys and key not in extra:
             raise ConfigError(f"unknown key {section}.{key}{context}")
-    for key, (name, parse, required) in keys.items():
+    for key, (name, kind, required) in keys.items():
         if name in kwargs:
             continue
         if key in sec:
-            kwargs[name] = parse(section, key, sec[key])
+            kwargs[name] = _parse(section, key, sec[key], kind)
         elif required:
             raise ConfigError(f"missing required key {section}.{key}")
     try:
@@ -212,15 +202,12 @@ def load_spec(text: str) -> RunSpec:
     template = run_sec.get("template")
     if template is not None:
         if template not in TEMPLATES:
-            raise ConfigError(
-                f"unknown run.template {template!r}; bundled: {', '.join(sorted(TEMPLATES))}"
-            )
-        merged = {sec: dict(keys) for sec, keys in TEMPLATES[template].items()}
-        for sec, keys in sections.items():
-            merged.setdefault(sec, {}).update(keys)
-        merged["run"].pop("template", None)
-        sections = merged
-        run_sec = sections.get("run", {})
+            raise ConfigError(f"unknown run.template {template!r}; bundled: {', '.join(sorted(TEMPLATES))}")
+        # The template's sections and keys first, in its order; the config's own values override its.
+        base = TEMPLATES[template]
+        sections = {s: {**base.get(s, {}), **sections.get(s, {})} for s in dict.fromkeys([*base, *sections])}
+        run_sec = sections["run"]
+        del run_sec["template"]
 
     known_sections = {"fd", "scenario", "run", "stability"}
     for sec in sections:
@@ -246,13 +233,13 @@ def load_spec(text: str) -> RunSpec:
         raise ConfigError("give at most one of scenario.m and scenario.vehicles")
     if "dn" not in sc_sec:
         raise ConfigError("missing required key scenario.dn")
-    dn = _to_float("scenario", "dn", sc_sec["dn"])
+    dn = _parse("scenario", "dn", sc_sec["dn"])
     if not (math.isfinite(dn) and dn > 0.0):
         raise ConfigError(f"key scenario.dn must be positive and finite, got {dn!r}")
     given = {"fd": fd, "dn": dn}
     vehicles = dt_ratio = None
     if "vehicles" in sc_sec:
-        vehicles = _to_int("scenario", "vehicles", sc_sec["vehicles"])
+        vehicles = _parse("scenario", "vehicles", sc_sec["vehicles"], "int")
         try:
             given["m"] = _slot_count(vehicles, dn)
         except ValueError as exc:
@@ -260,7 +247,7 @@ def load_spec(text: str) -> RunSpec:
     elif "m" not in sc_sec:
         given["m"] = 50
     if "dt_ratio" in sc_sec:
-        dt_ratio = _to_float("scenario", "dt_ratio", sc_sec["dt_ratio"])
+        dt_ratio = _parse("scenario", "dt_ratio", sc_sec["dt_ratio"])
         given["dt"] = dt_ratio * dn
     elif "dt" not in sc_sec:
         raise ConfigError("missing required key scenario.dt or scenario.dt_ratio")
@@ -277,7 +264,7 @@ def load_spec(text: str) -> RunSpec:
     if scheme is not Scheme.ANISOTROPIC_SYMPLECTIC and not isinstance(model, NonstandardLWR):
         raise ConfigError(f"run.scheme {scheme.value!r} supports only model nonstandard")
 
-    display = _to_int("run", "display_vehicles", run_sec.get("display_vehicles", "5"))
+    display = _parse("run", "display_vehicles", run_sec.get("display_vehicles", "5"), "int")
     if display < 1:
         raise ConfigError("key run.display_vehicles must be at least 1")
 
@@ -304,7 +291,7 @@ def load_spec(text: str) -> RunSpec:
 def _dn_values(raw: str) -> tuple[float, ...]:
     """Comma-separated dn values, from run.sweep or from ``sweep --dn``:
     at least one, each positive, finite and with its own trajectory file."""
-    values = tuple(_to_float("run", "sweep", p) for p in raw.split(",") if p.strip())
+    values = tuple(_parse("run", "sweep", p) for p in raw.split(",") if p.strip())
     if not values:
         raise ConfigError("sweep needs at least one dn value")
     if not all(math.isfinite(v) and v > 0.0 for v in values):
@@ -370,8 +357,16 @@ def serialize(spec: RunSpec) -> str:
 # -- execution ---------------------------------------------------------
 
 
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+def _text(value) -> str:
+    """A result value as text: a bool in lower case, a count in decimal,
+    any other number by %.17g, and a sequence comma-joined."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return ",".join(map(_text, value))
 
 
 # Values (x, v and a together) that one %-format call of the CSV writer
@@ -410,29 +405,15 @@ def _write_run(path: str, blocks, measures: _Measures) -> None:
             del x, v, a  # before the walk builds the next block
 
 
-def _summary_lines(fd, wave: tuple[float, float], report: DiagnosticsReport) -> list[str]:
-    speed, r2 = wave
-    return [
-        f"measured_shock_speed = {_g17(speed)}",
-        f"r_squared = {_g17(r2)}",
-        f"min_spacing = {_g17(report.min_spacing)}",
-        f"collision_count = {report.collision_count}",
-        f"negative_speed_count = {report.negative_speed_count}",
-        f"max_abs_accel = {_g17(report.max_abs_acceleration)}",
-        f"collision_free_threshold = {_g17(collision_free_threshold(fd))}",
-        f"cfl_threshold = {_g17(cfl_threshold(fd))}",
-    ]
-
-
-def _write_lines(spec: RunSpec, name: str, lines: list[str]) -> str:
-    """Write ``lines`` to ``name`` in the output directory and echo them;
-    return the file's path."""
+def _write_lines(spec: RunSpec, name: str, values: dict) -> str:
+    """Write a ``key = value`` line per entry of ``values`` (``_text``) to
+    ``name`` in the output directory and echo them; return the file's path."""
+    text = "".join(f"{key} = {_text(value)}\n" for key, value in values.items())
     os.makedirs(spec.output_dir, exist_ok=True)
     path = os.path.join(spec.output_dir, name)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+        fh.write(text)
+    print(text, end="")
     return path
 
 
@@ -450,7 +431,13 @@ def run(spec: RunSpec, expect_clean: bool = False) -> int:
     measures = _Measures(sc, spec.display_vehicles)
     _write_run(csv_path, blocks, measures)
     report = measures.audit.report()
-    summary_path = _write_lines(spec, "summary.txt", _summary_lines(sc.fd, measures.wave(), report))
+    speed, r2 = measures.wave()
+    summary_path = _write_lines(spec, "summary.txt", {
+        "measured_shock_speed": speed, "r_squared": r2, "min_spacing": report.min_spacing,
+        "collision_count": report.collision_count, "negative_speed_count": report.negative_speed_count,
+        "max_abs_accel": report.max_abs_acceleration, "collision_free_threshold": collision_free_threshold(sc.fd),
+        "cfl_threshold": cfl_threshold(sc.fd),
+    })
     print(f"[run] wrote {csv_path} and {summary_path}")
 
     if expect_clean and not report.clean:
@@ -493,27 +480,17 @@ def sweep(spec: RunSpec, dn_list: tuple[float, ...]) -> int:
     table_path = os.path.join(spec.output_dir, "sweep.csv")
     with open(table_path, "w") as fh:
         fh.write(",".join(SweepRow._fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+        fh.writelines(_text(row) + "\n" for row in rows)
     print(f"[sweep] wrote {table_path}")
     return 0
 
 
 def thresholds(spec: RunSpec) -> int:
-    """Report step-size admissibility for the spec's diagram and steps."""
+    """Report step-size admissibility for the spec's diagram and steps:
+    thresholds.txt is the fields of their ``StepSizeReport``, in order."""
     sc = spec.scenario
     rep = validate_step_sizes(sc.fd, sc.dn, sc.dt)
-    lines = [
-        f"dn = {_g17(rep.dn)}",
-        f"dt = {_g17(rep.dt)}",
-        f"rate = {_g17(rep.dn / rep.dt)}",
-        f"collision_free_threshold = {_g17(rep.collision_free_threshold)}",
-        f"cfl_threshold = {_g17(rep.cfl_threshold)}",
-        f"collision_free_ok = {str(rep.collision_free_ok).lower()}",
-        f"cfl_ok = {str(rep.cfl_ok).lower()}",
-        f"concave = {str(rep.concave).lower()}",
-    ]
-    _write_lines(spec, "thresholds.txt", lines)
+    _write_lines(spec, "thresholds.txt", {f.name: getattr(rep, f.name) for f in fields(rep)})
     return 0
 
 
@@ -538,13 +515,11 @@ def stability(spec: RunSpec) -> int:
         dt=sc.dt,
         duration=sc.duration,
     )
-    lines = [
-        f"omega = {_g17(result.omega)}",
-        f"amplification_ratio = {_g17(result.amplification_ratio)}",
-        f"predicted_ratio = {_g17(result.predicted_ratio)}",
-        "amplitudes = " + ",".join(_g17(a) for a in result.amplitudes),
-    ]
-    _write_lines(spec, "stability.txt", lines)
+    # In this order, not StringStabilityResult's field order.
+    _write_lines(spec, "stability.txt", {
+        "omega": result.omega, "amplification_ratio": result.amplification_ratio,
+        "predicted_ratio": result.predicted_ratio, "amplitudes": result.amplitudes,
+    })
     return 0
 
 

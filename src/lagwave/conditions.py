@@ -230,6 +230,7 @@ class StepSizeReport:
 
     dn: float
     dt: float
+    rate: float
     collision_free_threshold: float
     cfl_threshold: float
     collision_free_ok: bool
@@ -253,6 +254,7 @@ def validate_step_sizes(fd: FundamentalDiagram, dn: float, dt: float) -> StepSiz
     return StepSizeReport(
         dn=dn,
         dt=dt,
+        rate=rate,
         collision_free_threshold=cf,
         cfl_threshold=cfl,
         collision_free_ok=bool(rate >= cf * slack),

@@ -285,7 +285,7 @@ def traj_diff(prev, traj, count=5):
     slots_prev, slots = (displayed_slots(r.dn, r.scenario.m, count) for r in (prev, traj))
     diffs = [float(np.max(np.abs(prev.positions[: len(grid), slot] - np.interp(grid, t, traj.positions[:, slots[n]]))))
              for n, slot in slots_prev.items() if n in slots]
-    return max(0.0, *diffs) if diffs else math.nan
+    return float(np.max(diffs)) if diffs else math.nan
 
 
 def sweep(spec, dn_list, out):

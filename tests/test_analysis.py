@@ -239,6 +239,26 @@ def test_sweep_dn_difference_without_a_shared_vehicle_is_nan(dns):
     assert [math.isnan(row.traj_diff_prev) for row in rows] == [True, True]
 
 
+@pytest.mark.parametrize("slots", [slice(2, 9), slice(2, 3)], ids=["every-displayed", "vehicle-1"])
+def test_sweep_dn_difference_keeps_a_nan(slots, monkeypatch):
+    # The dn = 0.5 run's positions are NaN from row 3 on in ``slots``.  Python's
+    # max(diff, nan) keeps diff, so the difference read 0.0 with every displayed
+    # slot NaN, and the clean run's 2.015345973773745 with vehicle 1's alone.
+    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=4, dn=1.0, dt=0.35, duration=5.0)
+
+    def simulate_with_nans(scenario, **kwargs):
+        traj = simulate(scenario, **kwargs)
+        if scenario.dn == 0.5:
+            traj.positions[3:, slots] = np.nan
+        return traj
+
+    clean = [row for _, row in sweep_dn(sc, (1.0, 0.5), vehicles=4, dt_ratio=0.35)]
+    assert clean[1].traj_diff_prev == 2.015345973773745
+    monkeypatch.setattr(lagwave.analysis, "simulate", simulate_with_nans)
+    rows = [row for _, row in sweep_dn(sc, (1.0, 0.5), vehicles=4, dt_ratio=0.35)]
+    assert math.isnan(rows[1].traj_diff_prev)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["v1", "v2"])
 def test_measure_front_speed_refuses_a_nonfinite_level(name, value):

@@ -333,6 +333,16 @@ def test_thresholds_output(tmp_path):
     assert "concave = true" in text
 
 
+@pytest.mark.parametrize("name", ["greenshields-shock-a", "kerner-redlight"])
+def test_thresholds_file_is_the_step_size_report_in_field_order(name, tmp_path):
+    # thresholds.txt renders StepSizeReport field by field, so a condition
+    # added to the report is a line added to the file.
+    spec = replace(load_spec(template_text(name)), output_dir=str(tmp_path))
+    assert thresholds(spec) == 0
+    keys = [line.split(" = ")[0] for line in (tmp_path / "thresholds.txt").read_text().splitlines()]
+    assert keys == [f.name for f in fields(lagwave.StepSizeReport)]
+
+
 def test_stability_output(tmp_path):
     spec = load_spec(template_text("nonstandard-stability"))
     spec = replace(spec, output_dir=str(tmp_path))

@@ -16,7 +16,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lagwave
 from lagwave import conditions
@@ -27,7 +27,7 @@ from lagwave.conditions import (
     collision_free_threshold,
     validate_step_sizes,
 )
-from lagwave.engine import Scenario, simulate
+from lagwave.engine import JWZ, Corrected1, Corrected2, PhillipsRelax, Scenario, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.riemann import riemann_wave, shock_speed_rh
 from lagwave.templates import TEMPLATES, template_text
@@ -121,6 +121,14 @@ def test_validate_exact_critical_rate():
     thr = collision_free_threshold(G)
     rep = validate_step_sizes(G, dn=thr * 0.35, dt=0.35)
     assert rep.collision_free_ok
+
+
+@settings(max_examples=50, deadline=None)
+@given(dn=st.floats(1e-6, 1e6), dt=st.floats(1e-6, 1e6))
+@example(dn=1.0, dt=0.35)
+def test_report_rate_has_the_bits_of_dn_over_dt(dn, dt):
+    # thresholds.txt prints the report's rate, the one both checks compare.
+    assert validate_step_sizes(G, dn=dn, dt=dt).rate.hex() == (dn / dt).hex()
 
 
 def test_validate_kerner_split():
@@ -426,3 +434,41 @@ def test_collision_free_threshold_is_finite_iff_the_diagram_stops_at_jam(c2, c3,
     with np.errstate(over="ignore"):
         stops = fd.eta(fd.K) <= 0.0
     assert np.isfinite(collision_free_threshold.__wrapped__(fd)) == stops
+
+
+# -- the correction claim -------------------------------------------------
+#
+# The abstract: the correction method removes negative speeds and
+# collisions.  Corrected2 clamps the inner model's speed into
+# [0, (gap - S*dn)/dt], so it holds at any rate; Corrected1 clamps it into
+# [0, theta(spacing)], so it holds at and above the collision-free
+# threshold.  The diagrams span thresholds-grid's ranges, restricted to
+# eta(K) <= 0, where that threshold is finite.
+
+_THRESHOLDS_GRID_DIAGRAMS = st.one_of(
+    st.builds(GreenshieldsFD, V=st.floats(10.0, 35.0), K=st.floats(0.1, 0.2)),
+    st.builds(TriangularFD, V=st.floats(15.0, 35.0), W=st.floats(3.0, 8.0), K=st.floats(0.1, 0.2)),
+    st.builds(KernerFD, unit_length=st.floats(20.0, 36.0), relax_time=st.floats(3.0, 8.0), K=st.floats(0.1, 0.2),
+              clamp_nonnegative=st.booleans()),
+)
+_INNER_MODELS = st.one_of(
+    st.builds(PhillipsRelax, T=st.floats(0.1, 10.0)),
+    st.builds(JWZ, T=st.floats(0.1, 10.0), c0=st.floats(0.0, 5.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fd=_THRESHOLDS_GRID_DIAGRAMS, inner=_INNER_MODELS,
+       correction=st.sampled_from([(Corrected2, 0.05), (Corrected1, 1.0)]), rate_share=st.floats(0.0, 1.0),
+       m=st.integers(1, 15), k1_share=st.floats(0.05, 0.95), dn=st.sampled_from([1.0, 0.5, 0.25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_corrected_model_runs_clean(fd, inner, correction, rate_share, m, k1_share, dn, seed):
+    # Corrected2 at 0.05-3x the collision-free threshold, Corrected1 at 1-3x,
+    # over 200 steps behind a leader at random speeds in [0, V].
+    assume(fd.eta(fd.K) <= 0.0)
+    cls, low = correction
+    dt = dn / ((low + rate_share * (3.0 - low)) * collision_free_threshold(fd))
+    lead = np.random.default_rng(seed).uniform(0.0, fd.V, 200)
+    sc = Scenario(fd=fd, k1=k1_share * fd.K, lead_speed=lead[0], m=m, dn=dn, dt=dt, duration=200 * dt)
+    assert sc.steps == len(lead)
+    assert diagnose(simulate(sc, model=cls(inner), lead_speeds=lead)).clean
