@@ -579,9 +579,10 @@ def main(argv: list[str] | None = None) -> int:
             return thresholds(spec)
         return stability(spec)
     # A refusal from the config, the library or the file system is the
-    # input's fault, not the program's: an error line on stderr, exit 2.
+    # input's fault, not the program's: one error line on stderr, exit 2.
+    # configparser's messages span lines; their lines are joined by a space.
     except (ValueError, ExperimentInvalid, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + " ".join(line.strip() for line in str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

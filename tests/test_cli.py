@@ -1,4 +1,8 @@
-"""Config parsing, serialization round trips, file outputs, exit codes."""
+"""Config parsing, serialization round trips, file outputs, exit codes.
+
+Every refusal of ``main`` is a row of ``REFUSALS``, and one test holds
+each row to main's whole contract; a new refusal is one more row.
+"""
 import ast
 import contextlib
 import io
@@ -375,9 +379,165 @@ def test_main_expect_clean_failure(tmp_path, capsys):
     assert "expected clean" in capsys.readouterr().err
 
 
-def test_main_bad_config_exits_2(capsys):
-    assert main(["run", "no-such-template"]) == 2
-    assert "error:" in capsys.readouterr().err
+def _t(template: str, text: str = "") -> str:
+    """Config text that names the bundled ``template`` in [run], then ``text``."""
+    return f"[run]\ntemplate = {template}\n" + text
+
+
+OUT = ("--out", "out")
+# A UTF-16 byte order mark: not UTF-8, and under a Latin-1 locale a line
+# before the first section header.
+NOT_UTF8 = b"\xff\xfe[fd]\n"
+_FREE_FLOW = "[fd]\ntype = triangular\n[scenario]\nk1 = 0.02\n"
+_NO_RESPONSE = "a follower shows no oscillation: the window is too short or the followers do not respond"
+_GRID = " grid of duration / dt steps and m slots: "
+_NOT_FINITE = "invalid scenario: the step count duration / dt is not finite"
+_INTP_MAX = f">{np.iinfo(np.intp).max}"
+_SLOTS = "{}: the slot count vehicles / dn is too large for a float\n"
+_TWINS = "sweep dn values 1.0000001 and 1.0000002 both write trajectory_dn1.csv\n"
+
+# Every refusal of main: id -> (verb, config, arguments after it, the start
+# of the error line after "error: ").  A start ending in a newline is the
+# whole line.  A config holding a newline, or bytes, is the text of
+# cfg.ini; any other is passed as it is, a template name or a path.
+REFUSALS = {
+    # The config argument and its text.
+    "no-such-config": ("run", "no-such-template", OUT, "no such config file or template: 'no-such-template'\n"),
+    "config-is-a-directory": ("run", ".", OUT, "[Errno"),
+    # Its message depends on the locale.
+    "config-not-utf8": ("run", NOT_UTF8, OUT, ""),
+    "no-section-header": ("run", "k1 = 0.1\n[fd]\ntype = greenshields\n", OUT,
+                          "malformed config: File contains no section headers."
+                          " file: '<string>', line: 1 'k1 = 0.1\\n'\n"),
+    "unparseable-lines": ("thresholds", _t("greenshields-shock-a", "no separator\nnor here\n"), OUT,
+                          "malformed config: Source contains parsing errors: '<string>'"
+                          " [line  3]: 'no separator\\n' [line  4]: 'nor here\\n'\n"),
+    "fd-v-nan": ("run", make_cfg(fd={"type": "greenshields", "v": "nan"}), OUT,
+                 "invalid fd: V must be finite, got nan\n"),
+    "fd-k-zero": ("run", make_cfg(fd={"type": "greenshields", "k": "0"}), OUT,
+                  "invalid fd: K must be positive, got 0.0\n"),
+    # A negative initial_speed ran, and a "startup wave" was fitted to followers moving backwards.
+    "initial-speed-negative": ("run", _t("greenshields-shock-a", "[scenario]\ninitial_speed = -5\n"), OUT,
+                               "invalid scenario: initial_speed must be nonnegative\n"),
+    "vehicles-negative": ("run", _t("greenshields-shock-a", "[scenario]\nvehicles = -3\n"), OUT,
+                          "keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3\n"),
+    "phillips-t-negative": ("run", _t("phillips-stability", "model = phillips\nt = -1\n"), OUT,
+                            "invalid model: T must be positive"),
+    "phillips-t-zero": ("run", _t("phillips-stability", "model = phillips\nt = 0\n"), OUT,
+                        "invalid model: T must be positive"),
+    "phillips-t-nan": ("run", _t("phillips-stability", "model = phillips\nt = nan\n"), OUT,
+                       "invalid model: T must be finite"),
+    "jwz-c0-inf": ("run", _t("phillips-stability", "model = jwz\nc0 = inf\n"), OUT, "invalid model: c0 must be finite"),
+    # The output directory; os.makedirs raised ValueError on the NUL, a traceback with exit 1.
+    "out-is-a-file": ("thresholds", _t("greenshields-discharge"), ("--out", "cfg.ini"), "[Errno"),
+    "nul-in-out-run": ("run", _t("greenshields-shock-a", "out = a\0b\n"), (), "embedded null byte\n"),
+    "nul-in-out-thresholds": ("thresholds", _t("greenshields-shock-a", "out = a\0b\n"), (), "embedded null byte\n"),
+    # The dn values of a sweep.
+    "sweep-without-dn": ("sweep", SWEEPABLE, OUT, "sweep needs --dn or a sweep key in [run]\n"),
+    "sweep-dn-not-a-number": ("sweep", SWEEPABLE, (*OUT, "--dn", "0.5,abc"), "key run.sweep is not a number: 'abc'\n"),
+    "sweep-dn-nan": ("sweep", "greenshields-discharge", (*OUT, "--dn", "nan"),
+                     "sweep dn values must be positive and finite\n"),
+    "sweep-dn-inf": ("sweep", "greenshields-discharge", (*OUT, "--dn", "inf"),
+                     "sweep dn values must be positive and finite\n"),
+    "sweep-empty": ("sweep", SWEEPABLE + "\n[run]\nsweep =\n", OUT, "sweep needs at least one dn value\n"),
+    "sweep-dn-empty": ("sweep", "greenshields-discharge", (*OUT, "--dn", ","), "sweep needs at least one dn value\n"),
+    # Both values are written as trajectory_dn1.csv, so the second run replaced the first.
+    "sweep-twins": ("sweep", _t("greenshields-discharge", "sweep = 1.0000001,1.0000002\n"), OUT, _TWINS),
+    "sweep-dn-twins": ("sweep", _t("greenshields-discharge"), (*OUT, "--dn", "1.0000001,1.0000002"), _TWINS),
+    # round(vehicles / dn) raised OverflowError, a traceback with exit 1.
+    "slots-vehicles": ("thresholds", _t("greenshields-discharge", "[scenario]\nvehicles = 1" + "0" * 400 + "\n"),
+                       OUT, _SLOTS.format("keys scenario.vehicles and scenario.dn")),
+    "slots-dn": ("thresholds", _t("greenshields-discharge", "[scenario]\ndn = 1e-320\n"), OUT,
+                 _SLOTS.format("keys scenario.vehicles and scenario.dn")),
+    "slots-sweep": ("sweep", _t("greenshields-discharge", "sweep = 1,1e-320\n"), OUT,
+                    _SLOTS.format("key run.sweep value 1e-320")),
+    "slots-sweep-dn": ("sweep", _t("greenshields-discharge"), (*OUT, "--dn", "1e-320"),
+                       _SLOTS.format("key run.sweep value 1e-320")),
+    # Grids that cannot be stepped ended in a traceback: OverflowError from
+    # Scenario.steps, or numpy's MemoryError or ValueError.  numpy refuses
+    # every one of these shapes before touching memory.  A sweep refused at
+    # a later dn wrote and printed the dn values before it.  A count past
+    # the dimension limit was printed in full, 302 and 401 digits.
+    "run-steps-overflow": ("run", _t("greenshields-shock-a", "[scenario]\ndt_ratio = 1e-320\n"), OUT, _NOT_FINITE),
+    "run-unable-to-allocate": ("run", _t("greenshields-shock-a", "[scenario]\ndt_ratio = 1e-12\n"), OUT,
+                               "numpy cannot allocate the (416000000000001, 161)" + _GRID),
+    "run-dimension-limit": ("run", _t("kerner-redlight", "[scenario]\nm = 1" + "0" * 30 + "\n"), OUT,
+                            f"numpy cannot allocate the (24001, {_INTP_MAX})" + _GRID),
+    "run-steps-past-the-dimension-limit": ("run", _t("greenshields-shock-a", "[scenario]\nduration = 1e300\n"), OUT,
+                                           f"numpy cannot allocate the ({_INTP_MAX}, 161)" + _GRID),
+    "run-slots-past-the-dimension-limit": ("run", _t("kerner-redlight", "[scenario]\nm = 1" + "0" * 400 + "\n"), OUT,
+                                           f"numpy cannot allocate the (24001, {_INTP_MAX})" + _GRID),
+    "sweep-unable-to-allocate": ("sweep", _t("greenshields-shock-a", "[scenario]\ndt_ratio = 1e-12\n"),
+                                 (*OUT, "--dn", "1"), "numpy cannot allocate the (26000000000001, 11)" + _GRID),
+    "sweep-later-dn": ("sweep", _t("greenshields-discharge"), (*OUT, "--dn", "1,1e-12"),
+                       "numpy cannot allocate the (14285714285716, 10000000000001)" + _GRID),
+    "stability-lead": ("stability", _t("phillips-stability", "[scenario]\ndt_ratio = 1e-12\n"), OUT,
+                       "numpy cannot allocate the 1200000000000000 lead speeds of duration / dt steps: "),
+    "stability-grid": ("stability", _t("phillips-stability", "[scenario]\nm = 1" + "0" * 30 + "\n"), OUT,
+                       f"numpy cannot allocate the (3430, {_INTP_MAX})" + _GRID),
+    "stability-lead-dimension-limit": ("stability", _t("phillips-stability", "[scenario]\nduration = 1e300\n"), OUT,
+                                       f"numpy cannot allocate the {_INTP_MAX} lead speeds of duration / dt steps: "),
+    # The stability experiment.
+    "amplitude-negative": ("stability", _t("phillips-stability", "[stability]\namplitude = -0.5\n"), OUT,
+                           "invalid stability: amplitude must be nonnegative"),
+    "amplitude-nan": ("stability", _t("phillips-stability", "[stability]\namplitude = nan\n"), OUT,
+                      "invalid stability: amplitude must be finite"),
+    "omega-nan": ("stability", _t("phillips-stability", "[stability]\nomega = nan\n"), OUT,
+                  "invalid stability: omega must be finite"),
+    "omega-overflows": ("stability", _t("phillips-stability", "[stability]\nomega = 1e308\n"), OUT,
+                        "omega is too large: the phase omega * J * dt overflows"),
+    "one-follower": ("stability", _t("phillips-stability", "[scenario]\nm = 1\n"), OUT, "need at least two followers"),
+    "collides": ("stability", _t("phillips-stability", "[stability]\namplitude = 3.0\nomega = 0.3\n"), OUT,
+                 "platoon collided"),
+    "scheme-forward": ("stability", _t("nonstandard-stability", "scheme = forward\n"), OUT,
+                       "stability runs only run.scheme anisotropic"),
+    "scheme-harmonic": ("stability", _t("nonstandard-stability", "scheme = harmonic\n"), OUT,
+                        "stability runs only run.scheme anisotropic"),
+    "lead-speed-with-initial-speed": (
+        "stability", _t("nonstandard-stability", "[scenario]\nlead_speed = 3.0\ninitial_speed = 0.0\n"), OUT,
+        "stability starts the followers in equilibrium"),
+    "initial-speed": ("stability", _t("phillips-stability", "[scenario]\ninitial_speed = 5.0\n"), OUT,
+                      "stability starts the followers in equilibrium"),
+    # theta'(1/k1) = 0 raised ZeroDivisionError, and the overflowing exponent
+    # printed numpy's RuntimeWarning above the error line.
+    "free-flow-nonstandard": ("stability", _t("nonstandard-stability", _FREE_FLOW), OUT, _NO_RESPONSE),
+    "free-flow-phillips": ("stability", _t("nonstandard-stability", "model = phillips\nt = 5\n" + _FREE_FLOW), OUT,
+                           _NO_RESPONSE),
+    "slope-underflow": ("stability", _t("nonstandard-stability", "[scenario]\nk1 = 1e-200\n"), OUT, _NO_RESPONSE),
+    "exponent-overflow": ("stability", _t("nonstandard-stability", "[fd]\nk = 100\n[scenario]\nk1 = 1e-12\n"), OUT,
+                          _NO_RESPONSE),
+}
+
+
+@pytest.mark.parametrize("verb, config, args, message", REFUSALS.values(), ids=REFUSALS)
+def test_main_refuses_with_one_error_line_and_no_output(verb, config, args, message, tmp_path, monkeypatch, capsys):
+    # main's whole contract for a refusal: exit 2, nothing on stdout, one
+    # error line on stderr, no warning and nothing written.
+    monkeypatch.chdir(tmp_path)
+    if isinstance(config, bytes) or "\n" in config:
+        (tmp_path / "cfg.ini").write_bytes(config if isinstance(config, bytes) else config.encode())
+        config = "cfg.ini"
+    before = sorted(os.listdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, config, *args])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert sorted(os.listdir()) == before
+
+
+def test_main_jwz_stability_where_theta_prime_is_zero(tmp_path, capsys):
+    # theta'(1/k1) = 0 raised ZeroDivisionError; JWZ's is the one free-flow
+    # case that runs, and it predicts the ratio inf.
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text(_t("nonstandard-stability", "model = jwz\nt = 5\nc0 = 2\n" + _FREE_FLOW))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stability", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == ""
+    assert "predicted_ratio = inf\n" in (tmp_path / "x" / "stability.txt").read_text()
 
 
 def test_main_accepts_bare_template_name(tmp_path):
@@ -502,101 +662,6 @@ def test_main_sweep_difference_without_a_shared_vehicle_is_nan(dn, tmp_path):
     assert [row.split(",")[4] for row in rows] == ["traj_diff_prev", "nan", "nan"]
 
 
-def test_main_sweep_needs_dn_somewhere(tmp_path, capsys):
-    cfg = tmp_path / "sw.ini"
-    cfg.write_text(SWEEPABLE)
-    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert "sweep" in capsys.readouterr().err
-
-
-def test_main_sweep_bad_dn_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "sw.ini"
-    cfg.write_text(SWEEPABLE)
-    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "0.5,abc"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'abc'" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_main_sweep_nonfinite_dn_exits_2(tmp_path, capsys, value):
-    assert main(["sweep", "greenshields-discharge", "--out", str(tmp_path / "x"), "--dn", value]) == 2
-    assert capsys.readouterr().err.startswith("error: sweep dn values must be positive and finite")
-    assert not (tmp_path / "x").exists()
-
-
-def test_main_empty_sweep_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "sw.ini"
-    cfg.write_text(SWEEPABLE + "\n[run]\nsweep =\n")
-    for args in (["sweep", str(cfg)], ["sweep", "greenshields-discharge", "--dn", ","]):
-        assert main(args + ["--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr().err == "error: sweep needs at least one dn value\n"
-    assert not (tmp_path / "x").exists()
-
-
-def test_main_file_system_errors_exit_2(tmp_path, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    assert main(["thresholds", "greenshields-discharge", "--out", str(taken)]) == 2
-    assert capsys.readouterr().err.startswith("error: [Errno")
-    assert main(["run", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: [Errno")
-
-
-@pytest.mark.parametrize("verb, override, dn, keys", [
-    ("thresholds", "[scenario]\nvehicles = 1" + "0" * 400 + "\n", [], "keys scenario.vehicles and scenario.dn"),
-    ("thresholds", "[scenario]\ndn = 1e-320\n", [], "keys scenario.vehicles and scenario.dn"),
-    ("sweep", "sweep = 1,1e-320\n", [], "key run.sweep value 1e-320"),
-    ("sweep", "", ["--dn", "1e-320"], "key run.sweep value 1e-320"),
-], ids=["vehicles", "dn", "run.sweep", "--dn"])
-def test_main_slot_count_overflow_exits_2(verb, override, dn, keys, tmp_path, capsys):
-    # round(vehicles / dn) raised OverflowError, a traceback with exit 1
-    cfg = tmp_path / "big.ini"
-    cfg.write_text("[run]\ntemplate = greenshields-discharge\n" + override)
-    assert main([verb, str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
-    assert capsys.readouterr().err == f"error: {keys}: the slot count vehicles / dn is too large for a float\n"
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("override, dn", [
-    ("sweep = 1.0000001,1.0000002\n", []),
-    ("", ["--dn", "1.0000001,1.0000002"]),
-], ids=["run.sweep", "--dn"])
-def test_main_sweep_file_name_collision_exits_2(override, dn, tmp_path, capsys):
-    # Both values are written as trajectory_dn1.csv, so the second run replaced the first.
-    cfg = tmp_path / "twins.ini"
-    cfg.write_text("[run]\ntemplate = greenshields-discharge\n" + override)
-    assert main(["sweep", str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
-    assert capsys.readouterr().err == (
-        "error: sweep dn values 1.0000001 and 1.0000002 both write trajectory_dn1.csv\n"
-    )
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("verb, template, override, dn", [
-    ("run", "greenshields-shock-a", "dt_ratio = 1e-320", []),
-    ("run", "greenshields-shock-a", "dt_ratio = 1e-12", []),
-    ("run", "kerner-redlight", "m = 1" + "0" * 30, []),
-    ("sweep", "greenshields-shock-a", "dt_ratio = 1e-12", ["--dn", "1"]),
-    ("sweep", "greenshields-discharge", "", ["--dn", "1,1e-12"]),
-    ("stability", "phillips-stability", "dt_ratio = 1e-12", []),
-    ("stability", "phillips-stability", "m = 1" + "0" * 30, []),
-    ("stability", "phillips-stability", "duration = 1e300", []),
-], ids=["run-steps-overflow", "run-unable-to-allocate", "run-dimension-limit", "sweep", "sweep-later-dn",
-        "stability-lead", "stability-grid", "stability-lead-dimension-limit"])
-def test_main_grid_that_cannot_be_stepped_exits_2(verb, template, override, dn, tmp_path, capsys):
-    # Each ended in a traceback: OverflowError from Scenario.steps, or numpy's
-    # MemoryError or ValueError.  numpy refuses every one of these shapes
-    # before touching memory.  A sweep refused at a later dn wrote and printed
-    # the dn values before it.
-    cfg = tmp_path / "huge.ini"
-    cfg.write_text(f"[run]\ntemplate = {template}\n[scenario]\n{override}\n")
-    assert main([verb, str(cfg), "--out", str(tmp_path / "x")] + dn) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and "Traceback" not in err
-    assert ("duration / dt is not finite" if override.endswith("e-320") else "numpy cannot allocate") in err
-    assert not (tmp_path / "x").exists()
-
-
 def test_main_sweep_of_no_steps_writes_nan_peaks(tmp_path):
     # A run of duration 0 exits 0; its sweep exited 2 with numpy's "zero-size
     # array to reduction operation maximum which has no identity".
@@ -606,33 +671,6 @@ def test_main_sweep_of_no_steps_writes_nan_peaks(tmp_path):
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "x"), "--dn", "1,0.5"]) == 0
     rows = (tmp_path / "x" / "sweep.csv").read_text().splitlines()
     assert [row.split(",")[2] for row in rows] == ["max_abs_accel", "nan", "nan"]
-
-
-@pytest.mark.parametrize("override, message", [
-    ("initial_speed = -5", "error: invalid scenario: initial_speed must be nonnegative\n"),
-    ("vehicles = -3", "error: keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3\n"),
-], ids=["initial_speed", "vehicles"])
-def test_main_negative_scenario_value_exits_2(override, message, tmp_path, capsys):
-    # A negative initial_speed ran, and a "startup wave" was fitted to followers moving backwards.
-    cfg = tmp_path / "negative.ini"
-    cfg.write_text(f"[run]\ntemplate = greenshields-shock-a\n[scenario]\n{override}\n")
-    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == message
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("template, override", [
-    ("greenshields-shock-a", "duration = 1e300"),
-    ("kerner-redlight", "m = 1" + "0" * 400),
-], ids=["steps", "slots"])
-def test_main_count_past_the_dimension_limit_is_one_short_line(template, override, tmp_path, capsys):
-    # The refusal printed the count in full: 302 and 401 digits.
-    cfg = tmp_path / "huge.ini"
-    cfg.write_text(f"[run]\ntemplate = {template}\n[scenario]\n{override}\n")
-    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: numpy cannot allocate") and f">{np.iinfo(np.intp).max}" in err
-    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 200
 
 
 def test_cli_imports_no_numpy():
@@ -661,16 +699,6 @@ def test_perfbench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("key, value", [("v", "nan"), ("k", "0")])
-def test_main_invalid_fd_exits_2(tmp_path, capsys, key, value):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(make_cfg(fd={"type": "greenshields", key: value}))
-    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid fd: ") and f"{key.upper()} must be" in err
-    assert not (tmp_path / "x").exists()
-
-
 def test_python_dash_m_lagwave(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -681,11 +709,6 @@ def test_python_dash_m_lagwave(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "thresholds.txt").exists()
-
-
-# A UTF-16 byte order mark: not UTF-8, and under a Latin-1 locale a line
-# before the first section header.
-NOT_UTF8 = b"\xff\xfe[fd]\n"
 
 
 def test_python_dash_m_lagwave_on_a_config_that_is_not_utf8(tmp_path):
@@ -699,51 +722,6 @@ def test_python_dash_m_lagwave_on_a_config_that_is_not_utf8(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-
-def test_main_config_that_is_not_utf8_exits_2(tmp_path, capsys):
-    # Reading the file raised UnicodeDecodeError, a traceback with exit 1.
-    cfg = tmp_path / "latin.ini"
-    cfg.write_bytes(NOT_UTF8)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("verb", ["run", "thresholds"])
-def test_main_nul_byte_in_out_exits_2(verb, tmp_path, capsys):
-    # os.makedirs raised ValueError("embedded null byte"), a traceback with exit 1.
-    cfg = tmp_path / "nul.ini"
-    cfg.write_text("[run]\ntemplate = greenshields-shock-a\nout = a\0b\n")
-    assert main([verb, str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: embedded null byte\n"
-
-
-_FREE_FLOW = "[fd]\ntype = triangular\n[scenario]\nk1 = 0.02\n"
-_NO_RESPONSE = "error: a follower shows no oscillation: the window is too short or the followers do not respond"
-
-
-@pytest.mark.parametrize("overrides, message", [
-    (_FREE_FLOW, _NO_RESPONSE),
-    ("model = phillips\nt = 5\n" + _FREE_FLOW, _NO_RESPONSE),
-    ("model = jwz\nt = 5\nc0 = 2\n" + _FREE_FLOW, None),
-    ("[scenario]\nk1 = 1e-200\n", _NO_RESPONSE),
-    ("[fd]\nk = 100\n[scenario]\nk1 = 1e-12\n", _NO_RESPONSE),
-], ids=["free-flow-nonstandard", "free-flow-phillips", "free-flow-jwz", "slope-underflow", "exponent-overflow"])
-def test_main_stability_where_theta_prime_is_zero(overrides, message, tmp_path, capsys):
-    # theta'(1/k1) = 0 raised ZeroDivisionError, and the overflowing exponent
-    # printed numpy's RuntimeWarning above the error line.
-    cfg = tmp_path / "flat.ini"
-    cfg.write_text("[run]\ntemplate = nonstandard-stability\n" + overrides)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["stability", str(cfg), "--out", str(tmp_path / "x")])
-    err = capsys.readouterr().err
-    if message is None:
-        assert (code, err) == (0, "")
-        assert "predicted_ratio = inf\n" in (tmp_path / "x" / "stability.txt").read_text()
-    else:
-        assert code == 2 and err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verb", ["run", "thresholds"])
@@ -806,44 +784,7 @@ def test_main_returns_0_or_2_and_raises_nothing(case, overrides):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(args)
     assert code in (0, 2)
-    assert code == 0 or err.getvalue().startswith("error: ")
-
-
-@pytest.mark.parametrize("verb, overrides, message", [
-    ("run", "model = phillips\nt = -1\n", "error: invalid model: T must be positive"),
-    ("run", "model = phillips\nt = 0\n", "error: invalid model: T must be positive"),
-    ("run", "model = phillips\nt = nan\n", "error: invalid model: T must be finite"),
-    ("run", "model = jwz\nc0 = inf\n", "error: invalid model: c0 must be finite"),
-    ("stability", "[stability]\namplitude = -0.5\n",
-     "error: invalid stability: amplitude must be nonnegative"),
-    ("stability", "[stability]\namplitude = nan\n", "error: invalid stability: amplitude must be finite"),
-    ("stability", "[stability]\nomega = nan\n", "error: invalid stability: omega must be finite"),
-    ("stability", "[stability]\nomega = 1e308\n", "error: omega is too large: the phase omega * J * dt overflows"),
-    ("stability", "[scenario]\nm = 1\n", "error: need at least two followers"),
-    ("stability", "[stability]\namplitude = 3.0\nomega = 0.3\n", "error: platoon collided"),
-])
-def test_main_bad_model_or_stability_exits_2(tmp_path, capsys, verb, overrides, message):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[run]\ntemplate = phillips-stability\n" + overrides)
-    assert main([verb, str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith(message)
-    assert not (tmp_path / "x").exists()
-
-
-@pytest.mark.parametrize("template, overrides, message", [
-    ("nonstandard-stability", "scheme = forward\n", "error: stability runs only run.scheme anisotropic"),
-    ("nonstandard-stability", "scheme = harmonic\n", "error: stability runs only run.scheme anisotropic"),
-    ("nonstandard-stability", "[scenario]\nlead_speed = 3.0\ninitial_speed = 0.0\n",
-     "error: stability starts the followers in equilibrium"),
-    ("phillips-stability", "[scenario]\ninitial_speed = 5.0\n",
-     "error: stability starts the followers in equilibrium"),
-])
-def test_main_stability_refuses_inputs_it_ignores(tmp_path, capsys, template, overrides, message):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[run]\ntemplate = {template}\n" + overrides)
-    assert main(["stability", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith(message)
-    assert not (tmp_path / "x").exists()
+    assert code == 0 or err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_config_parser_is_shared_safely_between_threads():

@@ -442,12 +442,23 @@ def _row_zero(draw):
           np.array([0.0, 5.0])), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("width 17")
 @example((TriangularFD(), 1.0, np.array([0.0, np.nan, -20.0]), np.array([5.0, 5.0, 5.0]), np.array([5.0])),
          Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("a NaN ceiling, numpy's minimum passes it")
+@example((TriangularFD(), 1.0, np.array([0.0, -20.0, -40.0]), np.array([5.0, np.nan, 5.0]), np.array([5.0, 5.0])),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[4], 1.0).via("a NaN speed under a finite ceiling stays NaN")
 # Runs that come to rest, after which the float kernel fills its rows.
 @example((TriangularFD(), 1.0, -np.arange(5) * TriangularFD().S, np.zeros(5), np.zeros(80)),
          Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[2], 1.0).via("at jam behind a stopped leader")
 @example((GreenshieldsFD(), 1.0, -np.arange(5) * GreenshieldsFD().S, np.zeros(5),
           np.concatenate((np.zeros(30), np.full(10, 4.0), np.zeros(150)))),
          Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[0], 1.0).via("a leader that stops, restarts and stops")
+@example((GreenshieldsFD(), 1.0, -np.arange(5) * GreenshieldsFD().S, np.zeros(5),
+          np.concatenate((np.zeros(10), np.full(30, 5.0)))),
+         Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[0], 1.0).via("at jam behind a leader that restarts for good")
+# Zero speeds that differ in sign, at a density where theta is -0.0 (a
+# sigmoid of subnormal amplitude), under JWZ with dt > T: each new zero
+# takes the sign of the anticipation term's speed difference, so the rows
+# stay equal in value but not in bytes, and none is a row at rest.
+@example((KernerFD(c1=1e-318, clamp_nonnegative=False), 1.0, -np.arange(3) * KernerFD().S, np.array([-0.0, 0.0, 0.0]),
+          np.zeros(3)), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[2], 3.5).via("signed zeros equal in value")
 @example((KernerFD(), 1.0, -np.arange(5) * KernerFD().S, np.zeros(5),
           np.concatenate((np.tile([0.0, -0.0], 15), np.full(30, -0.0)))),
          Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[2], 1.0).via("a leader alternating 0.0 and -0.0, then at -0.0")
