@@ -11,7 +11,11 @@ dataclasses in lower case, each value read by its field's type
 record (``_write_lines``): thresholds.txt the ``StepSizeReport``,
 summary.txt the run's ``analysis._Measures``, stability.txt the
 ``StringStabilityResult``.  All files written are deterministic: same
-spec, same bytes.  ``main`` is the one place that turns a refusal (a
+spec, same bytes.  A run's trajectory.csv is formatted in process when
+the run is one row block, and otherwise by two short-lived formatter
+processes, forked for the file and joined before it is done, which write
+alternate blocks at offsets handed out in block order (``_write_run``):
+the same bytes either way.  ``main`` is the one place that turns a refusal (a
 ``ValueError``, ``ExperimentInvalid`` or ``OSError``) into an ``error:``
 line and exit status 2.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -378,29 +383,167 @@ _CSV_BLOCK = 4096
 # and accelerations are what run holds of the grid.
 _RUN_BLOCK = 16384
 
+_CSV_HEADER = b"t,vehicle,N,x,v,a\n"
+
+
+def _doubles(buf) -> memoryview:
+    """The C-contiguous buffer ``buf`` (an array's or a message's bytes) as a flat run of doubles."""
+    return memoryview(buf).cast("B").cast("d")
+
+
+def _csv_tails(sc: Scenario) -> list[bytes]:
+    """Each vehicle's "i,N,%.17g,%.17g,%.17g" line end, its x, v and a left to fill."""
+    return [b"%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, i * sc.dn) for i in range(sc.m + 1)]
+
+
+def _csv_chunks(sc: Scenario, tails: list[bytes], j0: int, x, v, a):
+    """trajectory.csv's lines for a row block from row j0, whose positions, speeds and
+    accelerations ``x``, ``v``, ``a`` are flat runs of doubles (``_doubles``), as
+    bytes chunks of about _CSV_BLOCK values; ``tails`` is ``_csv_tails(sc)``.
+
+    Each line's "t,vehicle,N," is rendered once into a chunk's template;
+    one % call then fills its x, v, a.  The template counts values, so
+    narrow, long runs (kerner-redlight) batch too.  The times j * dt and
+    vehicle numbers i * dn have the bits of a Trajectory's
+    np.arange(J + 1) * dt and np.arange(M + 1) * dn.
+    """
+    width = len(tails)
+    rows, count = max(1, _CSV_BLOCK // 3 // width), len(x) // width
+    for i in range(0, count, rows):
+        end = min(i + rows, count)
+        k = slice(i * width, end * width)
+        prefixes = [b"%.17g," % (j * sc.dt) for j in range(j0 + i, j0 + end)]
+        lines = b"".join(prefix + prefix.join(tails) for prefix in prefixes)
+        yield lines % tuple(chain.from_iterable(zip(x[k].tolist(), v[k].tolist(), a[k].tolist())))
+
+
+def _pwrite(fd: int, chunks, offset: int) -> int:
+    """Write ``chunks`` in order to ``fd`` from ``offset``, looping on short
+    writes; return the offset after them."""
+    for chunk in chunks:
+        view = memoryview(chunk)
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+    return offset
+
+
+def _format_blocks(fd: int, sc: Scenario, tails: list[bytes], conn, forked: list) -> None:
+    """A formatter process of ``_write_forked``: for each block it receives (j0,
+    then the x, v and a bytes), reply the byte count of its text, receive its
+    offset and write it there.  None asks for the last reply and EOF ends it
+    quietly.  A failed write is the reply in place of the next count, or the
+    last reply, and the formatter then stops.  ``forked`` holds the main
+    process's pipe ends that the fork copied."""
+    import signal
+
+    # Closed, so that the main process closing its ends is an EOF here.
+    for end in forked:
+        end.close()
+    # An interrupt is the main process's to handle; it then closes the pipes.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    failure = None
+    with contextlib.suppress(EOFError, BrokenPipeError):
+        while (j0 := conn.recv()) is not None:
+            x, v, a = (_doubles(conn.recv_bytes()) for _ in range(3))
+            if failure is not None:
+                break
+            chunks = list(_csv_chunks(sc, tails, j0, x, v, a))
+            del x, v, a
+            conn.send(sum(map(len, chunks)))
+            try:
+                _pwrite(fd, chunks, conn.recv())
+            except OSError as exc:
+                failure = exc
+            del chunks
+        conn.send(failure)
+
+
+def _reply(conn):
+    """A formatter's reply: a byte count, or None for its last; a failed write is raised here."""
+    reply = conn.recv()
+    if isinstance(reply, OSError):
+        raise reply
+    return reply
+
+
+def _settle(pending: list, offset: int) -> int:
+    """Give the oldest pending formatter its block's offset, once it has
+    counted the block's bytes; return the offset after that block."""
+    conn = pending.pop(0)
+    count = _reply(conn)
+    conn.send(offset)
+    return offset + count
+
+
+def _write_forked(fd: int, sc: Scenario, tails: list[bytes], blocks, measures: _Measures) -> None:
+    """``_write_run``'s blocks formatted by two formatter processes
+    (``_format_blocks``), block n by formatter n % 2, and written to ``fd``
+    after its header, while this process steps, audits and measures the
+    next blocks.  This process sends a block's raw bytes and hands out each
+    block's offset, in block order, once its formatter has counted its
+    text: it holds no block's text.  Every exit closes the pipes and joins
+    both formatters.
+    """
+    # fork, not spawn: a spawned formatter would import numpy and lagwave
+    # again, about 0.14 s each, more than most runs take to write.  A
+    # formatter runs only Python formatting, pipe reads and pwrite, so no
+    # lock of this process's idle numpy threads is one it takes.
+    import multiprocessing  # here, so that importing cli does no more work
+
+    fork = multiprocessing.get_context("fork")
+    conns, formatters = [], []
+    try:
+        for _ in range(2):
+            conn, theirs = fork.Pipe()
+            conns.append(conn)
+            formatter = fork.Process(target=_format_blocks, args=(fd, sc, tails, theirs, conns), daemon=True)
+            formatter.start()  # flushes stdout and stderr first
+            formatters.append(formatter)
+            theirs.close()
+        offset, pending = len(_CSV_HEADER), []  # formatters whose block awaits its offset, oldest first
+        for n, (j0, x, v, a) in enumerate(blocks):
+            conn = conns[n % 2]
+            while conn in pending:
+                offset = _settle(pending, offset)
+            conn.send(j0)
+            for values in (x, v, a):
+                conn.send_bytes(values)
+            measures.add(j0, x, v, a)
+            pending.append(conn)
+            del x, v, a  # before the walk builds the next block
+        while pending:
+            offset = _settle(pending, offset)
+        for conn in conns:
+            conn.send(None)
+            _reply(conn)
+    finally:
+        for conn in conns:
+            conn.close()
+        for formatter in formatters:
+            formatter.join()
+
 
 def _write_run(path: str, blocks, measures: _Measures) -> None:
     """Write a run's (j0, x, v, a) row blocks, in order, to ``path`` as trajectory.csv,
-    and feed each, once written, to the run's record (whose audit overwrites a).
+    and feed each, once on its way to the file, to the run's record (whose
+    audit overwrites a).
 
-    Each line's "t,vehicle,N," is rendered once into a template of
-    _CSV_BLOCK values; one % call then fills their x, v, a.  The template
-    counts values, so narrow, long runs (kerner-redlight) batch too.  The
-    times j * dt and vehicle numbers i * dn have the bits of a Trajectory's
-    np.arange(J + 1) * dt and np.arange(M + 1) * dn.
+    A run of one block, or a run on a platform without ``fork``, is
+    formatted in process (``_csv_chunks``).  A longer run is formatted by
+    two short-lived formatter processes, in block order, with the same
+    bytes (``_write_forked``); both are joined before this returns.
     """
     sc = measures.scenario
-    tails = ["%d,%.17g,%%.17g,%%.17g,%%.17g\n" % (i, i * sc.dn) for i in range(sc.m + 1)]
-    rows = max(1, _CSV_BLOCK // 3 // len(tails))
-    with open(path, "w") as fh:
-        fh.write("t,vehicle,N,x,v,a\n")
+    tails = _csv_tails(sc)
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
+        if sc.steps >= max(1, _RUN_BLOCK // len(tails)) and hasattr(os, "fork"):
+            fh.flush()
+            _write_forked(fh.fileno(), sc, tails, blocks, measures)
+            return
         for j0, x, v, a in blocks:
-            for i in range(0, len(x), rows):
-                k = slice(i, i + rows)
-                prefixes = ["%.17g," % (j * sc.dt) for j in range(j0 + i, j0 + min(i + rows, len(x)))]
-                lines = "".join(prefix + prefix.join(tails) for prefix in prefixes)
-                values = zip(x[k].ravel().tolist(), v[k].ravel().tolist(), a[k].ravel().tolist())
-                fh.write(lines % tuple(chain.from_iterable(values)))
+            fh.writelines(_csv_chunks(sc, tails, j0, _doubles(x), _doubles(v), _doubles(a)))
             measures.add(j0, x, v, a)
             del x, v, a  # before the walk builds the next block
 

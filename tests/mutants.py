@@ -35,6 +35,13 @@ _WRITE = """\
 _ECHO = """\
     print(text, end="")
 """
+_SEND = """\
+            for values in (x, v, a):
+                conn.send_bytes(values)
+"""
+_ADD = """\
+            measures.add(j0, x, v, a)
+"""
 
 MUTANTS = {
     # The float kernel mirrors numpy's maximum and minimum, which pass a NaN from either side.
@@ -100,6 +107,18 @@ MUTANTS = {
                                  "file=sys.stderr)",
                             "print(f\"error: {exc}\", file=sys.stderr)",
                             "configparser's message reaches stderr on several lines"),
+    # The run writer's two formatters.
+    "writer-offset-not-advanced": (CLI, "return offset + count", "return offset",
+                                   "every block is written at the offset after the header, over the one before"),
+    "writer-pwrite-offset-not-advanced": (CLI, "view, offset = view[written:], offset + written",
+                                          "view, offset = view[written:], offset",
+                                          "each chunk of a block is written at the block's offset, over the one "
+                                          "before"),
+    "writer-newer-pending-first": (CLI, "conn = pending.pop(0)", "conn = pending.pop()",
+                                   "the later of two pending blocks gets the earlier offset, so they swap places"),
+    "writer-a-after-audit": (CLI, _SEND + _ADD, _SEND.replace("(x, v, a)", "(x, v)") + _ADD
+                             + " " * 12 + "conn.send_bytes(a)\n",
+                             "a formatter writes the accelerations the audit has overwritten"),
 }
 
 _TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors",
