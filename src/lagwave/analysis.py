@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .engine import Model, Scenario, Scheme, Trajectory, _count, _relaxation_time, _row_blocks, simulate
-from .fundamental import FundamentalDiagram
+from .fundamental import FundamentalDiagram, _check_type
 
 __all__ = [
     "MeasurementError",
@@ -396,6 +396,7 @@ def _slot_count(vehicles: int, dn: float) -> int:
     """The slot count m of a run of ``vehicles`` whole vehicles: vehicles / dn, rounded."""
     if not (math.isfinite(dn) and dn > 0.0):
         raise ValueError(f"dn must be positive and finite, got {dn!r}")
+    _check_type("vehicles", vehicles, "int")
     if vehicles < 0:
         raise ValueError(f"vehicles must be nonnegative, got {vehicles!r}")
     try:

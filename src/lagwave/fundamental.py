@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -31,19 +32,42 @@ class SpacingBelowJam(ValueError):
     """Raised when a speed-spacing law is evaluated below the jam spacing or at NaN."""
 
 
+# The value types each field annotation admits, and the noun a refusal names.  The
+# modules postpone annotations, so ``f.type`` is the annotation's text; a field
+# of any other annotation (a scenario's diagram) is not checked.
+_NUMBER = ((float, int, np.floating, np.integer), "a number")
+_TYPES = {"float": _NUMBER, "float | None": _NUMBER, "int": ((int, np.integer), "an integer"),
+          "bool": (bool, "a boolean")}
+
+
+def _check_type(name: str, value, annotation: str) -> None:
+    """Reject a ``value`` of field ``name`` that the annotation text does not admit."""
+    types, noun = _TYPES[annotation]
+    # bool is an int, so only a bool annotation admits it.
+    if not isinstance(value, types) or isinstance(value, bool) and annotation != "bool":
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 def _check_fields(obj, positive: tuple[str, ...] = ()) -> None:
-    """Reject non-finite values of the dataclass ``obj``'s float fields
-    and non-positive values of the fields named in ``positive``, naming
-    the field.  A float field is one whose annotation text (the modules
-    postpone annotations) starts with ``float``; a None value is skipped."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not f.type.startswith("float") or value is None:
+    """Reject a value of the dataclass ``obj``'s fields that is not of the
+    field's annotation, a non-finite value of a float field and a
+    non-positive value of the fields named in ``positive``, naming the
+    field.  A None value of a ``float | None`` field is skipped."""
+    for name, annotation in _typed_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is None and annotation == "float | None":
             continue
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if f.name in positive and value <= 0.0:
-            raise ValueError(f"{f.name} must be positive, got {value!r}")
+        _check_type(name, value, annotation)
+        if annotation.startswith("float") and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if name in positive and value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+@cache
+def _typed_fields(cls) -> tuple[tuple[str, str], ...]:
+    """The name and annotation text of each field of the dataclass ``cls`` that ``_TYPES`` checks."""
+    return tuple((f.name, f.type) for f in fields(cls) if f.type in _TYPES)
 
 
 class FundamentalDiagram(ABC):

@@ -7,7 +7,7 @@ trajectory set for exercising the measurement code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,8 @@ def synthetic_shock_trajectory(
         raise ValueError("need k1 < k2 for a shock")
     v1 = fd.eta(k1)
     v2 = fd.eta(k2)
+    # Built before any input is divided by: it refuses each bad one, naming the field.
+    scenario = Scenario(fd=fd, k1=k1, lead_speed=v2, m=m, dn=dn, dt=dt, duration=duration)
     sigma = riemann_wave(fd, k1, k2).speed
     if v1 <= sigma:
         raise ValueError("vehicles at v1 never reach the shock line")
@@ -105,7 +107,7 @@ def synthetic_shock_trajectory(
     t1 = s1 / (v1 - sigma)
     L = max(1, round(t1 / dt))
     dt_snapped = t1 / L
-    scenario = Scenario(fd=fd, k1=k1, lead_speed=v2, m=m, dn=dn, dt=dt_snapped, duration=duration)
+    scenario = replace(scenario, dt=dt_snapped)
     J = scenario.steps
 
     times = np.arange(J + 1) * dt_snapped

@@ -24,7 +24,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ENGINE, ANALYSIS, CONDITIONS, CLI = (f"src/lagwave/{name}.py" for name in ("engine", "analysis", "conditions", "cli"))
+ENGINE, ANALYSIS, CONDITIONS, CLI, FUNDAMENTAL = (
+    f"src/lagwave/{name}.py" for name in ("engine", "analysis", "conditions", "cli", "fundamental"))
 
 _WRITE = """\
     os.makedirs(spec.output_dir, exist_ok=True)
@@ -96,6 +97,35 @@ MUTANTS = {
                            "            return inf  # k * eta(k) / (1 - k/K) grows without bound towards K\n",
                            "",
                            "a diagram that still moves at jam gets a finite collision-free rate"),
+    # The library's refusals (tests/test_refusals.py).
+    "scenario-k1-above-jam": (ENGINE, "if not 0.0 < self.k1 <= self.fd.K:", "if not 0.0 < self.k1:",
+                              "a k1 above the jam density is accepted"),
+    "fields-positive": (FUNDAMENTAL, "        if name in positive and value <= 0.0:\n"
+                                     "            raise ValueError(f\"{name} must be positive, got {value!r}\")\n",
+                        "", "a zero or negative scale, step or relaxation time is accepted"),
+    "fields-int": (FUNDAMENTAL, '"int": ((int, np.integer), "an integer")', '"int": _NUMBER',
+                   "a slot or vehicle count of 2.5 is accepted"),
+    "fields-bool": (FUNDAMENTAL, ',\n          "bool": (bool, "a boolean")}', "}",
+                    "a clamp flag of \"false\" is accepted, and clamps"),
+    "fields-bool-apart": (FUNDAMENTAL, ' or isinstance(value, bool) and annotation != "bool"', "",
+                          "a bool is taken as a count of 1 or a number 1.0"),
+    "step-sizes-finite": (CONDITIONS, "if not (0.0 < dn < inf and 0.0 < dt < inf):", "if not (0.0 < dn and 0.0 < dt):",
+                          "an infinite dn or dt reads as a rate that passes or fails both checks"),
+    "front-levels-finite": (ANALYSIS, '    for name, value in (("v1", v1), ("v2", v2)):\n'
+                                      "        if not math.isfinite(value):\n"
+                                      '            raise ValueError(f"{name} must be finite, got {value!r}")\n',
+                            "", "a non-finite level is fitted, and fails as a measurement"),
+    "slot-count-vehicles": (ANALYSIS, "    if vehicles < 0:\n"
+                                      '        raise ValueError(f"vehicles must be nonnegative, got {vehicles!r}")\n',
+                            "", "a negative vehicle count is refused as a negative slot count"),
+    # The config text's one reader and one writer.
+    "text-int-before-bool": (CLI, "    if isinstance(value, bool):\n        return str(value).lower()\n"
+                                  "    if isinstance(value, int):\n        return str(value)\n",
+                             "    if isinstance(value, int):\n        return str(value)\n"
+                             "    if isinstance(value, bool):\n        return str(value).lower()\n",
+                             "a bool is written as True or False, not in lower case"),
+    "kinds-int-as-number": (CLI, '"int": (int, "an integer")', '"int": _NUMBER',
+                            "a count key is read as a float, which Scenario refuses"),
     # main's refusal boundary.
     "main-except-without-oserror": (CLI, "except (ValueError, ExperimentInvalid, OSError) as exc:",
                                     "except (ValueError, ExperimentInvalid) as exc:",

@@ -2,7 +2,6 @@
 linearized growth-rate analyzers."""
 import gc
 import math
-import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -13,7 +12,6 @@ import pytest
 import lagwave.analysis
 import reference
 from lagwave.analysis import (
-    ExperimentInvalid,
     MeasurementError,
     _Crossings,
     _displayed_slots,
@@ -115,11 +113,9 @@ def test_diagnose_counts_infinities_without_a_warning(positions, speeds, nan_fie
     assert math.isnan(getattr(rep, nan_field))
 
 
-def test_trajectory_requires_its_scenario():
+def test_diagnose_reads_the_diagram_of_the_trajectory_scenario():
     arrays = dict(times=np.arange(3.0), positions=np.array([[0.0, -8.0], [0.0, -6.0], [0.0, -7.5]]),
                   speeds=np.array([[0.0, 2.0], [0.0, -1.5], [0.0, 0.5]]))
-    with pytest.raises(TypeError):
-        Trajectory(**arrays)
     sc = Scenario(fd=G, k1=G.K / 2.0, lead_speed=0.0, m=1, dn=1.0, dt=1.0, duration=2.0)
     rep = diagnose(Trajectory(**arrays, scenario=sc))
     assert np.array_equal(rep.collision_events, [[1, 1]])
@@ -209,21 +205,6 @@ def test_sweep_dn_keeps_no_earlier_trajectory():
     assert len(kept) == len(dns)
 
 
-@pytest.mark.parametrize("dn", [1e-320, 0.0, math.nan])
-def test_sweep_dn_refuses_a_dn_without_a_slot_count(dn):
-    # These raised OverflowError, ZeroDivisionError and "cannot convert
-    # float NaN to integer" from round(vehicles / dn).
-    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
-    with pytest.raises(ValueError, match="dn"):
-        next(sweep_dn(sc, (dn,), vehicles=4, dt_ratio=0.35))
-
-
-def test_sweep_dn_refuses_a_negative_vehicle_count():
-    sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=3.0)
-    with pytest.raises(ValueError, match="^vehicles must be nonnegative, got -3$"):
-        next(sweep_dn(sc, (1.0,), vehicles=-3, dt_ratio=0.35))
-
-
 def test_sweep_dn_of_no_steps_has_no_peak_acceleration():
     # The peak |a| over a record of no steps raised numpy's "zero-size array to reduction operation".
     sc = Scenario(fd=G, k1=G.K, lead_speed=G.V, m=4, dn=1.0, dt=0.35, duration=0.0)
@@ -259,29 +240,11 @@ def test_sweep_dn_difference_keeps_a_nan(slots, monkeypatch):
     assert math.isnan(rows[1].traj_diff_prev)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["v1", "v2"])
-def test_measure_front_speed_refuses_a_nonfinite_level(name, value):
-    # These raised MeasurementError("only 0 crossings, need at least 3").
-    traj = simulate(Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175, duration=7.0))
-    levels = {"v1": 15.0, "v2": 7.5, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
-        measure_front_speed(traj, **levels)
-
-
-def test_measure_front_speed_rejects_equal_levels():
-    sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=5, dn=0.5, dt=0.175,
-                  duration=7.0)
-    traj = simulate(sc)
-    with pytest.raises(ValueError):
-        measure_front_speed(traj, 7.5, 7.5)
-
-
 def test_measure_front_speed_needs_three_crossings():
     sc = Scenario(fd=G, k1=G.K / 4.0, lead_speed=7.5, m=2, dn=0.5, dt=0.175,
                   duration=7.0)
     traj = simulate(sc)
-    with pytest.raises(MeasurementError):
+    with pytest.raises(MeasurementError, match=r"^only 2 crossings, need at least 3$"):
         measure_front_speed(traj, 15.0, 7.5)
 
 
@@ -301,7 +264,7 @@ def test_measure_startup_wave_rejects_moving_platoon():
                   duration=7.0)
     traj = simulate(sc)
     # every vehicle already moves faster than the threshold at t = 0
-    with pytest.raises(MeasurementError):
+    with pytest.raises(MeasurementError, match=r"^only 0 vehicles started from rest$"):
         measure_startup_wave(traj)
 
 
@@ -341,46 +304,6 @@ def test_string_stability_zero_amplitude():
     assert res.amplification_ratio == 1.0
 
 
-def test_string_stability_validation():
-    with pytest.raises(ValueError):
-        # equilibrium speed is 10; forcing amplitude may not exceed it
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
-                                    amplitude=11.0, omega=0.1)
-    with pytest.raises(ValueError):
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
-                                    amplitude=0.02, omega=0.1, m=1)
-    with pytest.raises(ValueError, match="amplitude must be nonnegative"):
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
-                                    amplitude=-0.02, omega=0.1)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("amplitude", math.nan), ("amplitude", math.inf), ("omega", math.nan), ("omega", math.inf), ("omega", -math.inf),
-])
-def test_string_stability_refuses_a_nonfinite_forcing(field, value):
-    # amplitude = nan was refused as a bad lead speed, amplitude = inf as a
-    # negative one, and omega = inf warned in the sine.
-    kwargs = {"amplitude": 0.02, "omega": 0.1, field: value}
-    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}"):
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0, **kwargs)
-
-
-@pytest.mark.parametrize("omega", [1e308, -1e308, 1e306])
-def test_string_stability_refuses_a_phase_that_overflows(omega):
-    # omega * J * dt overflowed in numpy's multiply, and the sine of inf
-    # warned; 3429 steps of 0.35 s carry even 1e306 past the float range.
-    text = f"omega is too large: the phase omega * J * dt overflows at omega={omega!r}, J=3429 steps of dt=0.35"
-    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0, amplitude=0.02, omega=omega)
-
-
-def test_string_stability_needs_every_follower_to_oscillate():
-    # Three steps move only the first followers; the rest stay in equilibrium.
-    with pytest.raises(ExperimentInvalid, match="no oscillation"):
-        string_stability_experiment(G, NonstandardLWR(), s0=14.0,
-                                    amplitude=0.02, omega=0.1, duration=1.05)
-
-
 def test_string_stability_in_free_flow_predicts_unbounded_growth():
     # theta'(50) is -0.0 on the triangular free branch.  The prediction was a
     # ZeroDivisionError there, and a plain division gives exp(-inf) = 0.
@@ -390,10 +313,6 @@ def test_string_stability_in_free_flow_predicts_unbounded_growth():
     assert res.amplification_ratio == pytest.approx(0.1548, rel=1e-3)
     assert string_stability_experiment(TriangularFD(), JWZ(T=5.0, c0=2.0), s0=50.0,
                                        amplitude=0.0, omega=0.0).predicted_ratio == 1.0
-    # The equilibrium model's followers stay at the free speed.
-    with pytest.raises(ExperimentInvalid, match="no oscillation.*do not respond"):
-        string_stability_experiment(TriangularFD(), NonstandardLWR(), s0=50.0,
-                                    amplitude=0.02, omega=0.1)
 
 
 @pytest.mark.parametrize("fd, s0, omega", [
@@ -456,13 +375,6 @@ def test_string_stability_corrected_model_uses_inner_relaxation_time():
     assert res.predicted_ratio == pytest.approx(math.exp(0.07), rel=1e-12)
 
 
-def test_string_stability_collision_invalidates():
-    with pytest.raises(ExperimentInvalid):
-        string_stability_experiment(G, PhillipsRelax(T=5.0), s0=8.0,
-                                    amplitude=1.0, omega=0.5, m=5, dn=1.0,
-                                    dt=3.0, duration=90.0)
-
-
 def test_dispersion_roots_hand_values():
     # greenshields at K/2, T = 5, wavenumber 0.1; quadratic solved by hand
     r1, r2 = eulerian_dispersion_roots(G, G.K / 2.0, 5.0, 0.1)
@@ -472,25 +384,11 @@ def test_dispersion_roots_hand_values():
     assert max(r1.imag, r2.imag) > 0.2
 
 
-def test_dispersion_rejects_bad_relaxation():
-    with pytest.raises(ValueError):
-        eulerian_dispersion_roots(G, G.K / 2.0, 0.0, 0.1)
-    for t_rel in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^T must be positive"):
-            eulerian_dispersion_roots(G, G.K / 2.0, t_rel, 0.1)
-    for w in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="wavenumber"):
-            eulerian_dispersion_roots(G, G.K / 2.0, 5.0, w)
-
-
 def test_diffusion_coefficient_values():
     # -T (k eta')^2 with k eta' = -10 at K/2: -5 * 100 = -500
     assert diffusion_coefficient(G, G.K / 2.0, 5.0) == pytest.approx(-500.0, rel=1e-12)
     # free branch of the triangular diagram is flat, so zero
     assert diffusion_coefficient(T, T.K / 100.0, 5.0) == 0.0
-    for t_rel in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^T must be positive"):
-            diffusion_coefficient(G, G.K / 2.0, t_rel)
 
 
 def test_diffusion_never_positive():

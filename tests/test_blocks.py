@@ -364,6 +364,12 @@ def wide_run():
     return traj
 
 
+# A forked formatter inherits tracing, which traces every float it renders and
+# makes a traced run ten times slower; the parent's peak never counts a
+# child's allocations, so each child stops tracing as it starts.
+os.register_at_fork(after_in_child=tracemalloc.stop)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:

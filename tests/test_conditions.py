@@ -139,22 +139,6 @@ def test_validate_kerner_split():
     assert not rep.concave
 
 
-def test_validate_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        validate_step_sizes(G, dn=0.0, dt=0.1)
-    with pytest.raises(ValueError):
-        validate_step_sizes(G, dn=1.0, dt=-0.1)
-
-
-@pytest.mark.parametrize("dn, dt", [
-    (np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan),
-])
-def test_validate_rejects_nonfinite(dn, dt):
-    # An infinite dn would otherwise read as an infinite rate that passes both checks.
-    with pytest.raises(ValueError, match="dn and dt must be positive and finite"):
-        validate_step_sizes(G, dn=dn, dt=dt)
-
-
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lagwave.__file__)))
     code = "import sys, lagwave, lagwave.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
