@@ -348,6 +348,9 @@ class _Measures:
     """
 
     def __init__(self, scenario: Scenario, display_vehicles: int = 5):
+        _check_type("display_vehicles", display_vehicles, "int")
+        if display_vehicles < 1:
+            raise ValueError(f"display_vehicles must be at least 1, got {display_vehicles!r}")
         self.scenario = scenario
         self.audit = _Audit(scenario.fd, scenario.dn)
         self.slots = _displayed_slots(scenario.dn, scenario.m, display_vehicles)
@@ -434,8 +437,9 @@ def sweep_dn(
     """
     prev = None
     for dn in dn_values:
-        traj = simulate(_at_dn(scenario, dn, vehicles, dt_ratio), model=model, scheme=scheme)
-        measures = _Measures(traj.scenario, display_vehicles)
+        sc = _at_dn(scenario, dn, vehicles, dt_ratio)
+        measures = _Measures(sc, display_vehicles)  # refuses display_vehicles before a run
+        traj = simulate(sc, model=model, scheme=scheme)
         for block in _row_blocks(traj, _AUDIT_BLOCK):
             measures.add(*block)
             del block  # before the walk builds the next block

@@ -16,9 +16,12 @@ for the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
 row, with the bits of the allocating expressions it replaces.  Its float
-twin steps narrow anisotropic platoons, with the same bits, and fills
-the rows of one at rest: a row that a step maps to itself bit for bit,
-under a leader that keeps its bits, is every later row.
+twin steps narrow anisotropic platoons, with the same bits, as the
+cascade that the anisotropic scheme makes of a platoon: each vehicle
+reads only the vehicle ahead, so it steps the leader's column and then
+each follower's column behind the one before it.  It fills the rows of
+a column at rest: a state that a step maps to itself bit for bit,
+behind a column at rest, is every later row of its column.
 
 A step reads only the row before it, so one loop, ``_steps``, steps a run
 in blocks of time rows, and one rule, ``_block``, cuts a block with the
@@ -319,8 +322,14 @@ def _step_kernel(
 # Anisotropic runs of at most this many slots step on Python floats, where
 # numpy's per-call overhead outweighs its per-element speed.
 _FLOAT_SLOTS = 16
-# The rows the float kernel holds as lists before writing them into the grid.
-_FLOAT_CHUNK = 64
+# The rows the float kernel steps a column through, as lists, before writing them into the grid.
+_FLOAT_CHUNK = 1024
+
+
+def _same(a: float, b: float) -> bool:
+    """Whether two floats have the same bits: equal in value, then in the
+    sign of zero; a NaN is never the same."""
+    return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
 def _float_kernel(
@@ -332,8 +341,13 @@ def _float_kernel(
     dt: float,
     model: Model,
 ) -> None:
-    """``_step_kernel`` for the anisotropic scheme, on Python floats: one
-    fused loop per vehicle, theta through the law's row formula ``_eta_row``.
+    """``_step_kernel`` for the anisotropic scheme, on Python floats, stepped
+    as the cascade it is.  A vehicle's step reads only its own (x, u) and
+    that of the vehicle ahead, so the kernel steps the platoon one column
+    at a time, _FLOAT_CHUNK rows at a time: first the leader's column,
+    then each follower's column behind the column before it, read as
+    lists, in one scalar loop, theta through the law's scalar formula
+    ``_eta_float``.
 
     Each value is the expression ``_step_kernel`` quotes, in its operand
     order, so it has the same bits.  numpy's maximum and minimum are
@@ -343,61 +357,68 @@ def _float_kernel(
     by zero, but no divisor here is zero: dn and dt are positive, s is at
     least S or NaN, K is positive, the triangular law divides only above
     kc/2, the sigmoid by c3 > 0 and exp(.) + 1 >= 1, and the JWZ term only
-    where |gap| > 1e-12.  Rows go into the grid
-    _FLOAT_CHUNK at a time, and the leader is read a chunk at a time.
+    where |gap| > 1e-12.
 
-    A platoon at rest is not stepped on.  A step reads only the row (x, u)
-    and the leader's speed, so once step j maps row j to itself bit for
-    bit, and every later leader speed has the bits of ``lead[j]``, every
-    later row is that row, by induction.  Rows are compared by value
-    first, which fails at the first moving vehicle, then by bytes, since
-    -0.0 == 0.0 (a row holding a NaN is never value-equal, so it is
-    stepped on); leader speeds by bits.  The kernel then writes the
-    pending chunk, fills every remaining row with that row in one
-    broadcast and returns.
+    A column at rest is not stepped on.  Once step j maps a column's (x, u)
+    to itself bit for bit (``_same``), and the column ahead is at rest from
+    row j on, every later row of the column is its row j, by induction.
+    The leader's column steps behind the leader speeds, at rest from
+    ``held``, the first step from which every speed has the bits of the
+    last.  The rest of a column's chunk is filled with that row; the next
+    chunk steps each column again, and a column at rest comes to rest at
+    its first step.  Once the last column is at rest, every column is, and
+    the rows after the chunk are filled with its last row in one broadcast.
     """
     clamp, r, antic_rate = _model_terms(model, dt)
-    eta_row, S, K, jam_gap = fd._eta_row, fd.S, fd.K, fd.S * dn
-    # The first step from which every leader speed has the bits of the last.
+    eta, S, K, jam_gap = fd._eta_float(), fd.S, fd.K, fd.S * dn
     bits = lead.view(np.uint64)
     moves = np.flatnonzero(bits != bits[-1:])
     held = int(moves[-1]) + 1 if len(moves) else 0
-    x, u = positions[0].tolist(), speeds[0].tolist()
+    x, u = positions[0].tolist(), speeds[0].tolist()  # each column's row c
     for c in range(0, len(lead), _FLOAT_CHUNK):
-        xs, us = [], []
-        for j, lead_j in enumerate(lead[c : c + _FLOAT_CHUNK].tolist(), c):
-            gaps = [a - b for a, b in zip(x, x[1:])]
-            ks = []
-            for g in gaps:
-                s = g / dn
-                s = s if s > S or s != s else S
-                k = 1.0 / s
-                ks.append(k if k < K or k != k else K)
-            v = [lead_j]
-            for m, th in enumerate(eta_row(ks)):
-                new = th if r is None else th + r * (u[m + 1] - th)
-                if antic_rate is not None:
-                    g = gaps[m]
-                    new = new + antic_rate * ((u[m] - u[m + 1]) / g if abs(g) > 1e-12 else 0.0)
-                if clamp is not None:
-                    ceiling = th if clamp is Corrected1 else (gaps[m] - jam_gap) / dt
-                    new = new if new < ceiling or new != new else ceiling
-                    new = 0.0 if 0.0 > new else new
-                v.append(new)
-            x_next = [a + dt * b for a, b in zip(x, v)]
-            rest = (j >= held and x_next == x and v == u
-                    and np.array((x_next, v)).tobytes() == np.array((x, u)).tobytes())
-            x, u = x_next, v
-            xs.append(x)
-            us.append(v)
-            if rest:
-                break
-        end = c + 1 + len(xs)
-        positions[c + 1 : end] = xs
-        speeds[c + 1 : end] = us
-        if rest:
-            positions[end:] = positions[end - 1]
-            speeds[end:] = speeds[end - 1]
+        e = min(c + _FLOAT_CHUNK, len(lead))
+        for m, (xm, um) in enumerate(zip(x, u)):
+            xs, us = [xm], [um]  # the column's rows c..e
+            if m == 0:
+                for j, new in enumerate(lead[c:e].tolist(), c):
+                    x_next = xm + dt * new
+                    if j >= held and _same(x_next, xm) and _same(new, um):
+                        break
+                    xm, um = x_next, new
+                    xs.append(xm)
+                    us.append(um)
+            else:
+                for j, xa, ua in zip(range(c, e), ahead_xs, ahead_us):
+                    g = xa - xm
+                    s = g / dn
+                    s = s if s > S or s != s else S
+                    k = 1.0 / s
+                    k = k if k < K or k != k else K
+                    th = eta(k)
+                    new = th if r is None else th + r * (um - th)
+                    if antic_rate is not None:
+                        new = new + antic_rate * ((ua - um) / g if abs(g) > 1e-12 else 0.0)
+                    if clamp is not None:
+                        ceiling = th if clamp is Corrected1 else (g - jam_gap) / dt
+                        new = new if new < ceiling or new != new else ceiling
+                        new = 0.0 if 0.0 > new else new
+                    x_next = xm + dt * new
+                    if j >= ahead and _same(x_next, xm) and _same(new, um):
+                        break
+                    xm, um = x_next, new
+                    xs.append(xm)
+                    us.append(um)
+            # The step from which this column is at rest, or e while it moves.
+            ahead = c + len(xs) - 1
+            xs += [xm] * (e - ahead)
+            us += [um] * (e - ahead)
+            positions[c + 1 : e + 1, m] = xs[1:]
+            speeds[c + 1 : e + 1, m] = us[1:]
+            x[m], u[m] = xm, um
+            ahead_xs, ahead_us = xs, us
+        if ahead < e:
+            positions[e + 1 :] = positions[e]
+            speeds[e + 1 :] = speeds[e]
             return
 
 

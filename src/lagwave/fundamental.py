@@ -16,6 +16,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -84,18 +85,20 @@ class FundamentalDiagram(ABC):
 
     and implement three formulas, ``_eta``, ``_eta_prime`` and
     ``_eta_second``, on float arrays of densities already known to lie
-    in [0, K], and ``_eta``'s row formula ``_eta_row``; they check
+    in [0, K], and ``_eta``'s scalar formula ``_eta_float``; they check
     nothing.  The public methods (``eta`` and its derivatives, the flow
     ``phi``, the spacing form ``theta``) live here only: each checks its
     input once, refusing NaN and values outside the domain, and returns
     a plain float for scalar input.  Library code that builds its own
     in-range arrays calls the formulas (and ``_density``, the density of
-    a spacing) directly.  The row formula is ``_eta`` on a list of
-    densities in [0, K] or NaN, in float arithmetic with the same bits,
-    for the float stepping kernel; the sigmoid's makes one ``np.exp``
-    call on the row.  Construction rejects non-finite parameters and
-    non-positive values of the fields named in ``_positive``, naming the
-    field.
+    a spacing) directly.  The scalar formula is ``_eta`` on one Python
+    float density in [0, K] or NaN, with the same bits, as a closure over
+    the law's constants built once per run: the float stepping kernel
+    steps a platoon as a cascade, each follower's column behind its
+    leader's, and calls it once per vehicle-step.  The sigmoid's calls
+    ``np.exp`` on each float, which keeps numpy's exp bits.
+    Construction rejects non-finite parameters and non-positive values
+    of the fields named in ``_positive``, naming the field.
 
     ``_eta(k, out=None)`` is one formula for two kinds of caller.  Without
     ``out`` it allocates its result, 0-d for a 0-d ``k``.  With ``out``,
@@ -169,9 +172,9 @@ class FundamentalDiagram(ABC):
         """``eta_second`` on a float array of densities in [0, K], unchecked."""
 
     @abstractmethod
-    def _eta_row(self, ks: list[float]) -> list[float]:
-        """``_eta`` on a list of densities in [0, K] or NaN, unchecked, as a
-        list of floats with the same bits."""
+    def _eta_float(self) -> Callable[[float], float]:
+        """``_eta`` as a function of one float density in [0, K] or NaN,
+        unchecked, with the same bits: a closure over the law's constants."""
 
     # -- Lagrangian form -----------------------------------------------
 
@@ -231,9 +234,9 @@ class GreenshieldsFD(FundamentalDiagram):
         x *= self.V
         return x
 
-    def _eta_row(self, ks):
+    def _eta_float(self):
         K, V = self.K, self.V
-        return [(1.0 - k / K) * V for k in ks]
+        return lambda k: (1.0 - k / K) * V
 
     def _eta_prime(self, k):
         return np.full_like(k, -self.V / self.K)
@@ -279,10 +282,10 @@ class TriangularFD(FundamentalDiagram):
         out *= self.W
         return np.minimum(self.V, out, out=out)
 
-    def _eta_row(self, ks):
+    def _eta_float(self):
         # V at or below kc/2 and at NaN, else numpy's minimum of the finite V and the branch.
         V, W, K, half = self.V, self.W, self.K, 0.5 * self.critical_density
-        return [V if not k > half or V < (w := (K / k - 1.0) * W) else w for k in ks]
+        return lambda k: V if not k > half or V < (w := (K / k - 1.0) * W) else w
 
     def _eta_prime(self, k):
         kc = self.critical_density
@@ -342,11 +345,16 @@ class KernerFD(FundamentalDiagram):
         x *= self.amplitude
         return np.maximum(x, 0.0, out=out) if self.clamp_nonnegative else x
 
-    def _eta_row(self, ks):
-        # One np.exp on the row: math.exp differs from numpy's AVX-512 exp in the last ulp.
-        K, c2, c3, c4, B = self.K, self.c2, self.c3, self.c4, self.amplitude
-        raw = [(1.0 / (e + 1.0) - c4) * B for e in np.exp([(k / K - c2) / c3 for k in ks]).tolist()]
-        return [x if x > 0.0 or x != x else 0.0 for x in raw] if self.clamp_nonnegative else raw
+    def _eta_float(self):
+        # np.exp on each float: math.exp differs from numpy's AVX-512 exp in the last ulp.
+        K, c2, c3, c4, B, clamp = self.K, self.c2, self.c3, self.c4, self.amplitude, self.clamp_nonnegative
+        exp = np.exp
+
+        def eta(k):
+            x = (1.0 / (float(exp((k / K - c2) / c3)) + 1.0) - c4) * B
+            return x if not clamp or x > 0.0 or x != x else 0.0
+
+        return eta
 
     def _eta_prime(self, k):
         sig = self._sigmoid(k)

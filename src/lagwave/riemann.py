@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conditions import check_concave
-from .engine import Scenario, Trajectory
+from .engine import Scenario, Trajectory, _refuse_unallocatable
 from .fundamental import FundamentalDiagram
 
 __all__ = [
@@ -109,6 +109,7 @@ def synthetic_shock_trajectory(
     dt_snapped = t1 / L
     scenario = replace(scenario, dt=dt_snapped)
     J = scenario.steps
+    _refuse_unallocatable((J + 1, m + 1))
 
     times = np.arange(J + 1) * dt_snapped
     # One column per vehicle i, with its kink at step i*L.

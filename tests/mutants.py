@@ -48,7 +48,7 @@ MUTANTS = {
     # The float kernel mirrors numpy's maximum and minimum, which pass a NaN from either side.
     "float-spacing-clamp-nan": (ENGINE, "s = s if s > S or s != s else S", "s = s if s > S else S",
                                 "a NaN spacing is clamped to S"),
-    "float-density-clamp-nan": (ENGINE, "ks.append(k if k < K or k != k else K)", "ks.append(k if k < K else K)",
+    "float-density-clamp-nan": (ENGINE, "k = k if k < K or k != k else K", "k = k if k < K else K",
                                 "a NaN density is clamped to K"),
     "float-zero-floor": (ENGINE, "new = 0.0 if 0.0 > new else new", "new = max(0.0, new)",
                          "Python's max floors a NaN speed to 0.0, and -0.0 as well"),
@@ -59,14 +59,20 @@ MUTANTS = {
     "numpy-jwz-guard-abs": (ENGINE, "np.greater(np.abs(gaps, out=dv), 1e-12, out=far)",
                             "np.greater(gaps, 1e-12, out=far)",
                             "the anticipation term is dropped behind a negative gap"),
-    "float-corrected2-jam-gap": (ENGINE, "else (gaps[m] - jam_gap) / dt", "else gaps[m] / dt",
+    "float-corrected2-jam-gap": (ENGINE, "else (g - jam_gap) / dt", "else g / dt",
                                  "Corrected2's ceiling lets a follower close up past the jam gap"),
     # The rest rule of the float kernel.
-    "M05": (ENGINE, "and v == u\n" + " " * 20 + "and np.array((x_next, v)).tobytes() == np.array((x, u)).tobytes())",
-            "and v == u)",
+    "M05": (ENGINE, "return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))",
+            "return a == b",
             "rows equal in value but not in the sign of a zero are taken for a row at rest"),
     "M06": (ENGINE, "held = int(moves[-1]) + 1 if len(moves) else 0", "held = int(moves[-1]) if len(moves) else 0",
             "the rows are filled one step early, at the last step before the leader's last change"),
+    "float-rest-without-ahead": (ENGINE, "if j >= ahead and _same(x_next, xm)", "if _same(x_next, xm)",
+                                 "a follower that maps its row to itself is taken for at rest while the column "
+                                 "ahead still moves"),
+    # The sigmoid's scalar formula keeps numpy's exp.
+    "kerner-scalar-libm-exp": (FUNDAMENTAL, "exp = np.exp", "exp = math.exp",
+                               "libm's exp differs from numpy's in the last ulp on about one density in twenty"),
     # The audit and the measures.
     "audit-nan-spacing-search": (ANALYSIS, "if not block_min >= self.limit:", "if block_min < self.limit:",
                                  "a block whose spacing minimum is NaN is not searched for collisions"),

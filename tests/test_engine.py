@@ -260,13 +260,20 @@ def test_float_kernel_holds_no_run_of_rows_as_lists(lead_speed):
 def test_float_kernel_stops_stepping_a_platoon_at_rest(monkeypatch):
     # The long run of demos/rival_schemes.py is at rest, bit for bit, from row
     # 36 of 10 000: the kernel must stop stepping there, not step it through.
+    # Each follower's column comes to rest on its own, at rows 31, 34 and 36,
+    # and is stepped up to the step that maps its row to itself.
     calls = []
-    row = TriangularFD._eta_row
-    monkeypatch.setattr(TriangularFD, "_eta_row", lambda fd, ks: calls.append(1) or row(fd, ks))
+    formula = TriangularFD._eta_float
+
+    def counted(fd):
+        eta = formula(fd)
+        return lambda k: calls.append(k) or eta(k)
+
+    monkeypatch.setattr(TriangularFD, "_eta_float", counted)
     sc = Scenario(fd=TriangularFD(V=20.0, W=5.0, K=1.0 / 7.0), k1=1.0 / 14.0, lead_speed=0.0,
                   m=3, dn=1.0, dt=1.0, duration=10_000.0)
     simulate(sc)
-    assert sc.steps == 10_000 and 0 < len(calls) <= 40
+    assert sc.steps == 10_000 and len(calls) == 32 + 35 + 37
 
 
 @pytest.mark.parametrize("m, scheme, kernel", [
@@ -380,6 +387,32 @@ def test_a_platoon_braking_to_rest_matches_the_allocating_reference(fd, model, m
     want = run_kernel(step_kernel, fd, dn, dt, traj.positions[0], traj.speeds[0], lead, model,
                       Scheme.ANISOTROPIC_SYMPLECTIC)
     assert traj.positions.tobytes() == want[0].tobytes() and traj.speeds.tobytes() == want[1].tobytes()
+
+
+@st.composite
+def _stop_and_go(draw):
+    """Leader speeds that stop and restart: runs of a drawn speed, 0.0 or -0.0,
+    long enough for a platoon to come to rest and, together, to cross chunks."""
+    speed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.5, 30.0))
+    runs = draw(st.lists(st.tuples(speed, st.integers(1, 400)), min_size=1, max_size=6))
+    return np.concatenate([np.full(n, v) for v, n in runs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_DIAGRAMS), st.sampled_from(KERNEL_MODELS), st.integers(1, _FLOAT_SLOTS),
+       st.one_of(st.just(1.0), st.floats(0.05, 1.0)), st.sampled_from([1.0, 0.5]), st.sampled_from([1.0, 0.35]),
+       _stop_and_go())
+def test_a_platoon_behind_a_stop_and_go_leader_matches_the_allocating_reference(fd, model, width, k1_share, dn, dt,
+                                                                                 lead):
+    # Columns come to rest, some at jam from the first step, and start again
+    # behind the leader: the float kernel's rows, stepped and filled, have the
+    # bits of stepping every row.
+    x0 = -np.arange(width) * (dn / (k1_share * fd.K))
+    u0 = np.full(width, fd.eta(k1_share * fd.K))
+    u0[0] = lead[0]
+    got = run_kernel(_float_kernel, fd, dn, dt, x0, u0, lead, model)
+    want = run_kernel(step_kernel, fd, dn, dt, x0, u0, lead, model, Scheme.ANISOTROPIC_SYMPLECTIC)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from lagwave.conditions import check_concave, cfl_threshold, collision_free_threshold
@@ -185,14 +185,31 @@ STEEP_KERNER = [KernerFD(c3=c3, clamp_nonnegative=clamp) for c3 in (1e-3, 1e-6) 
 
 
 @pytest.mark.parametrize("fd", [G, T, KC, KU, *STEEP_KERNER], ids=repr)
-def test_eta_row_keeps_the_array_bits(fd):
-    # The row formula of the float kernel, on the densities it hands it: [0, K] and NaN.
+def test_eta_float_keeps_the_array_bits(fd):
+    # The scalar formula of the float kernel, on the densities it hands it: [0, K] and NaN.
     ks = np.linspace(0.0, fd.K, 1001).tolist() + [fd.K, np.nextafter(fd.K, 0.0), 1e-300, math.nan]
     if isinstance(fd, TriangularFD):
         half = 0.5 * fd.critical_density
         ks += [half, np.nextafter(half, 0.0), np.nextafter(half, 1.0)]
+    eta = fd._eta_float()
     with np.errstate(over="ignore"):
-        assert _bits(fd._eta_row(ks)) == _bits(fd._eta(np.array(ks)))
+        got = [eta(k) for k in np.array(ks).tolist()]
+        assert _bits(got) == _bits(fd._eta(np.array(ks)))
+    # Python floats in, Python floats out: a numpy scalar would slow the kernel.
+    assert all(type(v) is float for v in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 0.35), st.floats(1e-3, 0.1), st.booleans(),
+       st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=50))
+def test_kerner_eta_float_keeps_the_array_bits_in_the_steep_band(c2, c3, clamp, zs):
+    # Densities where the sigmoid falls, exp's argument (k/K - c2)/c3 within
+    # +-40: there a libm exp differs from numpy's in the last ulp on about
+    # one density in twenty.
+    fd = KernerFD(c2=c2, c3=c3, clamp_nonnegative=clamp)
+    ks = np.clip(fd.K * (c2 + c3 * np.asarray(zs)), 0.0, fd.K)
+    eta = fd._eta_float()
+    assert _bits([eta(k) for k in ks.tolist()]) == _bits(fd._eta(ks))
 
 
 @pytest.mark.parametrize("fd", [KC, KU, KernerFD(c3=0.01, c4=0.6), *STEEP_KERNER], ids=repr)

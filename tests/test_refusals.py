@@ -208,6 +208,12 @@ LIBRARY_REFUSALS = {
     **{f"synthetic-{field}-{value!r}": (synthetic_shock_trajectory, {**SHOCK, field: value}, ValueError,
                                         f"{field} must be finite, got {value!r}\n")
        for field, value in (("dt", NAN), ("dn", NAN), ("dt", INF))},
+    # Grids past the address space, and past numpy's dimension limit: these raised
+    # MemoryError and numpy's bare "Maximum allowed size exceeded".
+    "synthetic-unable-to-allocate": (synthetic_shock_trajectory, {**SHOCK, "duration": 1e6, "dt": 1e-9}, ValueError,
+                                     "numpy cannot allocate the (1000000000000001, 6) " + GRID),
+    "synthetic-steps-past-the-dimension-limit": (synthetic_shock_trajectory, {**SHOCK, "dt": 1e-300}, ValueError,
+                                                 f"numpy cannot allocate the (>{LIMIT}, 6) " + GRID),
     # Measurements and sweeps.  These raised OverflowError, ZeroDivisionError
     # and "cannot convert float NaN to integer" from round(vehicles / dn).
     **{f"sweep-dn-{dn!r}": (_first_row, {**SWEEP, "dn_values": (dn,)}, ValueError,
@@ -219,6 +225,13 @@ LIBRARY_REFUSALS = {
     # At dn = 0.5 this stepped 5 slots without a word.
     "sweep-vehicles-2.5": (_first_row, {**SWEEP, "dn_values": (0.5,), "vehicles": 2.5}, ValueError,
                            "vehicles must be an integer, got 2.5\n"),
+    # 2.5 raised numpy's TypeError, and True, 0 and -1 ran.
+    **{f"sweep-display-vehicles-{value!r}": (_first_row, {**SWEEP, "display_vehicles": value}, ValueError,
+                                             f"display_vehicles must be an integer, got {value!r}\n")
+       for value in (2.5, True)},
+    **{f"sweep-display-vehicles-{value!r}": (_first_row, {**SWEEP, "display_vehicles": value}, ValueError,
+                                             f"display_vehicles must be at least 1, got {value!r}\n")
+       for value in (0, -1)},
     # These raised MeasurementError("only 0 crossings, need at least 3").
     **{f"front-speed-{name}-{value!r}": (_front_speed, {name: value}, ValueError,
                                          f"{name} must be finite, got {value!r}\n")
