@@ -60,7 +60,7 @@ from .engine import (
     _stream,
     simulate,
 )
-from .fundamental import GreenshieldsFD, KernerFD, TriangularFD, _check_fields
+from .fundamental import _TYPES, GreenshieldsFD, KernerFD, TriangularFD, _check_fields
 from .templates import TEMPLATES, _ini, template_text
 
 __all__ = ["ConfigError", "StabilitySpec", "RunSpec", "load_spec", "serialize"]
@@ -121,21 +121,19 @@ _REQUIRED = (
 # The words a boolean value takes.
 _BOOLS = {**dict.fromkeys(("true", "yes", "1", "on"), True), **dict.fromkeys(("false", "no", "0", "off"), False)}
 
-# Converter and the noun its refusal names, per field type.  The modules
-# postpone annotations, so ``f.type`` is the annotation's text.  A field of
-# any other type (the scenario's diagram) has no key: the caller supplies it.
-_NUMBER = (float, "a number")
-_KINDS = {"float": _NUMBER, "float | None": _NUMBER, "int": (int, "an integer"),
-          "bool": (lambda raw: _BOOLS[raw.strip().lower()], "a boolean")}
+# The converter per field type; a refusal names the type's noun in
+# ``fundamental._TYPES``.  The modules postpone annotations, so ``f.type`` is
+# the annotation's text.  A field of any other type (the scenario's diagram)
+# has no key: the caller supplies it.
+_KINDS = {"float": float, "float | None": float, "int": int, "bool": lambda raw: _BOOLS[raw.strip().lower()]}
 
 
 def _parse(section: str, key: str, raw: str, kind: str = "float"):
     """The value of ``section.key`` read as the field type ``kind``."""
-    convert, noun = _KINDS[kind]
     try:
-        return convert(raw)
+        return _KINDS[kind](raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"key {section}.{key} is not {noun}: {raw!r}") from None
+        raise ConfigError(f"key {section}.{key} is not {_TYPES[kind][1]}: {raw!r}") from None
 
 
 # Per dataclass: config key (the field name in lower case) -> (field name,
@@ -149,28 +147,21 @@ _FIELDS = {
 @lru_cache(maxsize=None)
 def _config_parser() -> tuple[configparser.ConfigParser, threading.Lock]:
     """The config parser, built on first use and emptied for every later
-    text, with the lock that keeps one text in it at a time."""
-    return configparser.ConfigParser(interpolation=None), threading.Lock()
+    text, with the lock that keeps one text in it at a time.  No header
+    can name its default section, "", so [DEFAULT] is a section like any
+    other, and no section inherits keys."""
+    return configparser.ConfigParser(interpolation=None, default_section=""), threading.Lock()
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     cp, lock = _config_parser()
     with lock:
-        # clear() keeps the [DEFAULT] keys, which would pass into the next text.
         cp.clear()
-        cp.defaults().clear()
         try:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from None
-        sections = {}
-        for name in cp.sections():
-            # Keys in the order cp[name] gives, the section's own before the
-            # [DEFAULT] keys that items() lists first, so the first unknown
-            # key reported stays the same.
-            values = dict(cp.items(name, raw=True))
-            sections[name] = {key: values[key] for key in cp.options(name)}
-    return sections
+        return {name: dict(cp.items(name, raw=True)) for name in cp.sections()}
 
 
 def _lookup(table: dict, key: str, name: str):
@@ -301,13 +292,12 @@ def _dn_values(raw: str) -> tuple[float, ...]:
         raise ConfigError("sweep needs at least one dn value")
     if not all(math.isfinite(v) and v > 0.0 for v in values):
         raise ConfigError("sweep dn values must be positive and finite")
-    if len(set(values)) != len(values):
-        raise ConfigError("sweep dn values must be distinct")
     files = {}
     for v in values:
         name = _TRAJECTORY_FILE.format(v)
-        if files.setdefault(name, v) != v:
+        if name in files:
             raise ConfigError(f"sweep dn values {files[name]!r} and {v!r} both write {name}")
+        files[name] = v
     return values
 
 

@@ -7,6 +7,7 @@ trajectory set for exercising the measurement code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,6 +106,9 @@ def synthetic_shock_trajectory(
     s1 = dn / k1
     # Vehicle 1 meets x = sigma*t after t1; vehicle m after m*t1.
     t1 = s1 / (v1 - sigma)
+    # t1 / dt can overflow where duration / dt, which Scenario checks, does not.
+    if not math.isfinite(t1 / dt):
+        raise ValueError(f"the snapped step count t1 / dt to vehicle 1's kink is not finite: t1={t1!r}, dt={dt!r}")
     L = max(1, round(t1 / dt))
     dt_snapped = t1 / L
     scenario = replace(scenario, dt=dt_snapped)

@@ -130,8 +130,17 @@ MUTANTS = {
                              "    if isinstance(value, int):\n        return str(value)\n"
                              "    if isinstance(value, bool):\n        return str(value).lower()\n",
                              "a bool is written as True or False, not in lower case"),
-    "kinds-int-as-number": (CLI, '"int": (int, "an integer")', '"int": _NUMBER',
+    "kinds-int-as-number": (CLI, '"int": int,', '"int": float,',
                             "a count key is read as a float, which Scenario refuses"),
+    # The config reader's rules (tests/test_refusals.py's load_spec rows).
+    "config-unknown-key": (CLI, 'raise ConfigError(f"unknown key {section}.{key}{context}")', "pass",
+                           "a key that is no field of the section's class is ignored"),
+    "config-unknown-section": (CLI, 'raise ConfigError(f"unknown section [{sec}]")', "pass",
+                               "a section that lagwave does not read is ignored"),
+    "config-dt-and-dt-ratio": (CLI, 'raise ConfigError("give exactly one of scenario.dt and scenario.dt_ratio")',
+                               "pass", "scenario.dt_ratio wins silently over scenario.dt"),
+    "config-dn-file-names": (CLI, 'raise ConfigError(f"sweep dn values {files[name]!r} and {v!r} both write {name}")',
+                             "pass", "two dn values of a sweep write one trajectory file, the second over the first"),
     # main's refusal boundary.
     "main-except-without-oserror": (CLI, "except (ValueError, ExperimentInvalid, OSError) as exc:",
                                     "except (ValueError, ExperimentInvalid) as exc:",

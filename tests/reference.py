@@ -1,6 +1,6 @@
 """The tests' reference corpus, stated once: which verbs each bundled template
-has, the run cases with their trajectories, and the whole-grid references
-that the blocked, streamed and in-place code is checked against.
+has, the run cases with their trajectories, config text and the whole-grid
+references that the blocked, streamed and in-place code is checked against.
 
 A case's trajectory is made once per session and shared by every test that
 reads it, so its arrays are read-only: a test that writes into one fails.
@@ -89,6 +89,18 @@ def case_trajectory(case):
     for a in (traj.times, traj.positions, traj.speeds):
         a.flags.writeable = False
     return traj
+
+
+BASE_SC = {"k1": "0.05", "lead_speed": "5.0", "dn": "1.0", "dt": "0.35", "duration": "2.0"}
+
+
+def make_cfg(fd=None, scenario=None, run_sec=None, stability_sec=None, extra=""):
+    """Config text of the sections given, then ``extra``; [fd] is a Greenshields
+    diagram and [scenario] ``BASE_SC`` unless given."""
+    sections = {"fd": {"type": "greenshields"} if fd is None else fd,
+                "scenario": BASE_SC if scenario is None else scenario, "run": run_sec, "stability": stability_sec}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items() if keys is not None) + extra
 
 
 def trajectory(x, v, dt=1.0):

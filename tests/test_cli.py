@@ -21,8 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 import lagwave
 import reference
 from lagwave.cli import (
-    ConfigError,
-    StabilitySpec,
     load_spec,
     main,
     run,
@@ -31,27 +29,10 @@ from lagwave.cli import (
     sweep,
     thresholds,
 )
-from lagwave.engine import Corrected1, JWZ, NonstandardLWR, PhillipsRelax, Scheme, simulate
+from lagwave.engine import Corrected1, JWZ, NonstandardLWR, Scheme, simulate
 from lagwave.fundamental import GreenshieldsFD, KernerFD, TriangularFD
 from lagwave.templates import TEMPLATES, template_text
-
-BASE_SC = {
-    "k1": "0.05", "lead_speed": "5.0", "dn": "1.0", "dt": "0.35",
-    "duration": "2.0",
-}
-
-
-def make_cfg(fd=None, scenario=None, run_sec=None, stability_sec=None, extra=""):
-    fd = {"type": "greenshields"} if fd is None else fd
-    scenario = dict(BASE_SC) if scenario is None else scenario
-    parts = ["[fd]"] + [f"{k} = {v}" for k, v in fd.items()]
-    parts += ["", "[scenario]"] + [f"{k} = {v}" for k, v in scenario.items()]
-    if run_sec:
-        parts += ["", "[run]"] + [f"{k} = {v}" for k, v in run_sec.items()]
-    if stability_sec:
-        parts += ["", "[stability]"] + [f"{k} = {v}" for k, v in stability_sec.items()]
-    return "\n".join(parts) + "\n" + extra
-
+from reference import BASE_SC, make_cfg
 
 MINIMAL = make_cfg()
 
@@ -141,105 +122,9 @@ def test_round_trip_of_keys_given_by_hand(text, line):
     assert load_spec(serialize(spec)) == spec
 
 
-def test_serialize_refuses_an_unregistered_diagram():
-    class Unlisted(GreenshieldsFD):
-        pass
-
-    spec = load_spec(MINIMAL)
-    spec = replace(spec, scenario=replace(spec.scenario, fd=Unlisted()))
-    with pytest.raises(ConfigError, match="cannot serialize diagram"):
-        serialize(spec)
-
-
 def test_template_text_refuses_an_unknown_name():
     with pytest.raises(KeyError, match="no template named 'nope'"):
         template_text("nope")
-
-
-def _keys(cls):
-    return {f.name.lower() for f in fields(cls)}
-
-
-# Config keys are the dataclass fields in lower case: every key of another
-# diagram type or model, and one that is no field at all, must be refused,
-# and every [stability] field is required.
-DIAGRAMS = {"greenshields": GreenshieldsFD, "triangular": TriangularFD, "kerner": KernerFD}
-MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
-FD_KEYS = set().union(*map(_keys, DIAGRAMS.values()))
-MODEL_KEYS = set().union(*map(_keys, MODELS.values()))
-FIELD_CASES = [
-    (make_cfg(fd={"type": kind, key: "1"}), f"fd.{key}")
-    for kind, cls in DIAGRAMS.items()
-    for key in sorted(FD_KEYS - _keys(cls)) + ["bogus"]
-] + [
-    (make_cfg(run_sec={"model": name, key: "1"}), f"run.{key}")
-    for name, cls in MODELS.items()
-    for key in sorted(MODEL_KEYS - _keys(cls)) + ["bogus"]
-] + [
-    (make_cfg(stability_sec={k: "0.1" for k in _keys(StabilitySpec) - {key}}),
-     f"missing required key stability.{key}")
-    for key in sorted(_keys(StabilitySpec))
-]
-
-
-@pytest.mark.parametrize("text,fragment", [
-    ("", "required"),
-    (make_cfg(fd={"type": "parabolic"}), "fd.type"),
-    (make_cfg(fd={"type": "greenshields", "w": "5"}), "fd.w"),
-    (make_cfg(scenario={**BASE_SC, "foo": "1"}), "scenario.foo"),
-    (make_cfg(run_sec={"bar": "1"}), "run.bar"),
-    (make_cfg(extra="\n[plot]\nstyle = x\n"), "plot"),
-    (make_cfg(scenario={**BASE_SC, "k1": "abc"}), "not a number"),
-    (make_cfg(fd={"type": "greenshields", "v": "nan"}), "invalid fd: V must be finite"),
-    (make_cfg(fd={"type": "greenshields", "k": "0"}), "invalid fd: K must be positive"),
-    (make_cfg(fd={"type": "triangular", "w": "-5"}), "invalid fd: W must be positive"),
-    (make_cfg(fd={"type": "kerner", "relax_time": "inf"}), "invalid fd: relax_time must be finite"),
-    (make_cfg(scenario={**BASE_SC, "k1": "0.5"}), "invalid scenario"),
-    (make_cfg(scenario={**BASE_SC, "dt_ratio": "0.35"}), "exactly one"),
-    (make_cfg(scenario={k: v for k, v in BASE_SC.items() if k != "dt"}), "dt"),
-    (make_cfg(scenario={**BASE_SC, "m": "5", "vehicles": "5"}), "at most one"),
-    (make_cfg(scenario={**BASE_SC, "vehicles": "-3"}),
-     "keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3"),
-    (make_cfg(run_sec={"t": "5.0"}), "run.t"),
-    (make_cfg(run_sec={"model": "phillips", "c0": "2.0"}), "run.c0"),
-    (make_cfg(run_sec={"corrected": "3"}), "corrected"),
-    (make_cfg(run_sec={"scheme": "leapfrog"}), "scheme"),
-    (make_cfg(run_sec={"model": "phillips", "scheme": "forward"}), "scheme"),
-    ("[run]\ntemplate = no-such-thing\n", "template"),
-    (make_cfg(run_sec={"sweep": "1.0,1.0"}), "distinct"),
-    (make_cfg(run_sec={"sweep": "-1.0"}), "positive"),
-    (make_cfg(run_sec={"sweep": "1.0,nan"}), "finite"),
-    (make_cfg(run_sec={"sweep": "inf"}), "finite"),
-    (make_cfg(run_sec={"sweep": ""}), "sweep needs at least one dn value"),
-    (make_cfg(run_sec={"sweep": "1.0000001,1.0000002"}),
-     "sweep dn values 1.0000001 and 1.0000002 both write trajectory_dn1.csv"),
-    (make_cfg(scenario={**BASE_SC, "m": "2.5"}), "key scenario.m is not an integer: '2.5'"),
-    (make_cfg(fd={"type": "kerner", "clamp_nonnegative": "maybe"}),
-     "key fd.clamp_nonnegative is not a boolean: 'maybe'"),
-    ("[fd\ntype = greenshields\n", "malformed config: "),
-    (make_cfg(fd={}), "missing required key fd.type"),
-    (make_cfg(scenario={k: v for k, v in BASE_SC.items() if k != "dn"}), "missing required key scenario.dn"),
-    (make_cfg(run_sec={"display_vehicles": "0"}), "key run.display_vehicles must be at least 1"),
-    (make_cfg(scenario={**BASE_SC, "dn": "nan", "vehicles": "10"}), "scenario.dn must be positive and finite"),
-    (make_cfg(scenario={**BASE_SC, "dn": "inf", "vehicles": "10"}), "scenario.dn must be positive and finite"),
-    (make_cfg(stability_sec={"amplitude": "0.02"}), "stability.omega"),
-    (make_cfg(stability_sec={"amplitude": "0.02", "omega": "0.1", "phase": "0"}),
-     "stability.phase"),
-    (make_cfg(run_sec={"model": "phillips", "t": "-1"}), "invalid model: T must be positive"),
-    (make_cfg(run_sec={"model": "phillips", "t": "0"}), "invalid model: T must be positive"),
-    (make_cfg(run_sec={"model": "phillips", "t": "nan"}), "invalid model: T must be finite"),
-    (make_cfg(run_sec={"model": "jwz", "c0": "inf"}), "invalid model: c0 must be finite"),
-    (make_cfg(stability_sec={"amplitude": "-0.5", "omega": "0.1"}),
-     "invalid stability: amplitude must be nonnegative"),
-    (make_cfg(stability_sec={"amplitude": "nan", "omega": "0.1"}),
-     "invalid stability: amplitude must be finite"),
-    (make_cfg(stability_sec={"amplitude": "0.02", "omega": "nan"}),
-     "invalid stability: omega must be finite"),
-] + FIELD_CASES)
-def test_config_errors(text, fragment):
-    with pytest.raises(ConfigError) as exc_info:
-        load_spec(text)
-    assert fragment in str(exc_info.value)
 
 
 def test_run_writes_expected_files(tmp_path):
@@ -318,15 +203,6 @@ def test_sweep_difference_never_compares_the_leader(tmp_path):
     assert float(row[4]) == reference.traj_diff(a, b)
 
 
-def test_sweep_requires_relative_spec():
-    spec = load_spec(MINIMAL)
-    with pytest.raises(ConfigError, match="dt_ratio"):
-        sweep(spec, (1.0, 0.5))
-    spec = load_spec(MINIMAL.replace("dt = 0.35", "dt_ratio = 0.35"))
-    with pytest.raises(ConfigError, match="vehicles"):
-        sweep(spec, (1.0, 0.5))
-
-
 def test_thresholds_output(tmp_path):
     spec = replace(load_spec(TINY), output_dir=str(tmp_path))
     assert thresholds(spec) == 0
@@ -354,11 +230,6 @@ def test_stability_output(tmp_path):
     text = (tmp_path / "stability.txt").read_text()
     assert "amplification_ratio = 0.99273" in text
     assert "predicted_ratio = " in text
-
-
-def test_stability_requires_section():
-    with pytest.raises(ConfigError, match="stability"):
-        stability(load_spec(MINIMAL))
 
 
 def test_main_run_exit_codes(tmp_path, capsys):
@@ -444,6 +315,11 @@ REFUSALS = {
     # Both values are written as trajectory_dn1.csv, so the second run replaced the first.
     "sweep-twins": ("sweep", _t("greenshields-discharge", "sweep = 1.0000001,1.0000002\n"), OUT, _TWINS),
     "sweep-dn-twins": ("sweep", _t("greenshields-discharge"), (*OUT, "--dn", "1.0000001,1.0000002"), _TWINS),
+    # A sweep rebuilds the scenario at each dn from vehicles and dt_ratio.
+    "sweep-without-dt-ratio": ("sweep", MINIMAL, (*OUT, "--dn", "1.0,0.5"),
+                               "sweep requires scenario.dt_ratio (fixed dt/dn ratio)\n"),
+    "sweep-without-vehicles": ("sweep", MINIMAL.replace("dt = 0.35", "dt_ratio = 0.35"), (*OUT, "--dn", "1.0,0.5"),
+                               "sweep requires scenario.vehicles (whole-vehicle count)\n"),
     # round(vehicles / dn) raised OverflowError, a traceback with exit 1.
     "slots-vehicles": ("thresholds", _t("greenshields-discharge", "[scenario]\nvehicles = 1" + "0" * 400 + "\n"),
                        OUT, _SLOTS.format("keys scenario.vehicles and scenario.dn")),
@@ -478,6 +354,7 @@ REFUSALS = {
     "stability-lead-dimension-limit": ("stability", _t("phillips-stability", "[scenario]\nduration = 1e300\n"), OUT,
                                        f"numpy cannot allocate the {_INTP_MAX} lead speeds of duration / dt steps: "),
     # The stability experiment.
+    "no-stability-section": ("stability", MINIMAL, OUT, "config has no [stability] section\n"),
     "amplitude-negative": ("stability", _t("phillips-stability", "[stability]\namplitude = -0.5\n"), OUT,
                            "invalid stability: amplitude must be nonnegative"),
     "amplitude-nan": ("stability", _t("phillips-stability", "[stability]\namplitude = nan\n"), OUT,
@@ -605,40 +482,6 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert "invalid choice: 'no-such-verb'" in capsys.readouterr().err
     assert main(["thresholds", "kerner-redlight", "--out", str(tmp_path / "after")]) == 0
     assert _parser() is _parser()
-
-
-# load_spec reuses one ConfigParser per process.  A config that fails,
-# or that sets [DEFAULT] keys, must leave nothing in it for the next one.
-@pytest.mark.parametrize("text, message", [
-    ("[fd]\ntype = greenshields\ntype = triangular\n",
-     "malformed config: While reading from '<string>' [line  3]: option 'type' in section 'fd' already exists"),
-    ("[run]\ntemplate = greenshields-shock-a\n[run]\nmodel = jwz\n",
-     "malformed config: While reading from '<string>' [line  3]: section 'run' already exists"),
-    ("[DEFAULT]\nv = 20.0\n\n[run]\ntemplate = greenshields-shock-a\n", "unknown key run.v for model 'nonstandard'"),
-    # a section's own keys are checked before the [DEFAULT] keys it inherits
-    ("[DEFAULT]\nv = 20.0\n" + MINIMAL + "qq = 3\n", "unknown key scenario.qq"),
-    ("[run]\ntemplate = greenshields-shock-a\nthis line has no separator\n",
-     "malformed config: Source contains parsing errors: '<string>'\n\t[line  3]: 'this line has no separator\\n'"),
-], ids=["duplicate-key", "duplicate-section", "default-key", "default-key-order", "malformed-line"])
-def test_config_errors_leave_the_parser_clean(tmp_path, capsys, text, message):
-    from lagwave.cli import _config_parser
-
-    with pytest.raises(ConfigError) as exc_info:
-        load_spec(text)
-    assert str(exc_info.value) == message
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
-    assert main(["thresholds", str(cfg), "--out", str(tmp_path / "thr")]) == 2
-    assert message.splitlines()[0] in capsys.readouterr().err
-
-    clean = template_text("greenshields-shock-a")
-    after = load_spec(clean)
-    parser, _ = _config_parser()
-    _config_parser.cache_clear()
-    assert _config_parser()[0] is not parser
-    assert after == load_spec(clean)
-    # a bare [DEFAULT] header defines no key, so it still loads
-    assert load_spec("[DEFAULT]\n" + clean) == after
 
 
 def test_main_sweep_dn_flag(tmp_path):

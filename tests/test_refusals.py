@@ -1,16 +1,18 @@
 """The library's refusal contract, one row per refusal.
 
-Every input the library refuses is a row of ``LIBRARY_REFUSALS``, and one
-test holds each row to the whole contract: the exception is exactly the
-row's type, its message starts with the row's text, no warning comes
-first, and it is one that ``cli.main`` turns into an ``error:`` line and
-exit 2 (``ValueError``, ``ExperimentInvalid`` or ``OSError``).  The rows of
+Every input the library refuses is a row of ``LIBRARY_REFUSALS``, the
+config reader ``load_spec``'s and writer ``serialize``'s too, and one test
+holds each row to the whole contract: the exception is exactly the row's
+type, its message starts with the row's text, no warning comes first, and
+it is one that ``cli.main`` turns into an ``error:`` line and exit 2
+(``ValueError``, ``ExperimentInvalid`` or ``OSError``).  The rows of
 ``PROGRAMMER_ERRORS`` are the only others: they raise ``TypeError``.  A new
 refusal is one more row.  ``tests/test_cli.py::REFUSALS`` states the CLI's
 side of the same contract.
 """
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from lagwave.analysis import (
     string_stability_experiment,
     sweep_dn,
 )
+from lagwave.cli import ConfigError, StabilitySpec, _config_parser, load_spec, serialize
 from lagwave.conditions import validate_step_sizes
 from lagwave.engine import (
     JWZ,
@@ -38,6 +41,8 @@ from lagwave.engine import (
 )
 from lagwave.fundamental import GreenshieldsFD, KernerFD, SpacingBelowJam, TriangularFD
 from lagwave.riemann import NonConcaveDiagram, riemann_wave, shock_speed_rh, synthetic_shock_trajectory
+from lagwave.templates import TEMPLATES, template_text
+from reference import BASE_SC, make_cfg
 
 G, T, KC = GreenshieldsFD(), TriangularFD(), KernerFD()
 NAN, INF = math.nan, math.inf
@@ -62,6 +67,20 @@ SCALES = {GreenshieldsFD: ("V", "K"), TriangularFD: ("V", "W", "K"),
 SHAPES = {KernerFD: ("c2", "c4")}
 DENSITY = "density must be a number in [0, {!r}]\n"
 SPACING = "spacing must be a number at or above the jam spacing S={!r}\n"
+SHOCK_A = "[run]\ntemplate = greenshields-shock-a\n"
+# Config keys are the dataclass fields in lower case: every key of another
+# diagram type or model, and one that is no field at all, is refused, and
+# every [stability] field is required.
+DIAGRAMS = {"greenshields": GreenshieldsFD, "triangular": TriangularFD, "kerner": KernerFD}
+MODELS = {"nonstandard": NonstandardLWR, "phillips": PhillipsRelax, "jwz": JWZ}
+
+
+class Unlisted(GreenshieldsFD):
+    """A diagram of a class that serialize has no name for."""
+
+
+BASE = load_spec(make_cfg())
+UNLISTED = replace(BASE, scenario=replace(BASE.scenario, fd=Unlisted()))
 
 
 def _lead(bad):
@@ -79,6 +98,16 @@ def _nan_inputs(valid):
 def _first_row(**kwargs):
     """sweep_dn's first (trajectory, row) at ``kwargs``."""
     return next(sweep_dn(**kwargs))
+
+
+def _keys(*classes):
+    """The config keys of the dataclasses ``classes``: their fields' names in lower case."""
+    return {f.name.lower() for cls in classes for f in fields(cls)}
+
+
+def _load(message, text=None, **sections):
+    """A load_spec row: ``text``, or else make_cfg(**sections), refused with the whole ``message``."""
+    return load_spec, {"text": make_cfg(**sections) if text is None else text}, ConfigError, message + "\n"
 
 
 def _front_speed(**levels):
@@ -214,6 +243,10 @@ LIBRARY_REFUSALS = {
                                      "numpy cannot allocate the (1000000000000001, 6) " + GRID),
     "synthetic-steps-past-the-dimension-limit": (synthetic_shock_trajectory, {**SHOCK, "dt": 1e-300}, ValueError,
                                                  f"numpy cannot allocate the (>{LIMIT}, 6) " + GRID),
+    # duration / dt is finite, but t1 / dt overflowed, and round raised OverflowError.
+    "synthetic-kink-steps-overflow": (synthetic_shock_trajectory, {**SHOCK, "duration": 1e-10, "dt": 1e-310},
+                                      ValueError, "the snapped step count t1 / dt to vehicle 1's kink is not finite: "
+                                                  "t1=2.24, dt=1e-310\n"),
     # Measurements and sweeps.  These raised OverflowError, ZeroDivisionError
     # and "cannot convert float NaN to integer" from round(vehicles / dn).
     **{f"sweep-dn-{dn!r}": (_first_row, {**SWEEP, "dn_values": (dn,)}, ValueError,
@@ -272,6 +305,95 @@ LIBRARY_REFUSALS = {
        for t_rel, w in [(0.0, 0.1), (NAN, 0.1), (INF, 0.1), (5.0, NAN), (5.0, INF), (5.0, -INF)]},
     **{f"diffusion-T-{t_rel!r}": (diffusion_coefficient, {"fd": G, "k": G.K / 2.0, "T": t_rel}, ValueError,
                                   f"T must be positive and finite, got {t_rel!r}\n") for t_rel in (-1.0, NAN, INF)},
+    # The config reader: its sections and keys.
+    "config-empty": _load("empty config; required keys: fd.type, scenario.k1, scenario.lead_speed, scenario.dn, "
+                          "scenario.duration, scenario.dt or scenario.dt_ratio", text=""),
+    "config-malformed-header": _load("malformed config: File contains no section headers.\nfile: '<string>', "
+                                     "line: 1\n'[fd\\n'", text="[fd\ntype = greenshields\n"),
+    "config-duplicate-key": _load("malformed config: While reading from '<string>' [line  3]: option 'type' in "
+                                  "section 'fd' already exists", text="[fd]\ntype = greenshields\ntype = triangular\n"),
+    "config-duplicate-section": _load("malformed config: While reading from '<string>' [line  3]: section 'run' "
+                                      "already exists", text=SHOCK_A + "[run]\nmodel = jwz\n"),
+    "config-malformed-line": _load("malformed config: Source contains parsing errors: '<string>'\n\t[line  3]: "
+                                   "'this line has no separator\\n'", text=SHOCK_A + "this line has no separator\n"),
+    "config-section-plot": _load("unknown section [plot]", extra="\n[plot]\nstyle = x\n"),
+    # [DEFAULT] passed its keys to every section.
+    "config-section-default": _load("unknown section [DEFAULT]",
+                                    text="[DEFAULT]\n" + template_text("greenshields-shock-a")),
+    "config-template-unknown": _load(f"unknown run.template 'no-such-thing'; bundled: {', '.join(sorted(TEMPLATES))}",
+                                     text="[run]\ntemplate = no-such-thing\n"),
+    "config-without-fd-type": _load("missing required key fd.type", fd={}),
+    "config-fd-type-unknown": _load("unknown fd.type 'parabolic'; expected one of greenshields, triangular, kerner",
+                                    fd={"type": "parabolic"}),
+    "config-greenshields-fd.w-5": _load("unknown key fd.w for type 'greenshields'",
+                                        fd={"type": "greenshields", "w": "5"}),
+    **{f"config-{kind}-fd.{key}": _load(f"unknown key fd.{key} for type {kind!r}", fd={"type": kind, key: "1"})
+       for kind, cls in DIAGRAMS.items() for key in sorted(_keys(*DIAGRAMS.values()) - _keys(cls)) + ["bogus"]},
+    "config-scenario-foo": _load("unknown key scenario.foo", scenario={**BASE_SC, "foo": "1"}),
+    "config-run-bar": _load("unknown key run.bar for model 'nonstandard'", run_sec={"bar": "1"}),
+    "config-nonstandard-run.t-5.0": _load("unknown key run.t for model 'nonstandard'", run_sec={"t": "5.0"}),
+    "config-phillips-run.c0-2.0": _load("unknown key run.c0 for model 'phillips'",
+                                        run_sec={"model": "phillips", "c0": "2.0"}),
+    **{f"config-{name}-run.{key}": _load(f"unknown key run.{key} for model {name!r}", run_sec={"model": name, key: "1"})
+       for name, cls in MODELS.items() for key in sorted(_keys(*MODELS.values()) - _keys(cls)) + ["bogus"]},
+    "config-stability-phase": _load("unknown key stability.phase",
+                                    stability_sec={"amplitude": "0.02", "omega": "0.1", "phase": "0"}),
+    "config-stability-amplitude-only": _load("missing required key stability.omega",
+                                             stability_sec={"amplitude": "0.02"}),
+    **{f"config-stability-without-{key}": _load(f"missing required key stability.{key}",
+                                                stability_sec={k: "0.1" for k in _keys(StabilitySpec) - {key}})
+       for key in sorted(_keys(StabilitySpec))},
+    # Values read by their field's type.
+    "config-k1-not-a-number": _load("key scenario.k1 is not a number: 'abc'", scenario={**BASE_SC, "k1": "abc"}),
+    "config-m-not-an-integer": _load("key scenario.m is not an integer: '2.5'", scenario={**BASE_SC, "m": "2.5"}),
+    "config-clamp-not-a-boolean": _load("key fd.clamp_nonnegative is not a boolean: 'maybe'",
+                                        fd={"type": "kerner", "clamp_nonnegative": "maybe"}),
+    # Values the dataclasses refuse.
+    "config-fd-v-nan": _load("invalid fd: V must be finite, got nan", fd={"type": "greenshields", "v": "nan"}),
+    "config-fd-k-zero": _load("invalid fd: K must be positive, got 0.0", fd={"type": "greenshields", "k": "0"}),
+    "config-fd-w-negative": _load("invalid fd: W must be positive, got -5.0", fd={"type": "triangular", "w": "-5"}),
+    "config-fd-relax-time-inf": _load("invalid fd: relax_time must be finite, got inf",
+                                      fd={"type": "kerner", "relax_time": "inf"}),
+    "config-k1-above-K": _load(f"invalid scenario: k1 must lie in (0, K={G.K!r}]", scenario={**BASE_SC, "k1": "0.5"}),
+    **{f"config-{model}-{key}-{raw}": _load(f"invalid model: {rule}", run_sec={"model": model, key: raw})
+       for model, key, raw, rule in [("phillips", "t", "-1", "T must be positive, got -1.0"),
+                                     ("phillips", "t", "0", "T must be positive, got 0.0"),
+                                     ("phillips", "t", "nan", "T must be finite, got nan"),
+                                     ("jwz", "c0", "inf", "c0 must be finite, got inf")]},
+    **{f"config-stability-{key}-{raw}": _load(f"invalid stability: {rule}",
+                                               stability_sec={"amplitude": "0.02", "omega": "0.1", key: raw})
+       for key, raw, rule in [("amplitude", "-0.5", "amplitude must be nonnegative, got -0.5"),
+                              ("amplitude", "nan", "amplitude must be finite, got nan"),
+                              ("omega", "nan", "omega must be finite, got nan")]},
+    # The scenario's aliases.
+    "config-dt-and-dt-ratio": _load("give exactly one of scenario.dt and scenario.dt_ratio",
+                                    scenario={**BASE_SC, "dt_ratio": "0.35"}),
+    "config-m-and-vehicles": _load("give at most one of scenario.m and scenario.vehicles",
+                                   scenario={**BASE_SC, "m": "5", "vehicles": "5"}),
+    **{f"config-without-{key}": _load(f"missing required key scenario.{key}{alias}",
+                                      scenario={k: v for k, v in BASE_SC.items() if k != key})
+       for key, alias in (("dt", " or scenario.dt_ratio"), ("dn", ""))},
+    **{f"config-dn-{dn}": _load(f"key scenario.dn must be positive and finite, got {dn}",
+                                scenario={**BASE_SC, "dn": dn, "vehicles": "10"}) for dn in ("nan", "inf")},
+    "config-vehicles-negative": _load("keys scenario.vehicles and scenario.dn: vehicles must be nonnegative, got -3",
+                                      scenario={**BASE_SC, "vehicles": "-3"}),
+    # [run]'s choices.
+    "config-corrected-3": _load("unknown run.corrected '3'; expected one of none, 1, 2", run_sec={"corrected": "3"}),
+    "config-scheme-unknown": _load("unknown run.scheme 'leapfrog'; expected one of anisotropic, forward, arithmetic, "
+                                   "harmonic, explicit-explicit", run_sec={"scheme": "leapfrog"}),
+    "config-scheme-forward-with-phillips": _load("run.scheme 'forward' supports only model nonstandard",
+                                                 run_sec={"model": "phillips", "scheme": "forward"}),
+    "config-display-vehicles-zero": _load("key run.display_vehicles must be at least 1",
+                                          run_sec={"display_vehicles": "0"}),
+    # run.sweep's dn values.
+    "config-sweep-empty": _load("sweep needs at least one dn value", run_sec={"sweep": ""}),
+    **{f"config-sweep-{raw}": _load("sweep dn values must be positive and finite", run_sec={"sweep": raw})
+       for raw in ("-1.0", "1.0,nan", "inf")},
+    # Equal values were refused apart, as not distinct.
+    **{f"config-sweep-{raw}": _load(f"sweep dn values {raw.replace(',', ' and ')} both write trajectory_dn1.csv",
+                                    run_sec={"sweep": raw}) for raw in ("1.0,1.0", "1.0000001,1.0000002")},
+    # The config writer.
+    "serialize-unlisted-diagram": (serialize, {"spec": UNLISTED}, ConfigError, "cannot serialize diagram "),
 }
 
 # Rows whose caller, not its input, is at fault: Python's own TypeError.
@@ -289,3 +411,16 @@ def test_library_refuses_with_the_rows_exception_and_message(row):
     assert type(info.value) is cls
     assert (str(info.value) + "\n").startswith(message)
     assert issubclass(cls, TypeError if row in PROGRAMMER_ERRORS else (ValueError, ExperimentInvalid, OSError))
+
+
+# load_spec reuses one ConfigParser per process: a config it refuses, here
+# as configparser does, must leave nothing in it for the next one.
+@pytest.mark.parametrize("row", ["config-duplicate-key", "config-duplicate-section", "config-malformed-line"])
+def test_config_errors_leave_the_parser_clean(row):
+    test_library_refuses_with_the_rows_exception_and_message(row)
+    clean = template_text("greenshields-shock-a")
+    after = load_spec(clean)
+    parser, _ = _config_parser()
+    _config_parser.cache_clear()
+    assert _config_parser()[0] is not parser
+    assert after == load_spec(clean)
