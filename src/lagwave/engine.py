@@ -15,8 +15,11 @@ all: a scheme is a spacing stencil plus the choice of new or old speeds
 for the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
-row, with the bits of the allocating expressions it replaces.  Its float
-twin steps narrow anisotropic platoons, with the same bits, as the
+row, with the bits of the allocating expressions it replaces.  What a step
+reads is bound once per run as well: the run's constants as 0-d arrays,
+the views of its rows and the stencil's closure, so that a step pays
+numpy's per-call overhead only in its ufunc calls and allocates no row.
+Its float twin steps narrow anisotropic platoons, with the same bits, as the
 cascade that the anisotropic scheme makes of a platoon: each vehicle
 reads only the vehicle ahead, so it steps the leader's column and then
 each follower's column behind the one before it.  It fills the rows of
@@ -194,29 +197,43 @@ class Trajectory:
 
 
 # Spacing estimate per follower from the backward spacings s, written into
-# ``out``; ``tmp`` is a scratch row of the same length.  Forward and central
-# stencils also look at the follower behind; the last vehicle has none, so
-# they fall back to its backward spacing.  The anisotropic and
-# explicit-explicit schemes use s itself (None).
-def _forward(s, out, tmp):
-    out[:-1] = s[1:]
-    out[-1:] = s[-1:]
+# ``out``: each stencil binds the views of its rows once per run and returns
+# the step's closure.  Forward and central stencils also look at the follower
+# behind; the last vehicle has none, so they fall back to its backward
+# spacing.  The anisotropic and explicit-explicit schemes use s itself (None).
+def _forward(s, out):
+    head, behind, last, s_last = out[:-1], s[1:], out[-1:], s[-1:]
+
+    def stencil():
+        head[...] = behind
+        last[...] = s_last
+    return stencil
 
 
-def _arithmetic(s, out, tmp):
-    # 0.5 * (s[:-1] + s[1:])
-    np.add(s[:-1], s[1:], out=out[:-1])
-    np.multiply(0.5, out[:-1], out=out[:-1])
-    out[-1:] = s[-1:]
+def _arithmetic(s, out):
+    head, ahead, behind, last, s_last = out[:-1], s[:-1], s[1:], out[-1:], s[-1:]
+    half = np.array(0.5)
+
+    def stencil():
+        # 0.5 * (s[:-1] + s[1:])
+        np.add(ahead, behind, out=head)
+        np.multiply(half, head, out=head)
+        last[...] = s_last
+    return stencil
 
 
-def _harmonic(s, out, tmp):
-    # 2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])
-    np.multiply(2.0, s[:-1], out=out[:-1])
-    np.multiply(out[:-1], s[1:], out=out[:-1])
-    np.add(s[:-1], s[1:], out=tmp[:-1])
-    np.divide(out[:-1], tmp[:-1], out=out[:-1])
-    out[-1:] = s[-1:]
+def _harmonic(s, out):
+    head, ahead, behind, last, s_last = out[:-1], s[:-1], s[1:], out[-1:], s[-1:]
+    two, tmp = np.array(2.0), np.empty(len(head))
+
+    def stencil():
+        # 2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])
+        np.multiply(two, ahead, out=head)
+        np.multiply(head, behind, out=head)
+        np.add(ahead, behind, out=tmp)
+        np.divide(head, tmp, out=head)
+        last[...] = s_last
+    return stencil
 
 
 _STENCILS = {
@@ -264,44 +281,56 @@ def _step_kernel(
     its gaps, stencil, density, theta and update into those rows or into
     row j+1 itself, with the operands and operation order of the
     expressions quoted in the comments, so every value has the bits of
-    that allocating form.  These rows are the shape a batched kernel
-    starts from: stepping B runs of one shape together (ROADMAP's batch
-    axis) widens each to (B, M).
+    that allocating form.  What a step reads is bound once per run too,
+    because at a few hundred slots numpy's per-call overhead outweighs the
+    arithmetic: the run's float constants as 0-d float64 arrays, which
+    give a ufunc the bits of the Python float without converting it on
+    every call; the grid's rows and the slices of them that a step reads
+    as iterators over 2-D views; and the stencil as a closure over views
+    of its rows.  The leader's column is written in one call, since no
+    step reads a leader speed before its own row.  These rows are the
+    shape a batched kernel starts from: stepping B runs of one shape
+    together (ROADMAP's batch axis) widens each to (B, M).
     """
     clamp, r, antic_rate = _model_terms(model, dt)
-    stencil = _STENCILS[scheme]
     old_speeds = scheme is Scheme.EXPLICIT_EXPLICIT
-    S, jam_gap = fd.S, fd.S * dn
+    eta = fd._eta
+    S, K, jam_gap, dn, dt, one = map(np.array, (fd.S, fd.K, fd.S * dn, dn, dt, 1.0))
+    r, antic_rate = (None if c is None else np.array(c) for c in (r, antic_rate))
 
-    M = positions.shape[1] - 1
+    J, M = len(lead), positions.shape[1] - 1
     gaps, s = np.empty(M), np.empty(M)
-    est = s if stencil is None else np.empty(M)
-    tmp = np.empty(M) if scheme is Scheme.HARMONIC_CENTRAL else None
+    est = s if _STENCILS[scheme] is None else np.empty(M)
+    stencil = None if est is s else _STENCILS[scheme](s, est)
     # Without relaxation theta is the new speed, written straight into row j+1.
     th = None if r is None else np.empty(M)
     if antic_rate is not None:
         far, dv, antic = np.empty(M, dtype=bool), np.empty(M), np.empty(M)
     ceiling = np.empty(M) if clamp is Corrected2 else None
-    for j in range(len(lead)):
-        x, u, v, x_next = positions[j], speeds[j], speeds[j + 1], positions[j + 1]
-        new = v[1:]
-        np.subtract(x[:-1], x[1:], out=gaps)
+    speeds[1 : J + 1, 0] = lead
+    rows = zip(positions[:J], positions[:J, :-1], positions[:J, 1:], speeds[:J, :-1], speeds[:J, 1:],
+               speeds[1 : J + 1, 1:], speeds[:J] if old_speeds else speeds[1 : J + 1], positions[1 : J + 1])
+    for x, x_ahead, x_behind, u_ahead, u_behind, new, mover, x_next in rows:
+        np.subtract(x_ahead, x_behind, out=gaps)
         np.divide(gaps, dn, out=s)
         if stencil is not None:
-            stencil(s, est, tmp)
-        # theta(max(stencil(gaps / dn), S)); spacings clamped to >= S cannot
-        # fail theta's check, so the unchecked formulas are called.
+            stencil()
+        # theta(min(1.0 / max(stencil(gaps / dn), S), K)), the density clamped
+        # to K as ``_density`` clamps it; spacings clamped to >= S cannot fail
+        # theta's check, so the unchecked formula is called.
         np.maximum(est, S, out=est)
-        theta = fd._eta(fd._density(est, out=est), out=new if th is None else th)
+        np.divide(one, est, out=est)
+        np.minimum(est, K, out=est)
+        theta = eta(est, out=new if th is None else th)
         if r is not None:
             # theta + r * (u[1:] - theta)
-            np.subtract(u[1:], theta, out=new)
+            np.subtract(u_behind, theta, out=new)
             np.multiply(r, new, out=new)
             np.add(theta, new, out=new)
         if antic_rate is not None:
             # new + dt * c0 * where(|gaps| > 1e-12, (u[:-1] - u[1:]) / gaps, 0.0)
             np.greater(np.abs(gaps, out=dv), 1e-12, out=far)
-            np.subtract(u[:-1], u[1:], out=dv)
+            np.subtract(u_ahead, u_behind, out=dv)
             antic.fill(0.0)
             np.divide(dv, gaps, out=antic, where=far)
             np.multiply(antic_rate, antic, out=antic)
@@ -313,9 +342,8 @@ def _step_kernel(
                 np.divide(ceiling, dt, out=ceiling)
             np.minimum(new, theta if clamp is Corrected1 else ceiling, out=new)
             np.maximum(0.0, new, out=new)
-        v[0] = lead[j]
         # x + dt * (u if explicit-explicit else v)
-        np.multiply(dt, u if old_speeds else v, out=x_next)
+        np.multiply(dt, mover, out=x_next)
         np.add(x, x_next, out=x_next)
 
 

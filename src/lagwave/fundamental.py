@@ -103,8 +103,10 @@ class FundamentalDiagram(ABC):
     ``_eta(k, out=None)`` is one formula for two kinds of caller.  Without
     ``out`` it allocates its result, 0-d for a 0-d ``k``.  With ``out``,
     an array of ``k``'s shape, every step writes into ``out``, which is
-    returned; the stepping kernel passes its scratch rows, so that a step
-    allocates nothing.  ``out`` must not share memory with ``k``.  Either
+    returned, and no step allocates a temporary, not even a mask: the
+    triangular law clamps ``k`` into ``out`` with ``fmax``.  The stepping
+    kernel passes its scratch rows, so that a step allocates nothing.
+    ``out`` must not share memory with ``k``.  Either
     way ``k`` is left unchanged, and the result has the same bits.  The
     one scalar fast path is the sigmoid law's ``_sigmoid``: Brent's 0-d
     search in ``conditions`` reaches that law alone (the concave laws'
@@ -271,13 +273,13 @@ class TriangularFD(FundamentalDiagram):
         return (self.critical_density,)
 
     def _eta(self, k, out=None):
-        # min(V, W * (K / k - 1.0)), the congested branch infinite at and below
-        # kc/2 (and at NaN), where it exceeds 2V + W and the result is V anyway;
-        # K / k would overflow there for a subnormal k.
+        # min(V, W * (K / k - 1.0)) with k clamped up to kc/2, which fmax also
+        # takes for a NaN k: at and below kc/2 the congested branch is at least
+        # 2V + W, so the result is V, and K / k would overflow for a subnormal k.
         if out is None:
             out = np.empty_like(k)
-        out.fill(np.inf)
-        np.divide(self.K, k, out=out, where=k > 0.5 * self.critical_density)
+        np.fmax(k, 0.5 * self.critical_density, out=out)
+        np.divide(self.K, out, out=out)
         out -= 1.0
         out *= self.W
         return np.minimum(self.V, out, out=out)

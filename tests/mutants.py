@@ -61,6 +61,13 @@ MUTANTS = {
                             "the anticipation term is dropped behind a negative gap"),
     "float-corrected2-jam-gap": (ENGINE, "else (g - jam_gap) / dt", "else g / dt",
                                  "Corrected2's ceiling lets a follower close up past the jam gap"),
+    "stencil-last-slot-uncopied": (ENGINE, "        head[...] = behind\n        last[...] = s_last\n",
+                                   "        head[...] = behind\n",
+                                   "the forward stencil leaves the last follower's estimate as its scratch row "
+                                   "holds it, not its backward spacing"),
+    "triangular-nan-maximum": (FUNDAMENTAL, "np.fmax(k, 0.5 * self.critical_density, out=out)",
+                               "np.maximum(k, 0.5 * self.critical_density, out=out)",
+                               "the triangular law gives NaN at a NaN density, not V"),
     # The rest rule of the float kernel.
     "M05": (ENGINE, "return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))",
             "return a == b",
@@ -94,6 +101,10 @@ MUTANTS = {
             "equivalent: every value the peak takes a maximum with is |a| >= +0.0 or NaN, a record with steps "
             "feeds at least one, np.maximum passes a NaN from either side and max(-inf, +0.0) is +0.0, so "
             "the first value replaces either start with the same bits"),
+    # The block rule.
+    "block-last-row-ones": (ENGINE, "np.concatenate((a, np.zeros((1, v.shape[1]))))",
+                            "np.concatenate((a, np.ones((1, v.shape[1]))))",
+                            "the grid's last row gets accelerations of 1, not 0"),
     # The step-size thresholds.
     "threshold-boundary-at-K": (CONDITIONS, "return max(sup, float(-fd.eta_prime(K) * K * K)) if below_jam else sup",
                                 "return sup",

@@ -436,6 +436,60 @@ def test_a_triangular_run_at_the_newell_rate_is_newells_model(V, W, K, k1_share,
     assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+# Bit patterns where a ufunc's loops could part ways: signed zeros and
+# infinities, NaNs with payloads (quiet, signalling, negative), subnormals of
+# either sign, and the largest finite float.
+_ODD_BITS = (0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+             0x7FF0000000000001, 0xFFF8000000000123, 0x7FF4000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+             0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([np.subtract, np.divide, np.maximum, np.minimum, np.multiply, np.add, np.fmax]),
+       st.booleans(), st.sampled_from([1, 7, 961]),
+       st.one_of(st.sampled_from(_ODD_BITS), st.integers(0, 2**64 - 1)), st.integers(0, 2**32 - 1))
+def test_a_0d_operand_gives_the_bits_of_a_python_float(ufunc, first, width, bits, seed):
+    # The numpy kernel passes its run's constants as 0-d float64 arrays, and
+    # the laws pass Python floats; each ufunc it calls gives the same bytes
+    # either way, with the constant on either side, in place as the kernel
+    # writes, over widths that take SIMD bodies and tails.
+    rng = np.random.default_rng(seed)
+    row = rng.integers(0, 2**64, size=width, dtype=np.uint64)
+    odd = rng.random(width) < 0.5
+    row[odd] = rng.choice(np.array(_ODD_BITS, dtype=np.uint64), size=int(odd.sum()))
+    row = row.view(np.float64)
+    value = float(np.uint64(bits).view(np.float64))
+    assert np.array(value).view(np.uint64) == bits
+    results = []
+    for constant in (value, np.array(value)):
+        out = row.copy()
+        with np.errstate(all="ignore"):
+            ufunc(*((constant, out) if first else (out, constant)), out=out)
+        results.append(out.tobytes())
+    assert results[0] == results[1]
+
+
+def test_a_numpy_step_allocates_no_row():
+    # The kernel's scratch rows are allocated once per run: at 10 001 slots an
+    # anisotropic triangular run holds its gaps and spacings, two (M,) float
+    # rows, and no step allocates a row, not even an (M,) bool mask, so 200
+    # steps peak within 2 kB of 20 steps and below the two rows and one mask.
+    m, k1, dn = 10_000, 0.5 * T.K, 1.0 / 16.0
+    peaks = []
+    for steps in (20, 200):
+        x, v = np.empty((steps + 1, m + 1)), np.empty((steps + 1, m + 1))
+        x[0], v[0], lead = -np.arange(m + 1) * (dn / k1), T.eta(k1), np.full(steps, 5.0)
+        tracemalloc.start()
+        try:
+            _step_kernel(x, v, lead, T, dn, 0.01, NonstandardLWR(), Scheme.ANISOTROPIC_SYMPLECTIC)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(x)) and np.all(v[-1, 1:] > 0.0)
+    assert peaks[1] <= peaks[0] + 2048
+    assert peaks[1] < 2 * m * 8 + m
+
+
 def test_float_kernel_bits_hold_off_avx512():
     # numpy picks its SIMD loops per host, and the float kernel hard-codes the
     # tie and NaN rule of numpy's maximum and minimum; this child runs the

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from lagwave.conditions import check_concave, cfl_threshold, collision_free_threshold
@@ -245,8 +245,8 @@ def test_density_out_may_be_the_spacings(fd):
 
 
 def test_triangular_eta_divides_only_above_half_the_critical_density():
-    # Below kc/2 the congested branch exceeds 2V + W, so eta is V without K / k,
-    # which overflows for a subnormal k.
+    # Below kc/2 the congested branch exceeds 2V + W, so eta is V: the law
+    # divides K by max(k, kc/2), not by k, which overflows for a subnormal k.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert TriangularFD().eta(1e-310) == 20.0
@@ -254,6 +254,9 @@ def test_triangular_eta_divides_only_above_half_the_critical_density():
 
 @given(V=st.floats(0.1, 300.0), W=st.floats(0.1, 300.0), K=st.floats(1e-3, 10.0),
        fractions=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20))
+@example(V=20.0, W=5.0, K=1.0 / 7.0, fractions=[1.0]).via("the default law")
+@example(V=0.1, W=300.0, K=10.0, fractions=[0.5]).via("kc/2 near K/2")
+@example(V=300.0, W=0.1, K=1e-3, fractions=[2.0]).via("kc/2 near 0")
 def test_triangular_eta_keeps_its_bits_around_the_critical_density(V, W, K, fractions):
     fd = TriangularFD(V=V, W=W, K=K)
     kc = fd.critical_density
