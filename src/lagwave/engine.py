@@ -294,8 +294,8 @@ def _step_kernel(
     """
     clamp, r, antic_rate = _model_terms(model, dt)
     old_speeds = scheme is Scheme.EXPLICIT_EXPLICIT
-    eta = fd._eta
-    S, K, jam_gap, dn, dt, one = map(np.array, (fd.S, fd.K, fd.S * dn, dn, dt, 1.0))
+    density, eta = fd._density, fd._eta
+    S, jam_gap, dn, dt = map(np.array, (fd.S, fd.S * dn, dn, dt))
     r, antic_rate = (None if c is None else np.array(c) for c in (r, antic_rate))
 
     J, M = len(lead), positions.shape[1] - 1
@@ -315,13 +315,10 @@ def _step_kernel(
         np.divide(gaps, dn, out=s)
         if stencil is not None:
             stencil()
-        # theta(min(1.0 / max(stencil(gaps / dn), S), K)), the density clamped
-        # to K as ``_density`` clamps it; spacings clamped to >= S cannot fail
-        # theta's check, so the unchecked formula is called.
+        # theta(max(stencil(gaps / dn), S)); spacings clamped to >= S cannot
+        # fail theta's check, so the unchecked formulas are called.
         np.maximum(est, S, out=est)
-        np.divide(one, est, out=est)
-        np.minimum(est, K, out=est)
-        theta = eta(est, out=new if th is None else th)
+        theta = eta(density(est, out=est), out=new if th is None else th)
         if r is not None:
             # theta + r * (u[1:] - theta)
             np.subtract(u_behind, theta, out=new)

@@ -261,6 +261,14 @@ class TriangularFD(FundamentalDiagram):
     K: float = 1.0 / 7.0
     _positive = ("V", "W", "K")
 
+    def __post_init__(self):
+        super().__post_init__()
+        # eta divides K by max(k, kc/2), and at kc/2 its branch is 2V + W.
+        half = 0.5 * self.critical_density
+        if not (half > 0.0 and math.isfinite(self.W * (self.K / half - 1.0))):
+            raise ValueError(f"kc/2 = W*K/(V+W)/2 must be positive and W*(K/(kc/2) - 1) finite, "
+                             f"got V={self.V!r}, W={self.W!r}, K={self.K!r}")
+
     @property
     def critical_density(self) -> float:
         return self.W * self.K / (self.V + self.W)

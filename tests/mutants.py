@@ -68,6 +68,10 @@ MUTANTS = {
     "triangular-nan-maximum": (FUNDAMENTAL, "np.fmax(k, 0.5 * self.critical_density, out=out)",
                                "np.maximum(k, 0.5 * self.critical_density, out=out)",
                                "the triangular law gives NaN at a NaN density, not V"),
+    "triangular-kc-unrefused": (FUNDAMENTAL, "if not (half > 0.0 and math.isfinite(self.W * (self.K / half - 1.0))):",
+                                "if not half > 0.0:",
+                                "a triangular law whose branch K / (kc/2) or 2V + W overflows is built, and its "
+                                "eta warns"),
     # The rest rule of the float kernel.
     "M05": (ENGINE, "return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))",
             "return a == b",

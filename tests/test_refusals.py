@@ -192,6 +192,13 @@ LIBRARY_REFUSALS = {
     **{f"{cls.__name__}-{field}-{value!r}": (cls, {field: value}, ValueError,
                                              f"{field} must be positive, got {value!r}\n")
        for cls in SCALES for field in SCALES[cls] for value in (0.0, -1.0)},
+    # eta divides K by max(k, kc/2): kc/2 = 0 divides by zero, and a subnormal kc/2 or 2V + W overflows.
+    **{f"TriangularFD-{name}": (TriangularFD, kw, ValueError,
+                                "kc/2 = W*K/(V+W)/2 must be positive and W*(K/(kc/2) - 1) finite, got "
+                                + ", ".join(f"{k}={v!r}" for k, v in kw.items()) + "\n")
+       for name, kw in [("kc-zero", {"V": 1.0, "W": 1e-200, "K": 1e-200}),
+                        ("kc-subnormal", {"V": 1e10, "W": 1e-300, "K": 1.0}),
+                        ("branch-overflows", {"V": 1e308, "W": 1e307, "K": 1.0})]},
     # A non-empty string clamped: eta(K) read 0.0, where False gives -9.496764517068743e-08.
     "KernerFD-clamp_nonnegative-'false'": (KernerFD, {"clamp_nonnegative": "false"}, ValueError,
                                            "clamp_nonnegative must be a boolean, got 'false'\n"),

@@ -1,25 +1,27 @@
 """Record the benchmark's trajectory points, and compare two trees in pairs.
 
-    python3 tools/bench.py point --out BENCH_<name>.json [--rev REV] [--seeds 1,2,3]
-    python3 tools/bench.py pair --workload rival-audit --base REV [--change REV] [--pairs 10] [--seed 1]
+    python3 tools/bench.py point --out BENCH_<name>.json [--rev REV]
+    python3 tools/bench.py pair --workload rival-audit --base REV [--pairs 10] [--seed 1]
 
 Both modes run ``perfbench/run.py --trace 0`` with the run length of
 BENCHMARK.json, one run at a time, each in a fresh export of its tree:
-``git archive REV``, or the working tree's tracked and unignored files
-where no revision is given.  A run's full record, which the next run with
-the same arguments replaces, is copied to ``.perfbench_out/bench/`` as soon
-as it is written.
+``git archive REV``, or the working tree's tracked and unignored files,
+which are a point's tree where no revision is given and a pair's change.
+A run's full record, which the next run with the same arguments
+replaces, is copied to ``.perfbench_out/bench/`` as soon as it is
+written.
 
-``point`` runs every workload once per seed and writes, per workload, the
-median and quartiles over the seeds of the three bounded metrics,
-``setup_raw_s``, ``wall_raw_s`` and ``host_slowdown``, next to numpy's
-baseline and enabled CPU features.  Read ``setup_s`` next to
+``point`` runs every workload once per seed of ``SEEDS`` and writes, per
+workload, the median and quartiles over the seeds of the three bounded
+metrics, ``setup_raw_s``, ``wall_raw_s`` and ``host_slowdown``, next to
+numpy's baseline and enabled CPU features.  Read ``setup_s`` next to
 ``setup_raw_s``: the scaled set-up moves with the host's load.
 
-``pair`` runs one workload N times per tree, alternating which tree runs
-first, and prints each pair, then per metric the change's wins (lower in
-n of N, ties counting for neither), each side's median and quartiles and
-the median of the pairs' change/base ratios.
+``pair`` runs one workload N times on each of two trees, the base
+revision's and the working tree's, alternating which runs first, and
+prints each pair, then per metric the change's wins (lower in n of N,
+ties counting for neither), each side's median and quartiles and the
+median of the pairs' change/base ratios.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KEPT = os.path.join(ROOT, ".perfbench_out", "bench")
+SEEDS = (1, 2, 3)
 METRICS = ("setup_s", "wall_s", "peak_rss_mb", "setup_raw_s", "wall_raw_s", "host_slowdown")
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -95,7 +98,7 @@ def point(args) -> None:
     with tempfile.TemporaryDirectory() as tree:
         source = _export(args.rev, tree)
         for workload in (w["name"] for w in BENCH["workloads"]):
-            runs = [_run(tree, workload, seed, f"point-{workload}-seed{seed}.json") for seed in args.seeds]
+            runs = [_run(tree, workload, seed, f"point-{workload}-seed{seed}.json") for seed in SEEDS]
             print(f"{workload}: " + ", ".join(f"{m} {statistics.median(r[m] for r in runs):.6g}" for m in METRICS),
                   flush=True)
             workloads[workload] = {"failed": sum(r["failed"] for r in runs),
@@ -103,7 +106,7 @@ def point(args) -> None:
                                    **{m: {**_spread([r[m] for r in runs]), "runs": [r[m] for r in runs]}
                                       for m in METRICS}}
     import numpy
-    point = {"source": source, "seeds": args.seeds, "run_seconds": BENCH["run_seconds"],
+    point = {"source": source, "seeds": list(SEEDS), "run_seconds": BENCH["run_seconds"],
              "python": sys.version.split()[0], "numpy": numpy.__version__, "numpy_cpu_features": _cpu_features(),
              "workloads": workloads}
     with open(args.out, "w") as fh:
@@ -114,7 +117,7 @@ def point(args) -> None:
 def pair(args) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
-        for side, rev in (("base", args.base), ("change", args.change)):
+        for side, rev in (("base", args.base), ("change", None)):
             print(f"{side}: {_export(rev, trees[side])}", flush=True)
         runs = {"base": [], "change": []}
         for i in range(args.pairs):
@@ -139,15 +142,13 @@ def pair(args) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     modes = parser.add_subparsers(dest="mode", required=True)
-    p = modes.add_parser("point", help="every workload over fixed seeds, written as JSON")
+    p = modes.add_parser("point", help="every workload over SEEDS, written as JSON")
     p.add_argument("--out", required=True, help="the point's file, BENCH_<name>.json at the repository root")
     p.add_argument("--rev", help="the revision to measure; the working tree by default")
-    p.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")], default=[1, 2, 3])
     p.set_defaults(run=point)
-    p = modes.add_parser("pair", help="one workload, alternating runs of two trees")
+    p = modes.add_parser("pair", help="one workload, alternating runs of a revision and the working tree")
     p.add_argument("--workload", required=True, choices=[w["name"] for w in BENCH["workloads"]])
     p.add_argument("--base", required=True, help="the revision to compare against")
-    p.add_argument("--change", help="the revision to compare; the working tree by default")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(run=pair)
