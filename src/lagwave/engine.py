@@ -16,8 +16,8 @@ for the position update, a model is the speed update.  The kernel dispatches
 both once per run and steps in place: the per-vehicle rows it needs are
 allocated once, and each step writes into them and into the grid's next
 row, with the bits of the allocating expressions it replaces.  What a step
-reads is bound once per run as well: the run's constants as 0-d arrays,
-the views of its rows and the stencil's closure, so that a step pays
+reads is bound once per run as well: the run's constants as 0-d arrays
+and the views of its rows, its stencil's among them, so that a step pays
 numpy's per-call overhead only in its ufunc calls and allocates no row.
 Its float twin steps narrow anisotropic platoons, with the same bits, as the
 cascade that the anisotropic scheme makes of a platoon: each vehicle
@@ -196,55 +196,6 @@ class Trajectory:
         return np.arange(self.positions.shape[1]) * self.dn
 
 
-# Spacing estimate per follower from the backward spacings s, written into
-# ``out``: each stencil binds the views of its rows once per run and returns
-# the step's closure.  Forward and central stencils also look at the follower
-# behind; the last vehicle has none, so they fall back to its backward
-# spacing.  The anisotropic and explicit-explicit schemes use s itself (None).
-def _forward(s, out):
-    head, behind, last, s_last = out[:-1], s[1:], out[-1:], s[-1:]
-
-    def stencil():
-        head[...] = behind
-        last[...] = s_last
-    return stencil
-
-
-def _arithmetic(s, out):
-    head, ahead, behind, last, s_last = out[:-1], s[:-1], s[1:], out[-1:], s[-1:]
-    half = np.array(0.5)
-
-    def stencil():
-        # 0.5 * (s[:-1] + s[1:])
-        np.add(ahead, behind, out=head)
-        np.multiply(half, head, out=head)
-        last[...] = s_last
-    return stencil
-
-
-def _harmonic(s, out):
-    head, ahead, behind, last, s_last = out[:-1], s[:-1], s[1:], out[-1:], s[-1:]
-    two, tmp = np.array(2.0), np.empty(len(head))
-
-    def stencil():
-        # 2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])
-        np.multiply(two, ahead, out=head)
-        np.multiply(head, behind, out=head)
-        np.add(ahead, behind, out=tmp)
-        np.divide(head, tmp, out=head)
-        last[...] = s_last
-    return stencil
-
-
-_STENCILS = {
-    Scheme.ANISOTROPIC_SYMPLECTIC: None,
-    Scheme.EXPLICIT_EXPLICIT: None,
-    Scheme.FORWARD_SPACING: _forward,
-    Scheme.ARITHMETIC_CENTRAL: _arithmetic,
-    Scheme.HARMONIC_CENTRAL: _harmonic,
-}
-
-
 def _model_terms(model: Model, dt: float) -> tuple[type | None, float | None, float | None]:
     """The speed update's terms, dispatched once per run: the correction
     class or None, the relaxation factor r = 1 - dt / T or None, and the
@@ -286,9 +237,10 @@ def _step_kernel(
     arithmetic: the run's float constants as 0-d float64 arrays, which
     give a ufunc the bits of the Python float without converting it on
     every call; the grid's rows and the slices of them that a step reads
-    as iterators over 2-D views; and the stencil as a closure over views
-    of its rows.  The leader's column is written in one call, since no
-    step reads a leader speed before its own row.  These rows are the
+    as iterators over 2-D views; the stencil's rows as views; the scheme
+    as booleans, so that an anisotropic step pays one test for the
+    stencils.  The leader's column is written in one call, since no step
+    reads a leader speed before its own row.  These rows are the
     shape a batched kernel starts from: stepping B runs of one shape
     together (ROADMAP's batch axis) widens each to (B, M).
     """
@@ -300,8 +252,14 @@ def _step_kernel(
 
     J, M = len(lead), positions.shape[1] - 1
     gaps, s = np.empty(M), np.empty(M)
-    est = s if _STENCILS[scheme] is None else np.empty(M)
-    stencil = None if est is s else _STENCILS[scheme](s, est)
+    # Each follower's spacing estimate from the backward spacings s: the forward and central
+    # stencils also read the follower behind, so the last vehicle, which has none, keeps its
+    # backward spacing.  The anisotropic and explicit-explicit schemes use s itself.
+    arithmetic, harmonic = scheme is Scheme.ARITHMETIC_CENTRAL, scheme is Scheme.HARMONIC_CENTRAL
+    stencil = arithmetic or harmonic or scheme is Scheme.FORWARD_SPACING
+    est = np.empty(M) if stencil else s
+    head, last, ahead, behind, s_last = est[:-1], est[-1:], s[:-1], s[1:], s[-1:]
+    half, two, tmp = np.array(0.5), np.array(2.0), np.empty(len(head)) if harmonic else None
     # Without relaxation theta is the new speed, written straight into row j+1.
     th = None if r is None else np.empty(M)
     if antic_rate is not None:
@@ -313,8 +271,20 @@ def _step_kernel(
     for x, x_ahead, x_behind, u_ahead, u_behind, new, mover, x_next in rows:
         np.subtract(x_ahead, x_behind, out=gaps)
         np.divide(gaps, dn, out=s)
-        if stencil is not None:
-            stencil()
+        if stencil:
+            if arithmetic:
+                # 0.5 * (s[:-1] + s[1:])
+                np.add(ahead, behind, out=head)
+                np.multiply(half, head, out=head)
+            elif harmonic:
+                # 2.0 * s[:-1] * s[1:] / (s[:-1] + s[1:])
+                np.multiply(two, ahead, out=head)
+                np.multiply(head, behind, out=head)
+                np.add(ahead, behind, out=tmp)
+                np.divide(head, tmp, out=head)
+            else:
+                head[...] = behind  # s[1:]
+            last[...] = s_last  # each stencil's last slot, s[-1:]
         # theta(max(stencil(gaps / dn), S)); spacings clamped to >= S cannot
         # fail theta's check, so the unchecked formulas are called.
         np.maximum(est, S, out=est)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -71,6 +71,18 @@ def _typed_fields(cls) -> tuple[tuple[str, str], ...]:
     return tuple((f.name, f.type) for f in fields(cls) if f.type in _TYPES)
 
 
+def _overflow_ignored(method):
+    """``method`` evaluated under ``np.errstate(over="ignore")``, for the public
+    methods: a steep sigmoid's exp overflows to inf, which gives the sigmoid's
+    exact limit, and ``theta_prime``'s s * s overflows past s = 1.3e154,
+    where the quotient is then 0, its limit."""
+    @wraps(method)
+    def evaluated(*args, **kwargs):
+        with np.errstate(over="ignore"):
+            return method(*args, **kwargs)
+    return evaluated
+
+
 class FundamentalDiagram(ABC):
     """Common interface for speed-density laws.
 
@@ -88,10 +100,11 @@ class FundamentalDiagram(ABC):
     in [0, K], and ``_eta``'s scalar formula ``_eta_float``; they check
     nothing.  The public methods (``eta`` and its derivatives, the flow
     ``phi``, the spacing form ``theta``) live here only: each checks its
-    input once, refusing NaN and values outside the domain, and returns
-    a plain float for scalar input.  Library code that builds its own
-    in-range arrays calls the formulas (and ``_density``, the density of
-    a spacing) directly.  The scalar formula is ``_eta`` on one Python
+    input once, refusing NaN and values outside the domain, evaluates
+    with overflow ignored and returns a plain float for scalar input.
+    Library code that builds its own in-range arrays calls the formulas
+    (and ``_density``, the density of a spacing) directly, under an
+    errstate of its own.  The scalar formula is ``_eta`` on one Python
     float density in [0, K] or NaN, with the same bits, as a closure over
     the law's constants built once per run: the float stepping kernel
     steps a platoon as a cascade, each follower's column behind its
@@ -138,23 +151,28 @@ class FundamentalDiagram(ABC):
 
     # -- Eulerian form -------------------------------------------------
 
+    @_overflow_ignored
     def eta(self, k):
         """Equilibrium speed at density ``k``, for ``0 <= k <= K``."""
         return _descalar(self._eta(self._check_density(k)))
 
+    @_overflow_ignored
     def eta_prime(self, k):
         """Derivative of ``eta`` (one-sided, congested branch at kinks)."""
         return _descalar(self._eta_prime(self._check_density(k)))
 
+    @_overflow_ignored
     def eta_second(self, k):
         """Second derivative of ``eta`` (same one-sided convention)."""
         return _descalar(self._eta_second(self._check_density(k)))
 
+    @_overflow_ignored
     def phi(self, k):
         """Equilibrium flow ``k * eta(k)``."""
         k = self._check_density(k)
         return _descalar(k * self._eta(k))
 
+    @_overflow_ignored
     def phi_prime(self, k):
         """Characteristic (kinematic wave) speed ``eta + k * eta_prime``."""
         k = self._check_density(k)
@@ -180,15 +198,16 @@ class FundamentalDiagram(ABC):
 
     # -- Lagrangian form -----------------------------------------------
 
+    @_overflow_ignored
     def theta(self, s):
         """Equilibrium speed at spacing ``s >= S``; ``theta(s) = eta(1/s)``."""
         return _descalar(self._eta(self._density(self._check_spacing(s))))
 
+    @_overflow_ignored
     def theta_prime(self, s):
         """Derivative of the spacing form: ``-eta_prime(1/s) / s**2``."""
         s = self._check_spacing(s)
-        with np.errstate(over="ignore"):  # s * s overflows past s = 1.3e154; the quotient is then 0, its limit
-            return _descalar(-self._eta_prime(self._density(s)) / (s * s))
+        return _descalar(-self._eta_prime(self._density(s)) / (s * s))
 
     def _density(self, s, out=None):
         """Density ``min(1/s, K)`` of a float array of spacings >= S,
@@ -267,6 +286,12 @@ class TriangularFD(FundamentalDiagram):
         half = 0.5 * self.critical_density
         if not (half > 0.0 and math.isfinite(self.W * (self.K / half - 1.0))):
             raise ValueError(f"kc/2 = W*K/(V+W)/2 must be positive and W*(K/(kc/2) - 1) finite, "
+                             f"got V={self.V!r}, W={self.W!r}, K={self.K!r}")
+        # eta_prime and eta_second divide W*K by k*k and k**3, which are least at kc:
+        # both quotients are finite where 2*W*K / min(kc, 1)**3 is.
+        cube = min(self.critical_density, 1.0) ** 3
+        if not (cube > 0.0 and math.isfinite(2.0 * self.W * self.K / cube)):
+            raise ValueError(f"kc**3 = (W*K/(V+W))**3 must be positive and 2*W*K/kc**3 finite, "
                              f"got V={self.V!r}, W={self.W!r}, K={self.K!r}")
 
     @property

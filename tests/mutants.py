@@ -61,10 +61,11 @@ MUTANTS = {
                             "the anticipation term is dropped behind a negative gap"),
     "float-corrected2-jam-gap": (ENGINE, "else (g - jam_gap) / dt", "else g / dt",
                                  "Corrected2's ceiling lets a follower close up past the jam gap"),
-    "stencil-last-slot-uncopied": (ENGINE, "        head[...] = behind\n        last[...] = s_last\n",
-                                   "        head[...] = behind\n",
-                                   "the forward stencil leaves the last follower's estimate as its scratch row "
-                                   "holds it, not its backward spacing"),
+    "stencil-last-slot-uncopied": (ENGINE, "head[...] = behind  # s[1:]\n"
+                                           "            last[...] = s_last  # each stencil's last slot, s[-1:]\n",
+                                   "head[...] = behind  # s[1:]\n",
+                                   "the forward and central stencils leave the last follower's estimate as their "
+                                   "scratch row holds it, not its backward spacing"),
     "triangular-nan-maximum": (FUNDAMENTAL, "np.fmax(k, 0.5 * self.critical_density, out=out)",
                                "np.maximum(k, 0.5 * self.critical_density, out=out)",
                                "the triangular law gives NaN at a NaN density, not V"),
@@ -72,6 +73,15 @@ MUTANTS = {
                                 "if not half > 0.0:",
                                 "a triangular law whose branch K / (kc/2) or 2V + W overflows is built, and its "
                                 "eta warns"),
+    "triangular-cube-unrefused": (FUNDAMENTAL,
+                                  "if not (cube > 0.0 and math.isfinite(2.0 * self.W * self.K / cube)):",
+                                  "if not cube > 0.0:",
+                                  "a triangular law whose W*K overflows is built, with an infinite critical density "
+                                  "and eta -W everywhere"),
+    "public-overflow-warns": (FUNDAMENTAL, 'with np.errstate(over="ignore"):\n            return method(',
+                              'with np.errstate():\n            return method(',
+                              "a steep sigmoid's public methods warn that exp overflows, where the value is the "
+                              "sigmoid's limit"),
     # The rest rule of the float kernel.
     "M05": (ENGINE, "return a == b and (a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))",
             "return a == b",

@@ -330,6 +330,20 @@ def _row_zero(draw):
          Scheme.ARITHMETIC_CENTRAL, KERNEL_MODELS[4], 1.0).via("width 2, at jam")
 @example((KernerFD(), 0.5, np.array([0.0, 0.0, -np.inf]), np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0])),
          Scheme.FORWARD_SPACING, KERNEL_MODELS[2], 0.35).via("width 3, zero gap, inf position")
+# Each stencil at M = 0, where it has no follower, and at M = 1, where its one
+# follower has none behind and keeps its backward spacing.
+@example((GreenshieldsFD(), 1.0, np.array([2.0]), np.array([4.0]), np.array([1.0, 3.0])),
+         Scheme.FORWARD_SPACING, KERNEL_MODELS[0], 1.0).via("forward, M = 0")
+@example((TriangularFD(), 0.5, np.array([0.0, -9.0]), np.array([5.0, 7.0]), np.array([5.0, 0.0])),
+         Scheme.FORWARD_SPACING, KERNEL_MODELS[1], 0.35).via("forward, M = 1")
+@example((KernerFD(), 1.0, np.array([-3.0]), np.array([0.0]), np.array([2.0])),
+         Scheme.ARITHMETIC_CENTRAL, KERNEL_MODELS[2], 1.0).via("arithmetic, M = 0")
+@example((KernerFD(clamp_nonnegative=False), 0.1, np.array([0.0, -0.3]), np.array([8.0, 2.0]), np.array([8.0, 8.0])),
+         Scheme.ARITHMETIC_CENTRAL, KERNEL_MODELS[0], 0.35).via("arithmetic, M = 1")
+@example((GreenshieldsFD(), 0.5, np.array([0.0]), np.array([1.0]), np.array([0.0, 6.0])),
+         Scheme.HARMONIC_CENTRAL, KERNEL_MODELS[4], 3.0).via("harmonic, M = 0")
+@example((TriangularFD(), 1.0, np.array([0.0, -12.0]), np.array([6.0, 6.0]), np.array([6.0, 2.0, 0.0])),
+         Scheme.HARMONIC_CENTRAL, KERNEL_MODELS[0], 1.0).via("harmonic, M = 1")
 @example((KernerFD(), 1.0, -np.cumsum(np.tile([0.0, 3.0, 5.6, 40.0], 4)), np.linspace(-2.0, 30.0, 16),
           np.array([3.0, 0.0, 8.0])), Scheme.ANISOTROPIC_SYMPLECTIC, KERNEL_MODELS[3], 0.35).via("width 16")
 @example((TriangularFD(), 0.5, -np.cumsum(np.tile([0.0, 3.5, 3.6, 20.0], 5)[:17]), np.linspace(30.0, -2.0, 17),
@@ -469,11 +483,18 @@ def test_a_0d_operand_gives_the_bits_of_a_python_float(ufunc, first, width, bits
     assert results[0] == results[1]
 
 
-def test_a_numpy_step_allocates_no_row():
-    # The kernel's scratch rows are allocated once per run: at 10 001 slots an
-    # anisotropic triangular run holds its gaps and spacings, two (M,) float
-    # rows, and no step allocates a row, not even an (M,) bool mask, so 200
-    # steps peak within 2 kB of 20 steps and below the two rows and one mask.
+# The (M,) float scratch rows a triangular run of each scheme holds: gaps and
+# spacings, the stencils' estimate, and the harmonic stencil's (M-1,) sums.
+SCRATCH_ROWS = {Scheme.ANISOTROPIC_SYMPLECTIC: 2, Scheme.EXPLICIT_EXPLICIT: 2, Scheme.FORWARD_SPACING: 3,
+                Scheme.ARITHMETIC_CENTRAL: 3, Scheme.HARMONIC_CENTRAL: 4}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+def test_a_numpy_step_allocates_no_row(scheme):
+    # The kernel's scratch rows are allocated once per run: at 10 001 slots a
+    # triangular run holds its scheme's float rows, and no step allocates a
+    # row, not even an (M,) bool mask, so 200 steps peak within 2 kB of 20
+    # steps and below the scheme's rows and one mask.
     m, k1, dn = 10_000, 0.5 * T.K, 1.0 / 16.0
     peaks = []
     for steps in (20, 200):
@@ -481,13 +502,15 @@ def test_a_numpy_step_allocates_no_row():
         x[0], v[0], lead = -np.arange(m + 1) * (dn / k1), T.eta(k1), np.full(steps, 5.0)
         tracemalloc.start()
         try:
-            _step_kernel(x, v, lead, T, dn, 0.01, NonstandardLWR(), Scheme.ANISOTROPIC_SYMPLECTIC)
+            _step_kernel(x, v, lead, T, dn, 0.01, NonstandardLWR(), scheme)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert np.all(np.isfinite(x)) and np.all(v[-1, 1:] > 0.0)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+        # The forward stencil alone stops some followers within these steps.
+        assert np.all(v[-1, 1:] > 0.0) or scheme is Scheme.FORWARD_SPACING
     assert peaks[1] <= peaks[0] + 2048
-    assert peaks[1] < 2 * m * 8 + m
+    assert peaks[1] < SCRATCH_ROWS[scheme] * m * 8 + m
 
 
 def test_float_kernel_bits_hold_off_avx512():

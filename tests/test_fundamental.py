@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
+from lagwave.analysis import diffusion_coefficient, eulerian_dispersion_roots
 from lagwave.conditions import check_concave, cfl_threshold, collision_free_threshold
 from lagwave.engine import Scenario, simulate
 from lagwave.fundamental import (
@@ -20,6 +21,7 @@ from lagwave.fundamental import (
     KernerFD,
     TriangularFD,
 )
+from lagwave.riemann import shock_speed_rh
 
 G = GreenshieldsFD()
 T = TriangularFD()
@@ -227,6 +229,32 @@ def test_sigmoid_keeps_the_written_out_bits(fd):
         assert fd._sigmoid(k, out=buf) is buf
         assert _bits(buf) == _bits(1.0 / (1.0 + np.exp((ks / fd.K - fd.c2) / fd.c3)))
     assert _bits(k) == _bits(ks)
+
+
+@pytest.mark.parametrize("fd", STEEP_KERNER, ids=repr)
+def test_a_steep_sigmoid_gives_its_limit_at_jam_without_a_warning(fd):
+    # At K and S a steep sigmoid's exp overflows to inf, which gives its exact
+    # limit: the public methods, and the library's calls of them, return the
+    # formula's value and warn nothing.
+    K, S = np.asarray(fd.K), np.asarray(fd.S)
+    calls = {"eta": lambda: fd.eta(K), "eta_prime": lambda: fd.eta_prime(K), "eta_second": lambda: fd.eta_second(K),
+             "phi": lambda: fd.phi(K), "phi_prime": lambda: fd.phi_prime(K), "theta": lambda: fd.theta(S),
+             "theta_prime": lambda: fd.theta_prime(S), "shock_speed_rh": lambda: shock_speed_rh(fd, 0.5 * fd.K, fd.K),
+             "diffusion_coefficient": lambda: diffusion_coefficient(fd, fd.K, 5.0),
+             "eulerian_dispersion_roots": lambda: eulerian_dispersion_roots(fd, fd.K, 5.0, 0.1)}
+    with np.errstate(over="ignore"):
+        eta, eta_prime = fd._eta(K), fd._eta_prime(K)
+        formulas = {"eta": eta, "eta_prime": eta_prime, "eta_second": fd._eta_second(K), "phi": K * eta,
+                    "phi_prime": eta + K * eta_prime, "theta": fd._eta(fd._density(S)),
+                    "theta_prime": -fd._eta_prime(fd._density(S)) / (S * S)}
+        want = {name: call() for name, call in calls.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {name: call() for name, call in calls.items()}
+    assert got == want
+    assert {name: _bits(got[name]) for name in formulas} == {name: _bits(x) for name, x in formulas.items()}
+    # The sigmoid's limit at jam is 0, so eta(K) is amplitude * -c4, floored at 0 when clamped.
+    assert got["eta"] == (0.0 if fd.clamp_nonnegative else -fd.c4 * fd.amplitude)
 
 
 def test_eta_out_keeps_the_triangular_nan_and_nonpositive_densities():

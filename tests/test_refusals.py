@@ -199,6 +199,13 @@ LIBRARY_REFUSALS = {
        for name, kw in [("kc-zero", {"V": 1.0, "W": 1e-200, "K": 1e-200}),
                         ("kc-subnormal", {"V": 1e10, "W": 1e-300, "K": 1.0}),
                         ("branch-overflows", {"V": 1e308, "W": 1e307, "K": 1.0})]},
+    # eta_prime and eta_second divide W*K by k*k and k**3: kc**3 underflows to 0 (divide by zero), or
+    # W*K overflows, which made kc infinite and eta -W everywhere.
+    **{f"TriangularFD-{name}": (TriangularFD, kw, ValueError,
+                                "kc**3 = (W*K/(V+W))**3 must be positive and 2*W*K/kc**3 finite, got "
+                                + ", ".join(f"{k}={v!r}" for k, v in kw.items()) + "\n")
+       for name, kw in [("kc-cube-underflows", {"V": 1.0, "W": 1e-100, "K": 1e-100}),
+                        ("wk-overflows", {"V": 1.0, "W": 1e200, "K": 1e200})]},
     # A non-empty string clamped: eta(K) read 0.0, where False gives -9.496764517068743e-08.
     "KernerFD-clamp_nonnegative-'false'": (KernerFD, {"clamp_nonnegative": "false"}, ValueError,
                                            "clamp_nonnegative must be a boolean, got 'false'\n"),

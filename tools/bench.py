@@ -15,7 +15,9 @@ written.
 workload, the median and quartiles over the seeds of the three bounded
 metrics, ``setup_raw_s``, ``wall_raw_s`` and ``host_slowdown``, next to
 numpy's baseline and enabled CPU features.  Read ``setup_s`` next to
-``setup_raw_s``: the scaled set-up moves with the host's load.
+``setup_raw_s``: the scaled set-up moves with the host's load.  Then it
+runs tier-1 (``TIER1``) in the same tree and records its wall time, its
+closing summary line and its 10 slowest tests.
 
 ``pair`` runs one workload N times on each of two trees, the base
 revision's and the working tree's, alternating which runs first, and
@@ -29,17 +31,21 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KEPT = os.path.join(ROOT, ".perfbench_out", "bench")
 SEEDS = (1, 2, 3)
 METRICS = ("setup_s", "wall_s", "peak_rss_mb", "setup_raw_s", "wall_raw_s", "host_slowdown")
+# ROADMAP's tier-1 command, with src/ on the path, plus pytest's 10 slowest tests.
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     BENCH = json.load(fh)
@@ -79,6 +85,20 @@ def _run(tree: str, workload: str, seed: int, keep_as: str) -> dict:
     return {"failed": record["failed"], "attempted": record["attempted"], **{m: metrics[m] for m in METRICS}}
 
 
+def _tier1(tree: str) -> dict:
+    """Tier-1 in ``tree``: its wall time, its closing summary line and its 10 slowest tests."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ("src", os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=3600)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    durations = re.compile(r"(\d+\.\d+)s (\w+) +(.+)$")
+    slowest = [m.groups() for m in map(durations.match, lines) if m]
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1), "wall_s": wall, "summary": lines[-1] if lines else "",
+            "slowest": [{"s": float(s), "phase": phase, "test": test} for s, phase, test in slowest]}
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
@@ -105,10 +125,12 @@ def point(args) -> None:
                                    "attempted": sum(r["attempted"] for r in runs),
                                    **{m: {**_spread([r[m] for r in runs]), "runs": [r[m] for r in runs]}
                                       for m in METRICS}}
+        tier1 = _tier1(tree)
+        print(f"tier-1: {tier1['summary']}, {tier1['wall_s']:.1f} s wall", flush=True)
     import numpy
     point = {"source": source, "seeds": list(SEEDS), "run_seconds": BENCH["run_seconds"],
              "python": sys.version.split()[0], "numpy": numpy.__version__, "numpy_cpu_features": _cpu_features(),
-             "workloads": workloads}
+             "workloads": workloads, "tier1": tier1}
     with open(args.out, "w") as fh:
         json.dump(point, fh, indent=1)
         fh.write("\n")
