@@ -193,6 +193,13 @@ class _Crossings:
     are excluded.  The crossing is interpolated between its row and the row
     before, which for a block's first row is the last row of the block
     before, kept as a copy.  ``what`` names the crossings in a fit's error.
+
+    A block is searched with one reduction over its rows, each follower's
+    extreme speed (``np.fmax`` rising, ``np.fmin`` falling), which tells the
+    followers that pass the level in it; the comparison and the search for
+    the first row past the level run only on those followers' columns.  So
+    no block-sized mask is built, nor the transposed copy that a search down
+    its columns would make.
     """
 
     def __init__(self, level: float, rising: bool, what: str = "crossings"):
@@ -201,20 +208,21 @@ class _Crossings:
 
     def add(self, t: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
         level = self.level
-        past = v[:, 1:] >= level if self.rising else v[:, 1:] <= level
+        past, extreme = (np.greater_equal, np.fmax) if self.rising else (np.less_equal, np.fmin)
         if self.waiting is None:
             # The followers that may still cross, and each one's crossing.
-            self.waiting = ~past[0]
+            self.waiting = ~past(v[0, 1:], level)
             self.found = np.zeros_like(self.waiting)
-            self.ts, self.xs = np.empty(past.shape[1]), np.empty(past.shape[1])
-        # The first row past the level in this block, per follower; a
-        # follower without one gets row 0, which is not past the level.
-        first = past.argmax(axis=0)
-        hits = np.flatnonzero(self.waiting & past[first, np.arange(past.shape[1])])
+            self.ts, self.xs = np.empty(self.waiting.size), np.empty(self.waiting.size)
+        # A follower passes the level in this block where its extreme speed does:
+        # fmax and fmin skip a NaN, which passes no comparison either.
+        hits = np.flatnonzero(self.waiting & past(extreme.reduce(v[:, 1:], axis=0), level))
         if hits.size:
             self.waiting[hits] = False
             self.found[hits] = True
-            j, m = first[hits], hits + 1
+            m = hits + 1
+            # The first row past the level, searched along each crossing follower's column.
+            j = past(v.T[m], level).argmax(axis=1)
             # The row before; j - 1 = -1 reads the block's last row, replaced
             # at a block's first row by the row that came before it.
             t0, x0, v0 = t[j - 1], x[j - 1, m], v[j - 1, m]

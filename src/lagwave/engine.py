@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fundamental import FundamentalDiagram, _check_fields
+from .fundamental import FundamentalDiagram, _check_fields, _zero_d
 
 __all__ = [
     "Scheme",
@@ -236,7 +236,9 @@ def _step_kernel(
     because at a few hundred slots numpy's per-call overhead outweighs the
     arithmetic: the run's float constants as 0-d float64 arrays, which
     give a ufunc the bits of the Python float without converting it on
-    every call; the grid's rows and the slices of them that a step reads
+    every call, as the law's are (``FundamentalDiagram._operands``), so
+    that a step converts no Python float and evaluates no property; the
+    grid's rows and the slices of them that a step reads
     as iterators over 2-D views; the stencil's rows as views; the scheme
     as booleans, so that an anisotropic step pays one test for the
     stencils.  The leader's column is written in one call, since no step
@@ -247,7 +249,7 @@ def _step_kernel(
     clamp, r, antic_rate = _model_terms(model, dt)
     old_speeds = scheme is Scheme.EXPLICIT_EXPLICIT
     density, eta = fd._density, fd._eta
-    S, jam_gap, dn, dt = map(np.array, (fd.S, fd.S * dn, dn, dt))
+    S, jam_gap, dn, dt = _zero_d(fd.S, fd.S * dn, dn, dt)
     r, antic_rate = (None if c is None else np.array(c) for c in (r, antic_rate))
 
     J, M = len(lead), positions.shape[1] - 1
@@ -259,7 +261,8 @@ def _step_kernel(
     stencil = arithmetic or harmonic or scheme is Scheme.FORWARD_SPACING
     est = np.empty(M) if stencil else s
     head, last, ahead, behind, s_last = est[:-1], est[-1:], s[:-1], s[1:], s[-1:]
-    half, two, tmp = np.array(0.5), np.array(2.0), np.empty(len(head)) if harmonic else None
+    zero, half, two, tol = _zero_d(0.0, 0.5, 2.0, 1e-12)
+    tmp = np.empty(len(head)) if harmonic else None
     # Without relaxation theta is the new speed, written straight into row j+1.
     th = None if r is None else np.empty(M)
     if antic_rate is not None:
@@ -296,9 +299,9 @@ def _step_kernel(
             np.add(theta, new, out=new)
         if antic_rate is not None:
             # new + dt * c0 * where(|gaps| > 1e-12, (u[:-1] - u[1:]) / gaps, 0.0)
-            np.greater(np.abs(gaps, out=dv), 1e-12, out=far)
+            np.greater(np.abs(gaps, out=dv), tol, out=far)
             np.subtract(u_ahead, u_behind, out=dv)
-            antic.fill(0.0)
+            antic.fill(zero)
             np.divide(dv, gaps, out=antic, where=far)
             np.multiply(antic_rate, antic, out=antic)
             np.add(new, antic, out=new)
@@ -308,7 +311,7 @@ def _step_kernel(
                 np.subtract(gaps, jam_gap, out=ceiling)
                 np.divide(ceiling, dt, out=ceiling)
             np.minimum(new, theta if clamp is Corrected1 else ceiling, out=new)
-            np.maximum(0.0, new, out=new)
+            np.maximum(zero, new, out=new)
         # x + dt * (u if explicit-explicit else v)
         np.multiply(dt, mover, out=x_next)
         np.add(x, x_next, out=x_next)

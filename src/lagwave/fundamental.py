@@ -13,9 +13,10 @@ matching shape (plain ``float`` for scalar input).
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from functools import cache, wraps
+from functools import cache, cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -125,6 +126,19 @@ class FundamentalDiagram(ABC):
     search in ``conditions`` reaches that law alone (the concave laws'
     ``critical_rate`` short-circuits it), and there numpy scalar
     arithmetic is faster than ufunc calls given ``out=``.
+
+    ``_density`` and the concave laws' ``_eta`` read every constant
+    operand (1.0, K, V, W and kc/2) from ``_operands``: 0-d float64
+    arrays, which a ufunc reads with the bits of the Python floats
+    without converting them on every call, bound once per diagram by a
+    ``cached_property``.  It lives in the instance's ``__dict__``, out of
+    the dataclass's fields, so ``==``, ``hash``, ``repr`` and
+    ``serialize`` do not see it.  The sigmoid's formulas keep their
+    Python floats, which Brent's 0-d search runs faster on; no template,
+    demo or workload steps a sigmoid run wider than
+    ``engine._FLOAT_SLOTS``, so the numpy kernel does not step one there.
+    Construction also refuses a K whose jam spacing's square S*S is not
+    a normal float, which ``theta_prime`` divides by.
     """
 
     K: float
@@ -133,6 +147,21 @@ class FundamentalDiagram(ABC):
 
     def __post_init__(self):
         _check_fields(self, self._positive)
+        self._check_constants()
+        # theta_prime divides by s * s, least at S: below the least normal float it
+        # loses bits, and below the least subnormal it is 0 and the quotient inf or NaN.
+        if not self.S * self.S >= sys.float_info.min:
+            raise ValueError(f"S*S = (1/K)**2 must be a normal float, got K={self.K!r}")
+
+    def _check_constants(self) -> None:
+        """Refuse constants of the law's own that its formulas cannot evaluate; run
+        after the fields' checks and before the jam spacing's."""
+
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, ...]:
+        """The array formulas' constant operands, 1.0 and K (which ``_density``
+        reads) and then the law's own, as 0-d float64 arrays, bound once per diagram."""
+        return _zero_d(1.0, self.K)
 
     @property
     def S(self) -> float:
@@ -212,8 +241,9 @@ class FundamentalDiagram(ABC):
     def _density(self, s, out=None):
         """Density ``min(1/s, K)`` of a float array of spacings >= S,
         unchecked; ``out`` may be ``s`` itself."""
+        one, K = self._operands[:2]
         # 1/s can land one ulp above K when s == S; clamp back into range.
-        return np.minimum(np.divide(1.0, s, out=out), self.K, out=out)
+        return np.minimum(np.divide(one, s, out=out), K, out=out)
 
     # -- helpers -------------------------------------------------------
 
@@ -229,6 +259,12 @@ class FundamentalDiagram(ABC):
         if not np.all(s >= self.S * (1.0 - 1e-12)):
             raise SpacingBelowJam(f"spacing must be a number at or above the jam spacing S={self.S!r}")
         return s
+
+
+def _zero_d(*values: float) -> tuple[np.ndarray, ...]:
+    """Each value as a 0-d float64 array: a ufunc reads it with the bits of the
+    Python float, without converting it on every call."""
+    return tuple(np.array(v, dtype=np.float64) for v in values)
 
 
 def _descalar(x):
@@ -249,10 +285,15 @@ class GreenshieldsFD(FundamentalDiagram):
     def critical_rate(self) -> float:
         return self.V * self.K
 
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, ...]:
+        return _zero_d(1.0, self.K, self.V)
+
     def _eta(self, k, out=None):
         # V * (1.0 - k / K)
-        x = np.subtract(1.0, np.divide(k, self.K, out=out), out=out)
-        x *= self.V
+        one, K, V = self._operands
+        x = np.subtract(one, np.divide(k, K, out=out), out=out)
+        x *= V
         return x
 
     def _eta_float(self):
@@ -280,8 +321,7 @@ class TriangularFD(FundamentalDiagram):
     K: float = 1.0 / 7.0
     _positive = ("V", "W", "K")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_constants(self):
         # eta divides K by max(k, kc/2), and at kc/2 its branch is 2V + W.
         half = 0.5 * self.critical_density
         if not (half > 0.0 and math.isfinite(self.W * (self.K / half - 1.0))):
@@ -305,17 +345,22 @@ class TriangularFD(FundamentalDiagram):
     def kinks(self) -> tuple[float, ...]:
         return (self.critical_density,)
 
+    @cached_property
+    def _operands(self) -> tuple[np.ndarray, ...]:
+        return _zero_d(1.0, self.K, self.V, self.W, 0.5 * self.critical_density)
+
     def _eta(self, k, out=None):
         # min(V, W * (K / k - 1.0)) with k clamped up to kc/2, which fmax also
         # takes for a NaN k: at and below kc/2 the congested branch is at least
         # 2V + W, so the result is V, and K / k would overflow for a subnormal k.
+        one, K, V, W, half = self._operands
         if out is None:
             out = np.empty_like(k)
-        np.fmax(k, 0.5 * self.critical_density, out=out)
-        np.divide(self.K, out, out=out)
-        out -= 1.0
-        out *= self.W
-        return np.minimum(self.V, out, out=out)
+        np.fmax(k, half, out=out)
+        np.divide(K, out, out=out)
+        out -= one
+        out *= W
+        return np.minimum(V, out, out=out)
 
     def _eta_float(self):
         # V at or below kc/2 and at NaN, else numpy's minimum of the finite V and the branch.

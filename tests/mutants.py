@@ -56,8 +56,8 @@ MUTANTS = {
             "a NaN speed under a finite ceiling takes the ceiling"),
     "float-jwz-guard-abs": (ENGINE, "if abs(g) > 1e-12 else 0.0", "if g > 1e-12 else 0.0",
                             "the anticipation term is dropped behind a negative gap"),
-    "numpy-jwz-guard-abs": (ENGINE, "np.greater(np.abs(gaps, out=dv), 1e-12, out=far)",
-                            "np.greater(gaps, 1e-12, out=far)",
+    "numpy-jwz-guard-abs": (ENGINE, "np.greater(np.abs(gaps, out=dv), tol, out=far)",
+                            "np.greater(gaps, tol, out=far)",
                             "the anticipation term is dropped behind a negative gap"),
     "float-corrected2-jam-gap": (ENGINE, "else (g - jam_gap) / dt", "else g / dt",
                                  "Corrected2's ceiling lets a follower close up past the jam gap"),
@@ -66,9 +66,14 @@ MUTANTS = {
                                    "head[...] = behind  # s[1:]\n",
                                    "the forward and central stencils leave the last follower's estimate as their "
                                    "scratch row holds it, not its backward spacing"),
-    "triangular-nan-maximum": (FUNDAMENTAL, "np.fmax(k, 0.5 * self.critical_density, out=out)",
-                               "np.maximum(k, 0.5 * self.critical_density, out=out)",
+    "triangular-nan-maximum": (FUNDAMENTAL, "np.fmax(k, half, out=out)", "np.maximum(k, half, out=out)",
                                "the triangular law gives NaN at a NaN density, not V"),
+    "triangular-operand-w-as-v": (FUNDAMENTAL, "_zero_d(1.0, self.K, self.V, self.W, 0.5 * self.critical_density)",
+                                  "_zero_d(1.0, self.K, self.V, self.V, 0.5 * self.critical_density)",
+                                  "the triangular law's congested branch is stepped with the free speed V for W"),
+    "jam-square-subnormal": (FUNDAMENTAL, "if not self.S * self.S >= sys.float_info.min:",
+                             "if not self.S * self.S > 0.0:",
+                             "a law whose S*S is subnormal is built, and its theta_prime at S loses bits"),
     "triangular-kc-unrefused": (FUNDAMENTAL, "if not (half > 0.0 and math.isfinite(self.W * (self.K / half - 1.0))):",
                                 "if not half > 0.0:",
                                 "a triangular law whose branch K / (kc/2) or 2V + W overflows is built, and its "
@@ -108,6 +113,9 @@ MUTANTS = {
                              "Python's max keeps the difference before a NaN one"),
     "crossing-exact-hit": (ANALYSIS, "hit = v1 == level", "hit = False",
                            "a speed exactly at the level is interpolated, off the row's own time by rounding"),
+    "crossing-extreme-nan": (ANALYSIS, "(np.greater_equal, np.fmax) if self.rising else (np.less_equal, np.fmin)",
+                             "(np.greater_equal, np.maximum) if self.rising else (np.less_equal, np.minimum)",
+                             "a follower whose block holds a NaN and a crossing is never found"),
     "crossing-block-edge": (ANALYSIS, "if edge.any():", "if False:",
                             "a crossing in a block's first row is interpolated from the block's last row"),
     "M18": (ANALYSIS, "self.peak = -math.inf if scenario.steps and self.cols else math.nan",

@@ -141,12 +141,15 @@ def test_streamed_sweep_writes_the_whole_grid_files(case, dn_list, tiny_blocks, 
 @pytest.mark.parametrize("rows", [1, 2, 3, 6])
 def test_crossings_carry_the_row_before_a_block(rows, rising):
     # Follower 1 crosses between rows 1 and 2, follower 2 meets the level
-    # exactly at row 3, at a position of -0.0, and follower 3 starts past it.
-    # Each block is a copy scribbled over once fed, as a stream's buffer is.
-    x, v = _platoon(rows=6, width=4)
+    # exactly at row 3, at a position of -0.0, follower 3 starts past it, and
+    # follower 4 crosses between rows 2 and 3, in the block of its NaN speed
+    # at row 5 when a block is 3 or 6 rows.  Each block is a copy scribbled
+    # over once fed, as a stream's buffer is.
+    x, v = _platoon(rows=6, width=5)
     v[:, 1] = [0.0, 0.25, 2.0, 2.0, 2.0, 2.0]
     v[:, 2] = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0]
     v[:, 3] = 2.0
+    v[:, 4] = [0.0, 0.0, 0.5, 1.5, 1.5, np.nan]
     x[3, 2] = -0.0
     if not rising:
         v = 2.0 - v
@@ -159,7 +162,7 @@ def test_crossings_carry_the_row_before_a_block(rows, rising):
             a.fill(np.nan)
     got, want = crossings.points(), reference.crossings(traj, 1.0, rising)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert got[0].size == 2 and np.signbit(got[1][1])
+    assert got[0].size == 3 and np.signbit(got[1][1])
 
 
 def test_special_case_has_what_it_names():

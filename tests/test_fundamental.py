@@ -5,8 +5,11 @@ The sigmoid-diagram constants below were evaluated independently with
 40-digit arithmetic; everything else is exact fraction arithmetic done
 by hand.
 """
+import copy
 import math
+import pickle
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -50,6 +53,17 @@ def test_greenshields_theta_values():
 def test_greenshields_theta_prime():
     # V / (K s^2) at s = 14: 140 / 196
     assert G.theta_prime(14.0) == pytest.approx(5.0 / 7.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("cls", [GreenshieldsFD, TriangularFD], ids=["greenshields", "triangular"])
+def test_theta_prime_at_jam_for_the_largest_jam_density(cls):
+    # The largest K whose S*S is a normal float; theta'(S) is V*K, and W*K on the triangular law.
+    K = 1.0 / math.sqrt(np.finfo(float).tiny)
+    fd = cls(V=1.0, K=K) if cls is GreenshieldsFD else cls(V=1.0, W=1.0, K=K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fd.theta_prime(fd.S) == pytest.approx(K, rel=1e-12)
+        assert fd.eta_prime(K) == pytest.approx(-1.0 / K, rel=1e-12)
 
 
 def test_greenshields_phi():
@@ -349,6 +363,22 @@ def test_vector_evaluation():
     assert out[0] == 0.0
     assert isinstance(G.theta(14.0), float)
     assert isinstance(G.eta(0.0), float)
+
+
+@pytest.mark.parametrize("cls", [GreenshieldsFD, TriangularFD, KernerFD], ids=lambda cls: cls.__name__)
+def test_bound_operands_stay_out_of_the_dataclass(cls):
+    # The 0-d operands are cached on a diagram once it is stepped, but serialize and the
+    # threshold caches' keys read only its fields, ==, hash and repr.
+    stepped, fresh = cls(), cls()
+    simulate(Scenario(fd=stepped, k1=0.5 * stepped.K, lead_speed=1.0, m=40, dn=1.0, dt=0.1, duration=1.0))
+    assert "_operands" in vars(stepped) and "_operands" not in vars(fresh)
+    assert [(f.name, getattr(stepped, f.name)) for f in fields(stepped)] == [
+        (f.name, getattr(fresh, f.name)) for f in fields(fresh)]
+    assert (repr(stepped), hash(stepped)) == (repr(fresh), hash(fresh)) and stepped == fresh
+    assert copy.copy(stepped) == stepped and pickle.loads(pickle.dumps(stepped)) == stepped
+    # A replaced diagram binds its own operands: its density at its jam spacing is its own K.
+    moved = replace(stepped, K=2.0 * stepped.K)
+    assert moved._density(np.asarray(moved.S)) == moved.K
 
 
 def test_frozen_instances_are_hashable():

@@ -206,6 +206,10 @@ LIBRARY_REFUSALS = {
                                 + ", ".join(f"{k}={v!r}" for k, v in kw.items()) + "\n")
        for name, kw in [("kc-cube-underflows", {"V": 1.0, "W": 1e-100, "K": 1e-100}),
                         ("wk-overflows", {"V": 1.0, "W": 1e200, "K": 1e200})]},
+    # theta_prime divides by s * s, least at S = 1/K: a subnormal S*S loses bits, and at 0 the
+    # quotient was inf or NaN with a warning where the slope is finite.
+    **{f"{cls.__name__}-K-{K!r}": (cls, {"K": K}, ValueError, f"S*S = (1/K)**2 must be a normal float, got K={K!r}\n")
+       for cls in SCALES for K in (1e154, 1e200)},
     # A non-empty string clamped: eta(K) read 0.0, where False gives -9.496764517068743e-08.
     "KernerFD-clamp_nonnegative-'false'": (KernerFD, {"clamp_nonnegative": "false"}, ValueError,
                                            "clamp_nonnegative must be a boolean, got 'false'\n"),

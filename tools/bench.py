@@ -14,14 +14,15 @@ written.
 ``point`` runs every workload once per seed of ``SEEDS`` and writes, per
 workload, the median and quartiles over the seeds of the three bounded
 metrics, ``setup_raw_s``, ``wall_raw_s`` and ``host_slowdown``, next to
-numpy's baseline and enabled CPU features.  Read ``setup_s`` next to
+numpy's baseline and enabled CPU features and whether the runs could
+write bytecode (``_writes_bytecode``).  Read ``setup_s`` next to
 ``setup_raw_s``: the scaled set-up moves with the host's load.  Then it
 runs tier-1 (``TIER1``) in the same tree and records its wall time, its
 closing summary line and its 10 slowest tests.
 
 ``pair`` runs one workload N times on each of two trees, the base
 revision's and the working tree's, alternating which runs first, and
-prints each pair, then per metric the change's wins (lower in n of N,
+prints whether the runs could write bytecode, each pair, then per metric the change's wins (lower in n of N,
 ties counting for neither), each side's median and quartiles and the
 median of the pairs' change/base ratios.
 """
@@ -99,6 +100,16 @@ def _tier1(tree: str) -> dict:
             "slowest": [{"s": float(s), "phase": phase, "test": test} for s, phase, test in slowest]}
 
 
+def _writes_bytecode() -> bool:
+    """Whether a child interpreter started as the runs are, in this environment, may
+    write bytecode: ``sys.dont_write_bytecode`` is false (no ``PYTHONDONTWRITEBYTECODE``).
+    Where it may not, each run compiles lagwave from source, which adds to its
+    import time and can move its peak resident set by a garbage collection."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip() == "False"
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3}
@@ -130,7 +141,7 @@ def point(args) -> None:
     import numpy
     point = {"source": source, "seeds": list(SEEDS), "run_seconds": BENCH["run_seconds"],
              "python": sys.version.split()[0], "numpy": numpy.__version__, "numpy_cpu_features": _cpu_features(),
-             "workloads": workloads, "tier1": tier1}
+             "writes_bytecode": _writes_bytecode(), "workloads": workloads, "tier1": tier1}
     with open(args.out, "w") as fh:
         json.dump(point, fh, indent=1)
         fh.write("\n")
@@ -141,6 +152,7 @@ def pair(args) -> None:
         trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
         for side, rev in (("base", args.base), ("change", None)):
             print(f"{side}: {_export(rev, trees[side])}", flush=True)
+        print(f"runs write bytecode: {_writes_bytecode()}", flush=True)
         runs = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
