@@ -22,9 +22,10 @@ closing summary line and its 10 slowest tests.
 
 ``pair`` runs one workload N times on each of two trees, the base
 revision's and the working tree's, alternating which runs first, and
-prints whether the runs could write bytecode, each pair, then per metric the change's wins (lower in n of N,
-ties counting for neither), each side's median and quartiles and the
-median of the pairs' change/base ratios.
+prints whether the runs could write bytecode, each pair, then per metric
+the change's wins (lower in n of N, ties counting for neither), each
+side's median and quartiles and the median of the pairs' change/base
+ratios.
 """
 from __future__ import annotations
 
